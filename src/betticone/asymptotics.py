@@ -10,18 +10,15 @@ and the two must agree to well below any test tolerance.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import parallel
-from .errors import DegenerateBound, InvalidRange, OutOfRange
+from .errors import InvalidRange, OutOfRange
 from .secant import (
     SecantParams,
     dominant_tuple,
     hn_leading_coefficient,
-    jump_tuples,
     kappa_dominant,
     normalized_hn_leading,
     secant_degree,
@@ -57,12 +54,15 @@ def realized_column(params: SecantParams, a: float) -> int:
     """The integer column tracking r/2 + a*sqrt(r/2), ties rounded half-up.
 
     Clamped into [1, r - g - 2k - 1], the window where the dominant closed
-    form is defined.
+    form is defined. A non-finite a has no column and raises OutOfRange; a
+    finite a so large that the float position overflows just clamps.
     """
+    if not math.isfinite(a):
+        raise OutOfRange(f"a must be finite, got {a!r}")
     r = params.r
-    raw = math.floor(r / 2 + a * math.sqrt(r / 2) + 0.5)
+    raw = min(max(r / 2 + a * math.sqrt(r / 2) + 0.5, 0.0), float(r))
     hi = r - params.g - 2 * params.k - 1
-    return max(1, min(hi, raw))
+    return max(1, min(hi, math.floor(raw)))
 
 
 def _log_comb(r: int, p: int) -> float:
@@ -190,30 +190,23 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
     With L* the dominant tuple's leading coefficient and M the best the
     rest can do, A <= c*L* + (1-c*)M forces c* >= (A - M)/(L* - M).
 
+    M = L*(g-1)/g in closed form. The leading coefficients share one
+    denominator, so compare the numerators prod_l (i_l + l). A non-dominant
+    tuple has some i_j <= g-1, weak monotonicity caps i_0..i_j at g-1, and
+    the product telescopes: prod_{l<=j} (g-1+l)/(g+l) = (g-1)/(g+j) <= (g-1)/g.
+    The tuple (g-1, g, ..., g) attains it. For g = 1 the dominant tuple is
+    the only one with i_0 >= 1, so M = 0, which the formula also gives.
+    Substituting M, the bound is g*A/L* - (g-1), clamped to [0, 1].
+
     A defaults to the family target binomial(g+k,k+1)/degree; pass the
     diagram's own coefficient to bound a specific synthetic diagram.
     """
     a_coeff = leading_coefficient
     if a_coeff is None:
         a_coeff = normalized_hn_leading(params)
-    a_coeff = Fraction(a_coeff)
-    dom = dominant_tuple(params)
-    l_star = hn_leading_coefficient(params, dom)
-    m_best = Fraction(0)
-    for i in jump_tuples(params.g, params.k):
-        if i == dom or i[0] == 0:
-            continue
-        m_best = max(m_best, hn_leading_coefficient(params, i))
-    if l_star <= m_best:
-        raise DegenerateBound(f"L*={l_star} <= M={m_best}")
-    bound = (a_coeff - m_best) / (l_star - m_best)
+    l_star = hn_leading_coefficient(params, dominant_tuple(params))
+    bound = params.g * Fraction(a_coeff) / l_star - (params.g - 1)
     return max(Fraction(0), min(Fraction(1), bound))
-
-
-def _purity_row(g: int, k: int, d: int) -> PuritySweepRow:
-    params = SecantParams(g, k, d)
-    bound = purity_lower_bound(params)
-    return PuritySweepRow(d=d, r=params.r, lower_bound=bound, gap=1 - bound)
 
 
 def purity_sweep(g: int, k: int, d_min: int, d_max: int, step: int = 1):
@@ -222,19 +215,17 @@ def purity_sweep(g: int, k: int, d_min: int, d_max: int, step: int = 1):
         raise InvalidRange(f"step must be positive, got {step}")
     if d_min < 2 * g + 2 * k + 1:
         raise InvalidRange(f"d_min={d_min} below the valid range start {2 * g + 2 * k + 1}")
-    grid = range(d_min, d_max + 1, step)
-    return parallel.map_ordered(functools.partial(_purity_row, g, k), grid)
-
-
-def _distribution_row(g: int, k: int, point: tuple) -> DistributionRow:
-    d, a = point
-    return normal_dist_point(SecantParams(g, k, d), a)
+    rows = []
+    for d in range(d_min, d_max + 1, step):
+        params = SecantParams(g, k, d)
+        bound = purity_lower_bound(params)
+        rows.append(PuritySweepRow(d=d, r=params.r, lower_bound=bound, gap=1 - bound))
+    return rows
 
 
 def distribution_sweep(g: int, k: int, a_list, d_list):
     """normal_dist_point over the cartesian grid, d-major order."""
-    points = [(d, a) for d in d_list for a in a_list]
-    return parallel.map_ordered(functools.partial(_distribution_row, g, k), points)
+    return [normal_dist_point(SecantParams(g, k, d), a) for d in d_list for a in a_list]
 
 
 def write_purity_csv(g: int, k: int, rows, out) -> None:

@@ -93,9 +93,6 @@ def cmd_secant_pure(args) -> int:
 
 def cmd_decompose(args) -> int:
     b = _read_diagram_file(args.input)
-    if not b.is_nonnegative():
-        print("input diagram has a negative entry", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         dec = decomposition.decompose(b)
     except NotInCone as exc:

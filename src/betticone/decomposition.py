@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagrams import BettiDiagram, DegreeSequence, pure_diagram, scale, subtract, top_strand
+from .diagrams import BettiDiagram, DegreeSequence, add, pure_diagram, scale, subtract, top_strand
 from .errors import (
     EmptyDiagram,
     MissingColumn,
@@ -47,11 +47,7 @@ class Decomposition:
         """Sum of all summands plus the residual."""
         out = self.residual
         for s in self.summands:
-            term = pure_diagram(s.degrees)
-            acc = dict(out.items())
-            for key, v in term.items():
-                acc[key] = acc.get(key, Fraction(0)) + s.coefficient * v
-            out = BettiDiagram(acc)
+            out = add(out, scale(pure_diagram(s.degrees), s.coefficient))
         return out
 
     def to_json_obj(self) -> dict:

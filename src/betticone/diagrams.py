@@ -218,12 +218,12 @@ def pure_diagram(e) -> BettiDiagram:
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
     c = Fraction(c)
-    return BettiDiagram({key: v * c for key, v in b.items()})
+    return BettiDiagram({key: v * c for key, v in b._e.items()})
 
 
 def add(a: BettiDiagram, b: BettiDiagram) -> BettiDiagram:
-    out = dict(a.items())
-    for key, v in b.items():
+    out = dict(a._e)
+    for key, v in b._e.items():
         out[key] = out.get(key, Fraction(0)) + v
     return BettiDiagram(out)
 
@@ -299,18 +299,14 @@ def _cleared_alternating(b: BettiDiagram):
     return coeffs, lo, lcm
 
 
-def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
-    """HN(t) = (sum of (-1)^p kappa_{p,q} t^{p+q}) / (1-t)^s, s = pd(b).
+def _divided_numerator(b: BettiDiagram):
+    """Integer coefficients of lcm * HN(t), as (coeffs, offset, lcm).
 
-    Each division by (1-t) is a running prefix sum; it is exact iff the
-    final accumulated value is zero, and any nonzero remainder means the
-    diagram does not have the Cohen-Macaulay shape this quantity assumes.
-
-    >>> hilbert_numerator(pure_diagram((0, 1, 2))).items()
-    [(0, Fraction(1, 1))]
+    coeffs[j] is the coefficient of t^(j + offset). Each division by (1-t)
+    is a running prefix sum; it is exact iff the final accumulated value is
+    zero, and any nonzero remainder means the diagram does not have the
+    Cohen-Macaulay shape this quantity assumes.
     """
-    if not b:
-        raise EmptyDiagram("Hilbert numerator of an empty diagram")
     s = projective_dimension(b)
     coeffs, offset, lcm = _cleared_alternating(b)
     for step in range(s):
@@ -325,6 +321,18 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
                 f"(remainder after {step + 1} division(s))"
             )
         coeffs = out[:-1]
+    return coeffs, offset, lcm
+
+
+def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
+    """HN(t) = (sum of (-1)^p kappa_{p,q} t^{p+q}) / (1-t)^s, s = pd(b).
+
+    >>> hilbert_numerator(pure_diagram((0, 1, 2))).items()
+    [(0, Fraction(1, 1))]
+    """
+    if not b:
+        raise EmptyDiagram("Hilbert numerator of an empty diagram")
+    coeffs, offset, lcm = _divided_numerator(b)
     return RationalPolynomial(
         {offset + j: Fraction(c, lcm) for j, c in enumerate(coeffs) if c != 0}
     )
@@ -338,19 +346,5 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
-    s = projective_dimension(b)
-    coeffs, _, lcm = _cleared_alternating(b)
-    # run the same exact divisions as hilbert_numerator, keeping only sums
-    for step in range(s):
-        acc = 0
-        out = []
-        for c in coeffs:
-            acc += c
-            out.append(acc)
-        if acc != 0:
-            raise NotCohenMacaulayShape(
-                f"(1-t)^{s} does not divide the alternating polynomial "
-                f"(remainder after {step + 1} division(s))"
-            )
-        coeffs = out[:-1]
+    coeffs, _, lcm = _divided_numerator(b)
     return Fraction(sum(coeffs), lcm)

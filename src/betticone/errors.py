@@ -30,10 +30,10 @@ class NotStrictlyIncreasing(BettiConeError):
 
 
 class NegativeEntry(BettiConeError):
-    """Strict-mode subtraction drove an entry below zero."""
+    """An entry is below zero: in the input, or after a strict subtraction."""
 
     def __init__(self, p, q, value):
-        super().__init__(f"entry ({p},{q}) would become {value}")
+        super().__init__(f"negative entry at ({p},{q}): {value}")
         self.p = p
         self.q = q
         self.value = value
@@ -70,10 +70,6 @@ class OutOfRange(BettiConeError):
 
 class TupleNotMaximalRegularity(BettiConeError):
     """Leading-coefficient formula needs every jump present (i_0 >= 1)."""
-
-
-class DegenerateBound(BettiConeError):
-    """Lower-bound denominator collapsed; cannot occur for valid params."""
 
 
 class InvalidRange(BettiConeError):

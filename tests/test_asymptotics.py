@@ -4,24 +4,24 @@ Claims pinned here:
     - the exact and log-domain evaluation paths agree far below tolerance
     - purity_lower_bound frozen rational values, the g = 1 identity
       (bound exactly 1), and the clamp to 0 when the default target is weak
+    - purity_lower_bound's closed form equals the bound from enumerating
+      every jump tuple, and M = L*(g-1)/g holds on the same grid
     - the g=2, k=1 calibration constants match the checked-in fixture
     - dominant_binomial_ratio approaches 1 from below, deviation shrinking
     - normal_dist_point satisfies the collapse identity at float precision
     - sweep CSV writers emit the documented headers and exact columns
-    - BETTI_CONE_THREADS only changes scheduling, never results
 """
 
 import csv
 import io
 import json
 import math
-import os
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from betticone import asymptotics, parallel, secant
+from betticone import asymptotics, secant
 from betticone.errors import InvalidRange, OutOfRange
 
 F = Fraction
@@ -38,6 +38,13 @@ def test_realized_column_centering():
     tiny = secant.SecantParams(1, 1, 7)
     assert asymptotics.realized_column(tiny, -50.0) == 1
     assert asymptotics.realized_column(tiny, 50.0) == tiny.r - 1 - 2 - 1
+    # ... also when the float position overflows
+    assert asymptotics.realized_column(tiny, 1e308) == tiny.r - 1 - 2 - 1
+    assert asymptotics.realized_column(tiny, -1e308) == 1
+    # a non-finite a has no column
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            asymptotics.realized_column(tiny, a)
 
 
 def test_stirling_ratio_exact_matches_log():
@@ -130,6 +137,53 @@ def test_purity_lower_bound_custom_leading_coefficient():
     assert asymptotics.purity_lower_bound(params, leading_coefficient=0) == 0
 
 
+def _best_non_dominant(params):
+    """M by enumeration: the best leading coefficient of a non-dominant tuple."""
+    dom = secant.dominant_tuple(params)
+    return max(
+        (
+            secant.hn_leading_coefficient(params, i)
+            for i in secant.jump_tuples(params.g, params.k)
+            if i != dom and i[0] >= 1
+        ),
+        default=F(0),
+    )
+
+
+def _enumerated_purity_bound(params, leading_coefficient=None):
+    """The bound (A - M)/(L* - M) with M found by scanning every jump tuple."""
+    a_coeff = F(
+        secant.normalized_hn_leading(params) if leading_coefficient is None else leading_coefficient
+    )
+    l_star = secant.hn_leading_coefficient(params, secant.dominant_tuple(params))
+    m_best = _best_non_dominant(params)
+    assert l_star > m_best
+    return max(F(0), min(F(1), (a_coeff - m_best) / (l_star - m_best)))
+
+
+def _oracle_grid():
+    for g in range(1, 7):
+        for k in range(0, 5):
+            lo = 2 * g + 2 * k + 1
+            for d in (lo, lo + 1, lo + 4, lo + 17, 100 + g, 1000 + 3 * g):
+                yield secant.SecantParams(g, k, d)
+
+
+def test_best_non_dominant_is_closed_form():
+    for params in _oracle_grid():
+        l_star = secant.hn_leading_coefficient(params, secant.dominant_tuple(params))
+        assert _best_non_dominant(params) == l_star * F(params.g - 1, params.g), params
+
+
+def test_purity_lower_bound_matches_enumerating_oracle():
+    for params in _oracle_grid():
+        l_star = secant.hn_leading_coefficient(params, secant.dominant_tuple(params))
+        for a_coeff in (None, F(0), l_star / 7, l_star):
+            want = _enumerated_purity_bound(params, a_coeff)
+            got = asymptotics.purity_lower_bound(params, leading_coefficient=a_coeff)
+            assert got == want, (params, a_coeff)
+
+
 def test_purity_sweep_grid_and_errors():
     rows = asymptotics.purity_sweep(2, 1, 7, 13, step=3)
     assert [row.d for row in rows] == [7, 10, 13]
@@ -182,24 +236,3 @@ def test_distribution_rows_consistent_with_point():
     rows = asymptotics.distribution_sweep(1, 1, [0.5], [301])
     point = asymptotics.normal_dist_point(secant.SecantParams(1, 1, 301), 0.5)
     assert rows == [point]
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv(parallel.ENV_VAR, raising=False)
-    assert parallel.worker_count() == 1
-    monkeypatch.setenv(parallel.ENV_VAR, "4")
-    assert parallel.worker_count() == 4
-    monkeypatch.setenv(parallel.ENV_VAR, "0")
-    assert parallel.worker_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv(parallel.ENV_VAR, "junk")
-    assert parallel.worker_count() == 1
-    monkeypatch.setenv(parallel.ENV_VAR, "-3")
-    assert parallel.worker_count() == 1
-
-
-def test_parallel_results_match_serial(monkeypatch):
-    monkeypatch.delenv(parallel.ENV_VAR, raising=False)
-    serial = asymptotics.purity_sweep(2, 1, 7, 40)
-    monkeypatch.setenv(parallel.ENV_VAR, "2")
-    parallelized = asymptotics.purity_sweep(2, 1, 7, 40)
-    assert serial == parallelized

@@ -150,6 +150,18 @@ def test_sweep_distribution_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("a", ["inf", "-inf", "nan"])
+def test_sweep_distribution_non_finite_a(tmp_path, capsys, a):
+    out_file = tmp_path / "dist.csv"
+    code, out, err = run(
+        capsys, "sweep", "distribution", "-g", "1", "-k", "1",
+        f"--a={a}", "--d", "101", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("bad input:")
+    assert not out_file.exists()
+
+
 def test_sweep_purity_needs_range(capsys):
     code, out, err = run(capsys, "sweep", "purity", "-g", "2", "-k", "1", "--out", "/tmp/x.csv")
     assert code == 2
