@@ -2,13 +2,15 @@
 
 Two kinds of quantity live here. The purity lower bound is exact rational
 arithmetic end to end. The distribution quantities involve 2^r and
-binomial(r, p) at r up to 10^6, so they evaluate in log-gamma space once r
-crosses EXACT_CROSSOVER; below that an exact big-rational path exists too,
-and the two must agree to well below any test tolerance.
+binomial(r, p) at r up to 10^6. Each is written once, as secant.Factors
+lists, and _evaluate turns the lists into a float: as an exact rational up
+to EXACT_CROSSOVER, as a sum of logs above it. The log sum stays within
+1e-10 relative of the exact value for r up to 2*10^4 (tested).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -16,10 +18,11 @@ from fractions import Fraction
 
 from .errors import InvalidRange, OutOfRange
 from .secant import (
+    Factors,
     SecantParams,
     dominant_tuple,
     hn_leading_coefficient,
-    kappa_dominant,
+    kappa_dominant_factors,
     normalized_hn_leading,
     secant_degree,
 )
@@ -65,8 +68,29 @@ def realized_column(params: SecantParams, a: float) -> int:
     return max(1, min(hi, math.floor(raw)))
 
 
-def _log_comb(r: int, p: int) -> float:
-    return math.lgamma(r + 1) - math.lgamma(p + 1) - math.lgamma(r - p + 1)
+def _log_sum(f: Factors) -> float:
+    """log of the product f.
+
+    The power of two and the binomials mostly cancel, so they go first;
+    the integer factors enter as one log per side.
+    """
+    out = f.two * math.log(2)
+    for n, p, sign in f.binoms:
+        out += sign * (math.lgamma(n + 1) - math.lgamma(p + 1) - math.lgamma(n - p + 1))
+    return out + math.log(math.prod(f.num)) - math.log(math.prod(f.den))
+
+
+def _evaluate(f: Factors, root: float, r: int, method: str) -> float:
+    """f * sqrt(root): exact rationals up to EXACT_CROSSOVER, logs above.
+
+    method "exact" or "log" forces a path; "auto" picks by r.
+    """
+    if method not in ("auto", "exact", "log"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact" or (method == "auto" and r <= EXACT_CROSSOVER):
+        num, den = f.ratio()
+        return num / den * math.sqrt(root)  # int / int is float(Fraction(num, den))
+    return math.exp(_log_sum(f) + 0.5 * math.log(root))
 
 
 def stirling_ratio(r: int, p: int, method: str = "auto") -> float:
@@ -79,30 +103,12 @@ def stirling_ratio(r: int, p: int, method: str = "auto") -> float:
         raise OutOfRange(f"r and p must be integers, got {r!r}, {p!r}")
     if r < 1 or p < 0 or p > r:
         raise OutOfRange(f"need 1 <= r and 0 <= p <= r, got r={r}, p={p}")
-    if method not in ("auto", "exact", "log"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and r <= EXACT_CROSSOVER):
-        return float(Fraction(math.comb(r, p), 2 ** (r + 1))) * math.sqrt(2 * math.pi * r)
-    return math.exp(
-        0.5 * math.log(2 * math.pi * r) - (r + 1) * math.log(2) + _log_comb(r, p)
-    )
+    return _evaluate(Factors(binoms=((r, p, 1),), two=-(r + 1)), 2 * math.pi * r, r, method)
 
 
 def kappa_dominant_log(params: SecantParams, p: int) -> float:
-    """log of kappa_dominant(params, p), assembled factor by factor."""
-    g, k, r = params.g, params.k, params.r
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise OutOfRange(f"p must be an integer, got {p!r}")
-    if p < 1 or p > r - g - 2 * k - 1:
-        raise OutOfRange(f"p={p} outside [1, {r - g - 2 * k - 1}]")
-    out = _log_comb(r - 2 * k, p)
-    out += math.log(p) - math.log(p + k + 1)
-    for i in range(k, 2 * k + 1):
-        out += math.log(r - p - g - i)
-    out -= math.log(r - 2 * k)
-    for i in range(k, 2 * k):
-        out -= math.log(r - p - i)
-    return out
+    """log of kappa_dominant(params, p), from the same factor lists."""
+    return _log_sum(kappa_dominant_factors(params, p))
 
 
 def dominant_binomial_ratio(params: SecantParams, a: float, method: str = "auto") -> float:
@@ -111,27 +117,15 @@ def dominant_binomial_ratio(params: SecantParams, a: float, method: str = "auto"
     Tends to 1 as d grows with a fixed; how fast is an empirical question
     the tests pin down.
     """
-    if method not in ("auto", "exact", "log"):
-        raise ValueError(f"unknown method {method!r}")
     r = params.r
     p = realized_column(params, a)
-    if method == "exact" or (method == "auto" and r <= EXACT_CROSSOVER):
-        exact = kappa_dominant(params, p) * 2 ** (2 * params.k + 1) / math.comb(r, p)
-        return float(exact)
-    return math.exp(
-        kappa_dominant_log(params, p) + (2 * params.k + 1) * math.log(2) - _log_comb(r, p)
-    )
+    f = kappa_dominant_factors(params, p).times(Factors(binoms=((r, p, -1),), two=2 * params.k + 1))
+    return _evaluate(f, 1.0, r, method)
 
 
-def _log_scale_factor(params: SecantParams) -> float:
-    """log of (k+1)! / (2^(r-2k) r^k) * sqrt(2*pi/r)."""
-    k, r = params.k, params.r
-    return (
-        math.lgamma(k + 2)
-        - (r - 2 * k) * math.log(2)
-        - k * math.log(r)
-        + 0.5 * math.log(2 * math.pi / r)
-    )
+def _degree_factors(params: SecantParams, r_power: int, two: int = 0) -> Factors:
+    """secant_degree * (k+1)! / r^r_power * 2^two."""
+    return Factors((secant_degree(params), *range(2, params.k + 2)), (params.r,) * r_power, (), two)
 
 
 def normal_dist_point(params: SecantParams, a: float, method: str = "auto") -> DistributionRow:
@@ -147,23 +141,10 @@ def normal_dist_point(params: SecantParams, a: float, method: str = "auto") -> D
     r=10^4, a=1). Measured from the strand's own centre, x = (p -
     (r-2k-1)/2)/sqrt(r/2), the value is exp(-x^2) up to O(1/r).
     """
-    if method not in ("auto", "exact", "log"):
-        raise ValueError(f"unknown method {method!r}")
-    r = params.r
+    r, k = params.r, params.k
     p = realized_column(params, a)
-    deg = secant_degree(params)
-    if method == "exact" or (method == "auto" and r <= EXACT_CROSSOVER):
-        k = params.k
-        rational = (
-            Fraction(math.factorial(k + 1), 2 ** (r - 2 * k) * r**k)
-            * deg
-            * kappa_dominant(params, p)
-        )
-        value = float(rational) * math.sqrt(2 * math.pi / r)
-    else:
-        value = math.exp(
-            _log_scale_factor(params) + math.log(deg) + kappa_dominant_log(params, p)
-        )
+    f = kappa_dominant_factors(params, p).times(_degree_factors(params, k, two=2 * k - r))
+    value = _evaluate(f, 2 * math.pi / r, r, method)
     return DistributionRow(
         d=params.d, r=r, p=p, a_target=float(a), value=value, limit=math.exp(-(a * a))
     )
@@ -178,14 +159,10 @@ def collapse_identity(params: SecantParams, a: float) -> tuple:
     and the correction tends to 1; this is the checkable skeleton of the
     limit statement.
     """
-    r, k = params.r, params.k
-    p = realized_column(params, a)
-    value = normal_dist_point(params, a).value
-    degree_factor = math.exp(
-        math.log(secant_degree(params)) + math.lgamma(k + 2) - (k + 1) * math.log(r)
-    )
+    row = normal_dist_point(params, a)
+    degree_factor = _evaluate(_degree_factors(params, params.k + 1), 1.0, row.r, "exact")
     correction = degree_factor * dominant_binomial_ratio(params, a)
-    return value, stirling_ratio(r, p, method="log") * correction, correction
+    return row.value, stirling_ratio(row.r, row.p, method="log") * correction, correction
 
 
 def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | None = None) -> Fraction:
@@ -235,40 +212,32 @@ def distribution_sweep(g: int, k: int, a_list, d_list):
     return [normal_dist_point(SecantParams(g, k, d), a) for d in d_list for a in a_list]
 
 
+@contextlib.contextmanager
+def _opened(out):
+    """A path (str or bytes) opened for writing and closed on exit; a file object as is."""
+    if isinstance(out, (str, bytes)):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield out
+
+
 def write_purity_csv(g: int, k: int, rows, out) -> None:
     """Exact CSV: one row per (d, quantity), quantities as num/den columns."""
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        w = csv.writer(out, lineterminator="\n")
+    with _opened(out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["g", "k", "d", "r", "quantity", "value_num", "value_den"])
         for row in rows:
-            for name, v in (
-                ("lower_bound", row.lower_bound),
-                ("gap", row.gap),
-                ("r_gap", row.r_gap),
-            ):
+            for name, v in (("lower_bound", row.lower_bound), ("gap", row.gap), ("r_gap", row.r_gap)):
                 w.writerow([g, k, row.d, row.r, name, v.numerator, v.denominator])
-    finally:
-        if close:
-            out.close()
 
 
 def write_distribution_csv(g: int, k: int, rows, out) -> None:
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        w = csv.writer(out, lineterminator="\n")
+    with _opened(out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["g", "k", "d", "r", "a", "p", "value", "limit"])
         for row in rows:
             w.writerow([g, k, row.d, row.r, row.a_target, row.p, repr(row.value), repr(row.limit)])
-    finally:
-        if close:
-            out.close()
 
 
 def calibrate_purity(g: int, k: int, d_max: int, threshold: Fraction = Fraction(99, 100)) -> dict:

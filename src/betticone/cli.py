@@ -67,7 +67,11 @@ def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
 def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
     with open(path, "r", encoding="utf-8") as fh:
         text = "".join(line for line in fh if not line.lstrip().startswith("#"))
-    return diagrams.BettiDiagram.from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return diagrams.BettiDiagram.from_json_obj(obj)
 
 
 def cmd_pure(args) -> int:
@@ -129,46 +133,39 @@ def _grid(args):
                 yield secant.SecantParams(g, k, d)
 
 
+def _case(params, extra: str) -> str:
+    return f"g={params.g} k={params.k} d={params.d} {extra}"
+
+
 def _suite_multiplicity(args):
-    checked = failed = 0
     for params in _grid(args):
         for tup in secant.jump_tuples(params.g, params.k):
-            checked += 1
-            if diagrams.multiplicity(secant.secant_pure_diagram(params, tup)) != 1:
-                failed += 1
-    return checked, failed
+            ok = diagrams.multiplicity(secant.secant_pure_diagram(params, tup)) == 1
+            yield _case(params, f"tuple={tup}"), ok
 
 
 def _suite_dominant_kappa(args):
-    checked = failed = 0
     for params in _grid(args):
         table = secant.secant_pure_diagram(params, secant.dominant_tuple(params))
         for p in range(1, params.r - params.g - 2 * params.k):
-            checked += 1
-            if secant.kappa_dominant(params, p) != table.get(p, params.k + 1):
-                failed += 1
-    return checked, failed
+            ok = secant.kappa_dominant(params, p) == table.get(p, params.k + 1)
+            yield _case(params, f"p={p}"), ok
 
 
 def _suite_hn_leading(args):
-    checked = failed = 0
     for params in _grid(args):
         for tup in secant.jump_tuples(params.g, params.k):
             if tup[0] < 1:
                 continue
-            checked += 1
             claimed = secant.hn_leading_coefficient(
                 params, tup, alt_denominator=args.alt_denominator
             )
             hn = diagrams.hilbert_numerator(secant.secant_pure_diagram(params, tup))
-            if claimed != hn.coefficient(2 * params.k + 2):
-                failed += 1
-    return checked, failed
+            yield _case(params, f"tuple={tup}"), claimed == hn.coefficient(2 * params.k + 2)
 
 
 def _suite_herzog_kuhl(args):
     rng = random.Random(args.seed)
-    checked = failed = 0
     for _ in range(args.count):
         n = rng.randint(1, 11)
         start = rng.randint(-3, 3)
@@ -178,13 +175,8 @@ def _suite_herzog_kuhl(args):
         table = diagrams.pure_diagram(seq)
         kappas = [(p, e, table.get(p, e - p)) for p, e in enumerate(seq)]
         for j in range(n):
-            checked += 1
-            total = sum(
-                (-1) ** p * v * Fraction(e) ** j for p, e, v in kappas
-            )
-            if total != 0:
-                failed += 1
-    return checked, failed
+            total = sum((-1) ** p * v * Fraction(e) ** j for p, e, v in kappas)
+            yield f"degseq={tuple(seq)} j={j}", total == 0
 
 
 _SUITES = {
@@ -196,7 +188,13 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    checked, failed = _SUITES[args.suite](args)
+    checked = failed = 0
+    for case, ok in _SUITES[args.suite](args):
+        checked += 1
+        if not ok:
+            if not failed:
+                print(f"{args.suite}: first failure at {case}", file=sys.stderr)
+            failed += 1
     status = "FAIL" if failed else "ok"
     print(f"{args.suite}: {checked - failed}/{checked} passed ({status})")
     return EXIT_VERIFY if failed else EXIT_OK

@@ -187,8 +187,10 @@ class BettiDiagram:
         for cell in obj["entries"]:
             if not isinstance(cell, dict) or not {"p", "q", "v"} <= set(cell):
                 raise ValueError(f"malformed diagram cell: {cell!r}")
+            if type(cell["p"]) is not int or type(cell["q"]) is not int:
+                raise ValueError(f"p and q must be JSON integers: {cell!r}")
             try:
-                triples.append((int(cell["p"]), int(cell["q"]), Fraction(str(cell["v"]))))
+                triples.append((cell["p"], cell["q"], Fraction(str(cell["v"]))))
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ValueError(f"malformed diagram cell: {cell!r}") from exc
         return cls.from_entries(triples)

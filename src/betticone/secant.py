@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .diagrams import BettiDiagram, DegreeSequence, pure_diagram
 from .errors import InvalidParams, InvalidTuple, OutOfRange, TupleNotMaximalRegularity
@@ -131,25 +132,54 @@ def shape_mask(params: SecantParams) -> frozenset:
     return frozenset(allowed)
 
 
-def kappa_dominant(params: SecantParams, p: int) -> Fraction:
-    """Closed form for the weight-(k+1) entries of the dominant diagram.
+class Factors(NamedTuple):
+    """The product prod(num) / prod(den) * prod binomial(n, p)**sign * 2**two, sign = +-1.
 
-    Valid for 1 <= p <= r - g - 2k - 1; equals the column-p entry of
-    secant_pure_diagram(params, (g, ..., g)) on that range.
+    A closed form written once as these lists is evaluated exactly (`ratio`)
+    or as a sum of logs (asymptotics), so the two cannot drift apart.
+    """
+
+    num: tuple = ()
+    den: tuple = ()
+    binoms: tuple = ()
+    two: int = 0
+
+    def times(self, o: "Factors") -> "Factors":
+        return Factors(self.num + o.num, self.den + o.den, self.binoms + o.binoms, self.two + o.two)
+
+    def ratio(self) -> tuple:
+        """(numerator, denominator) as integers, not reduced."""
+        num = math.prod(self.num) * math.prod(math.comb(n, p) for n, p, s in self.binoms if s > 0)
+        den = math.prod(self.den) * math.prod(math.comb(n, p) for n, p, s in self.binoms if s < 0)
+        return num << max(self.two, 0), den << max(-self.two, 0)
+
+
+def kappa_dominant_factors(params: SecantParams, p: int) -> Factors:
+    """kappa_dominant(params, p) as factor lists:
+
+    binomial(r-2k, p) * p/(p+k+1) * prod_{i=k}^{2k} (r-p-g-i)
+    / ((r-2k) * prod_{i=k}^{2k-1} (r-p-i)), each product a run of
+    consecutive integers.
     """
     g, k, r = params.g, params.k, params.r
     if not isinstance(p, int) or isinstance(p, bool):
         raise OutOfRange(f"p must be an integer, got {p!r}")
     if p < 1 or p > r - g - 2 * k - 1:
         raise OutOfRange(f"p={p} outside [1, {r - g - 2 * k - 1}]")
-    value = Fraction(math.comb(r - 2 * k, p)) * Fraction(p, p + k + 1)
-    num = 1
-    for i in range(k, 2 * k + 1):
-        num *= r - p - g - i
-    den = r - 2 * k
-    for i in range(k, 2 * k):
-        den *= r - p - i
-    return value * Fraction(num, den)
+    return Factors(
+        num=(p, *range(r - p - g - 2 * k, r - p - g - k + 1)),
+        den=(p + k + 1, r - 2 * k, *range(r - p - 2 * k + 1, r - p - k + 1)),
+        binoms=((r - 2 * k, p, 1),),
+    )
+
+
+def kappa_dominant(params: SecantParams, p: int) -> Fraction:
+    """Closed form for the weight-(k+1) entries of the dominant diagram.
+
+    Valid for 1 <= p <= r - g - 2k - 1; equals the column-p entry of
+    secant_pure_diagram(params, (g, ..., g)) on that range.
+    """
+    return Fraction(*kappa_dominant_factors(params, p).ratio())
 
 
 def hn_leading_coefficient(params: SecantParams, i, alt_denominator: bool = False) -> Fraction:

@@ -1,7 +1,8 @@
 """Purity bounds and distribution-limit numerics.
 
 Claims pinned here:
-    - the exact and log-domain evaluation paths agree far below tolerance
+    - the exact and log-domain evaluation paths agree far below tolerance,
+      and within 1e-10 relative at the r where "auto" takes the log path
     - purity_lower_bound frozen rational values, the g = 1 identity
       (bound exactly 1), and the clamp to 0 when the default target is weak
     - purity_lower_bound's closed form equals the bound from enumerating
@@ -107,6 +108,39 @@ def test_normal_dist_point_exact_matches_log():
     l = asymptotics.normal_dist_point(params, 0.0, method="log")
     assert e.p == l.p
     assert l.value == pytest.approx(e.value, rel=1e-11)
+
+
+# Log-path budget where "auto" takes it, r above EXACT_CROSSOVER: 1e-10
+# relative (measured worst 5.1e-11, from lgamma cancellation ~ r*eps).
+LOG_BUDGET = 1e-10
+LOG_RS = (10**3, 10**4, 2 * 10**4)
+
+
+def _log_exact(x: Fraction) -> float:
+    """log of a positive rational too large for a float."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def test_log_path_within_budget_where_it_runs():
+    for (g, k) in [(1, 1), (3, 2)]:
+        for r in LOG_RS:
+            assert r > asymptotics.EXACT_CROSSOVER
+            params = secant.SecantParams(g, k, r + g)
+            for a in (0.0, 1.0):
+                e = asymptotics.normal_dist_point(params, a, method="exact").value
+                l = asymptotics.normal_dist_point(params, a).value
+                assert abs(l - e) <= LOG_BUDGET * e, (g, k, r, a, "normal_dist_point")
+                e = asymptotics.dominant_binomial_ratio(params, a, method="exact")
+                l = asymptotics.dominant_binomial_ratio(params, a)
+                assert abs(l - e) <= LOG_BUDGET * e, (g, k, r, a, "dominant_binomial_ratio")
+                p = asymptotics.realized_column(params, a)
+                e = asymptotics.stirling_ratio(r, p, method="exact")
+                l = asymptotics.stirling_ratio(r, p)
+                assert abs(l - e) <= LOG_BUDGET * e, (r, p, "stirling_ratio")
+                # an absolute error in the log is the relative error of the value
+                want = _log_exact(secant.kappa_dominant(params, p))
+                got = asymptotics.kappa_dominant_log(params, p)
+                assert abs(got - want) <= LOG_BUDGET, (g, k, r, p, "kappa_dominant_log")
 
 
 def test_collapse_identity_holds_everywhere():

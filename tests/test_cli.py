@@ -106,6 +106,30 @@ def test_decompose_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cell", [
+    {"p": 1.7, "q": 0, "v": "1/1"},
+    {"p": 0, "q": 0.5, "v": "1/1"},
+    {"p": 1.0, "q": 0, "v": "1/1"},
+    {"p": "1", "q": 0, "v": "1/1"},
+    {"p": True, "q": 0, "v": "1/1"},
+])
+def test_decompose_rejects_non_integer_column(tmp_path, capsys, cell):
+    src = tmp_path / "float.json"
+    src.write_text(json.dumps({"entries": [{"p": 0, "q": 0, "v": "1/1"}, cell]}))
+    code, out, err = run(capsys, "decompose", "--input", str(src))
+    assert code == 2
+    assert err.startswith("bad input:")
+    assert out == ""
+
+
+def test_decompose_deeply_nested_json(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000)
+    code, out, err = run(capsys, "decompose", "--input", str(src))
+    assert code == 2
+    assert err.startswith("bad input:")
+
+
 def test_decompose_negative_entry(tmp_path, capsys):
     src = tmp_path / "neg.json"
     src.write_text(json.dumps({"entries": [{"p": 0, "q": 0, "v": "-1/2"}]}))
@@ -191,6 +215,7 @@ def test_verify_suites_pass(capsys):
         )
         assert code == 0, suite
         assert "(ok)" in out
+        assert err == ""
     code, out, err = run(capsys, "verify", "--suite", "herzog-kuhl", "--count", "40")
     assert code == 0
     assert "(ok)" in out
@@ -203,6 +228,7 @@ def test_verify_alt_denominator_fails(capsys):
     )
     assert code == 1
     assert "(FAIL)" in out
+    assert err == "hn-leading: first failure at g=1 k=0 d=3 tuple=(1,)\n"
 
 
 def test_calibrate_stdout(capsys):
