@@ -13,8 +13,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidRange, OutOfRange
 from .secant import (
@@ -31,8 +31,7 @@ from .secant import (
 EXACT_CROSSOVER = 300
 
 
-@dataclass(frozen=True)
-class PuritySweepRow:
+class PuritySweepRow(NamedTuple):
     d: int
     r: int
     lower_bound: Fraction
@@ -43,8 +42,7 @@ class PuritySweepRow:
         return self.r * self.gap
 
 
-@dataclass(frozen=True)
-class DistributionRow:
+class DistributionRow(NamedTuple):
     d: int
     r: int
     p: int

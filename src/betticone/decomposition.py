@@ -8,8 +8,8 @@ so the loop runs at most as many times as the input has entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagrams import BettiDiagram, DegreeSequence, add, pure_diagram, scale, subtract, top_strand
 from .errors import (
@@ -21,8 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PureSummand:
+class PureSummand(NamedTuple):
     """One term c * pure_diagram(degrees) of a decomposition.
 
     tight_columns records every column whose entry ratio achieved the
@@ -35,10 +34,9 @@ class PureSummand:
     tight_columns: tuple = ()
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     summands: tuple = ()
-    residual: BettiDiagram = field(default_factory=BettiDiagram)
+    residual: BettiDiagram = BettiDiagram()
 
     def coefficient_sum(self) -> Fraction:
         return sum((s.coefficient for s in self.summands), Fraction(0))
@@ -70,10 +68,12 @@ class Decomposition:
         for item in obj["summands"]:
             if not isinstance(item, dict) or not {"c", "e"} <= set(item):
                 raise ValueError(f"malformed summand: {item!r}")
+            if not isinstance(item["e"], list) or any(type(e) is not int for e in item["e"]):
+                raise ValueError(f"degrees must be a list of JSON integers: {item!r}")
             summands.append(
                 PureSummand(
                     coefficient=Fraction(str(item["c"])),
-                    degrees=DegreeSequence(int(e) for e in item["e"]),
+                    degrees=DegreeSequence(item["e"]),
                 )
             )
         residual = obj.get("residual")
@@ -133,8 +133,7 @@ def decompose(b: BettiDiagram) -> Decomposition:
     return Decomposition(tuple(summands), BettiDiagram())
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 

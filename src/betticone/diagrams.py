@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -103,6 +105,14 @@ class RationalPolynomial:
         return f"RationalPolynomial({terms})"
 
 
+def _check_index(p, q):
+    """Reject an index that is not an int (bools too) or a negative column."""
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"indices must be integers, got ({p!r}, {q!r})")
+    if p < 0:
+        raise ValueError(f"negative column index {p}")
+
+
 class BettiDiagram:
     """Sparse map (p, q) -> Fraction with zeros dropped.
 
@@ -119,10 +129,7 @@ class BettiDiagram:
                 val = Fraction(val)
                 if val == 0:
                     continue
-                p = int(p)
-                q = int(q)
-                if p < 0:
-                    raise ValueError(f"negative column index {p}")
+                _check_index(p, q)
                 self._e[(p, q)] = val
 
     @classmethod
@@ -130,8 +137,9 @@ class BettiDiagram:
         """Build from (p, q, value) triples, summing duplicates."""
         acc = {}
         for p, q, val in triples:
-            key = (int(p), int(q))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(val)
+            # checked before summing: 1.0 would merge into the key 1
+            _check_index(p, q)
+            acc[(p, q)] = acc.get((p, q), Fraction(0)) + Fraction(val)
         return cls(acc)
 
     def get(self, p: int, q: int) -> Fraction:
@@ -200,22 +208,54 @@ def pure_diagram(e) -> BettiDiagram:
     """The multiplicity-1 pure diagram of a degree sequence.
 
     Column p holds n! * prod_{i != p} 1/|e_i - e_p| at weight e_p - p and
-    nothing else.
+    nothing else (Herzog-Kuhl).
+
+    The sequence is split into maximal runs of consecutive integers. The
+    first column of a run is one product over all other entries. Moving
+    e_p = x to x + 1 inside a run multiplies the denominator by a quotient
+    that telescopes over each run [lo, hi]: (x+1-lo)/(x-hi) for a run below,
+    (lo-x-1)/(hi-x) for a run above, (x+1-lo)/(hi-x) for its own run. Each
+    later column is therefore the previous denominator times O(runs) small
+    integers and one exact division. The cost is O(n * runs) products: O(n)
+    for the secant family (a few runs), and the O(n^2) of the direct formula
+    when no two entries are consecutive (every run a singleton).
 
     >>> pure_diagram((0, 1, 2)).items()
     [((0, 0), Fraction(1, 1)), ((1, 0), Fraction(2, 1)), ((2, 0), Fraction(1, 1))]
     """
     e = DegreeSequence(e)
-    n = len(e) - 1
-    n_fact = math.factorial(n)
+    n_fact = math.factorial(len(e) - 1)
+    starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
+    stops = starts[1:] + [len(e)]
+    los = [e[p] for p in starts]
+    his = [e[p - 1] for p in stops]
     entries = {}
-    for p, ep in enumerate(e):
-        den = 1
-        for i, ei in enumerate(e):
-            if i != p:
-                den *= abs(ei - ep)
-        entries[(p, ep - p)] = Fraction(n_fact, den)
-    return BettiDiagram(entries)
+    for j, (start, stop, lo, hi) in enumerate(zip(starts, stops, los, his)):
+        q = lo - start  # every column of a run sits at the same weight
+        den = math.prod(map(sub, repeat(lo), e[:start])) * math.prod(
+            map(sub, e[start + 1 :], repeat(lo))
+        )
+        entries[(start, q)] = Fraction(n_fact, den)
+        if stop - start == 1:  # no later column: skip building O(runs) ranges
+            continue
+        # one range per run, stepping x over lo..hi-1; column p's ratio is the
+        # product of the ranges' p-th terms
+        rises = [range(lo + 1 - a, hi + 1 - a) for a in los[: j + 1]]
+        rises += [range(a - lo - 1, a - hi - 1, -1) for a in los[j + 1 :]]
+        falls = [range(lo - b, hi - b) for b in his[:j]]
+        falls += [range(b - lo, b - hi, -1) for b in his[j:]]
+        for p, num, div in zip(
+            range(start + 1, stop),
+            map(math.prod, zip(*rises)),
+            map(math.prod, zip(*falls)),
+        ):
+            den = den * num // div
+            entries[(p, q)] = Fraction(n_fact, den)
+    # the entries are nonzero Fractions on int keys by construction, so
+    # BettiDiagram's per-entry normalisation is skipped
+    out = BettiDiagram.__new__(BettiDiagram)
+    out._e = entries
+    return out
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
@@ -288,13 +328,11 @@ def _cleared_alternating(b: BettiDiagram):
     t^(j + offset). Clearing denominators up front keeps the repeated
     division below in plain bigint arithmetic.
     """
-    lcm = 1
-    for _, v in b.items():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in b._e.values()))
     degs = {}
-    for (p, q), v in b.items():
-        t = p + q
-        degs[t] = degs.get(t, 0) + (-1) ** p * (v.numerator * (lcm // v.denominator))
+    for (p, q), v in b._e.items():
+        c = v.numerator * (lcm // v.denominator)
+        degs[p + q] = degs.get(p + q, 0) + (-c if p & 1 else c)
     lo = min(degs)
     hi = max(degs)
     coeffs = [degs.get(t, 0) for t in range(lo, hi + 1)]
@@ -307,22 +345,18 @@ def _divided_numerator(b: BettiDiagram):
     coeffs[j] is the coefficient of t^(j + offset). Each division by (1-t)
     is a running prefix sum; it is exact iff the final accumulated value is
     zero, and any nonzero remainder means the diagram does not have the
-    Cohen-Macaulay shape this quantity assumes.
+    Cohen-Macaulay shape this quantity assumes. A quotient that cancels to
+    the empty list stays empty through the remaining divisions.
     """
     s = projective_dimension(b)
     coeffs, offset, lcm = _cleared_alternating(b)
     for step in range(s):
-        acc = 0
-        out = []
-        for c in coeffs:
-            acc += c
-            out.append(acc)
-        if acc != 0:
+        coeffs = list(accumulate(coeffs))
+        if coeffs and coeffs.pop() != 0:
             raise NotCohenMacaulayShape(
                 f"(1-t)^{s} does not divide the alternating polynomial "
                 f"(remainder after {step + 1} division(s))"
             )
-        coeffs = out[:-1]
     return coeffs, offset, lcm
 
 

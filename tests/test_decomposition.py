@@ -6,6 +6,7 @@ Claims pinned here:
     - seeded random convex combinations of pure diagrams reconstruct exactly
     - diagrams outside the cone raise NotInCone carrying the partial state
     - verify rejects tampered decompositions and says why
+    - decomposition JSON with a degree that is not an integer is rejected
 """
 
 import random
@@ -166,3 +167,10 @@ def test_decomposition_json_round_trip():
     ]
     assert [s.coefficient for s in back.summands] == [s.coefficient for s in dec.summands]
     assert back.reconstruct() == b
+
+
+def test_decomposition_json_rejects_non_integer_degrees():
+    # 1.7 must not be read as degree 1
+    for e in ([0, 1.7, 3], [0, "1", 3], [0, True, 3], "013", 5):
+        with pytest.raises(ValueError):
+            decomposition.Decomposition.from_json_obj({"summands": [{"c": "1", "e": e}]})

@@ -2,21 +2,24 @@
 
 Claims pinned here:
     - pure_diagram matches hand-computed tables, including the fractional
-      top-left entry 5/189 for (0,3,4,6,7,9)
+      top-left entry 5/189 for (0,3,4,6,7,9), and the naive n!/prod|e_i - e_p|
+      formula on family, gapped and mixed-gap sequences
     - multiplicity is exactly 1 on every pure_diagram output and is linear
     - hilbert_numerator divides out (1-t)^pd exactly and flags shapes where
       it cannot
     - power sums sum((-1)^p kappa_p e_p^j) vanish for j < n on pure diagrams
     - subtract in strict mode names the entry that went negative
     - JSON round-trips preserve diagrams exactly
+    - indices that are not ints are rejected, never truncated
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from betticone import diagrams
+from betticone import diagrams, secant
 from betticone.errors import (
     EmptyDiagram,
     MalformedDegreeSequence,
@@ -66,6 +69,42 @@ def test_pure_diagram_frozen_example():
     assert dict(b.items()) == expected
 
 
+def _naive_pure_entries(e):
+    """The Herzog-Kuhl formula n! / prod_{i != p} |e_i - e_p|, term by term."""
+    n_fact = math.factorial(len(e) - 1)
+    entries = []
+    for p, ep in enumerate(e):
+        den = 1
+        for i, ei in enumerate(e):
+            if i != p:
+                den *= abs(ei - ep)
+        entries.append(((p, ep - p), F(n_fact, den)))
+    return entries
+
+
+def _random_sequence(rng, start, gaps, length):
+    seq = [start]
+    for _ in range(length - 1):
+        seq.append(seq[-1] + rng.choice(gaps))
+    return seq
+
+
+def test_pure_diagram_matches_naive_formula():
+    long_family = secant.degree_sequence(secant.SecantParams(3, 2, 300), (0, 1, 3))
+    seqs = [(0,), (7,), (-6, -5, -4, -2, 1, 2, 3), (-3, -2, -1, 0, 1), long_family]
+    for g in range(1, 7):
+        for k in range(5):
+            for d in (2 * g + 2 * k + 1, 2 * g + 2 * k + 4, 30):
+                params = secant.SecantParams(g, k, d)
+                seqs += [secant.degree_sequence(params, t) for t in secant.jump_tuples(g, k)]
+    rng = random.Random(23)
+    for gaps in ((2, 3, 4, 5), (1, 1, 2, 3)):
+        for _ in range(40):
+            seqs.append(_random_sequence(rng, rng.randint(-9, 4), gaps, rng.randint(1, 60)))
+    for e in seqs:
+        assert diagrams.pure_diagram(e).items() == _naive_pure_entries(e), e
+
+
 def test_pure_diagram_one_entry_per_column():
     rng = random.Random(11)
     for _ in range(25):
@@ -112,11 +151,16 @@ def test_hilbert_numerator_rejects_non_cm_shape():
 
 def test_hilbert_numerator_zero_cancellation():
     # alternating polynomial cancels identically; the quotient is the
-    # zero polynomial, not an error
-    b = diagrams.BettiDiagram({(0, 2): F(1), (1, 1): F(1)})
-    hn = diagrams.hilbert_numerator(b)
-    assert not hn
-    assert diagrams.multiplicity(b) == 0
+    # zero polynomial, not an error. With pd 2 the first division already
+    # leaves an empty list, which the second must accept.
+    for entries in (
+        {(0, 2): F(1), (1, 1): F(1)},
+        {(0, 2): F(1), (1, 1): F(2), (2, 0): F(1)},
+    ):
+        b = diagrams.BettiDiagram(entries)
+        hn = diagrams.hilbert_numerator(b)
+        assert not hn
+        assert diagrams.multiplicity(b) == 0
 
 
 def test_power_sum_relations_random_pure():
@@ -187,6 +231,18 @@ def test_from_entries_sums_duplicates():
 def test_negative_column_rejected():
     with pytest.raises(ValueError):
         diagrams.BettiDiagram({(-1, 0): F(1)})
+
+
+def test_non_integer_index_rejected():
+    # an index is never truncated to an int: (0, 2.9) is not (0, 2)
+    for key in ((0, 2.9), (1.0, 0), (True, 0), (0, "1")):
+        with pytest.raises(ValueError):
+            diagrams.BettiDiagram({key: F(1)})
+        with pytest.raises(ValueError):
+            diagrams.BettiDiagram.from_entries([(*key, F(1))])
+    # checked before duplicates are summed, so a float cannot hide behind an int
+    with pytest.raises(ValueError):
+        diagrams.BettiDiagram.from_entries([(1, 0, F(1)), (1.0, 0, F(1))])
 
 
 def test_json_round_trip():
