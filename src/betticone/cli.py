@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad input, 3 not in cone,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -271,8 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later main() calls in
+    the process; parse_args reads it and returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NotInCone as exc:

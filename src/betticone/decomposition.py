@@ -4,6 +4,11 @@ The algorithm is the standard top-strand peel: read off the columnwise
 minimal degrees, subtract the largest multiple of that pure diagram that
 keeps every entry nonnegative, repeat. Each step zeroes at least one entry,
 so the loop runs at most as many times as the input has entries.
+
+The residual is one working dict, peeled in place. A step reads the top
+strand through a view of that dict (one scan of its keys), then touches only
+the n+1 entries of one pure diagram, n the projective dimension of the
+current residual; it copies no residual.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagrams import BettiDiagram, DegreeSequence, add, pure_diagram, scale, subtract, top_strand
+from .diagrams import BettiDiagram, DegreeSequence, pure_diagram, top_strand
 from .errors import (
     EmptyDiagram,
+    MalformedDegreeSequence,
     MissingColumn,
     NegativeEntry,
     NotInCone,
@@ -43,10 +49,12 @@ class Decomposition(NamedTuple):
 
     def reconstruct(self) -> BettiDiagram:
         """Sum of all summands plus the residual."""
-        out = self.residual
+        out = dict(self.residual._e)
         for s in self.summands:
-            out = add(out, scale(pure_diagram(s.degrees), s.coefficient))
-        return out
+            c = Fraction(s.coefficient)
+            for key, v in pure_diagram(s.degrees)._e.items():
+                out[key] = out.get(key, 0) + c * v
+        return BettiDiagram(out)
 
     def to_json_obj(self) -> dict:
         return {
@@ -62,7 +70,7 @@ class Decomposition(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj) -> "Decomposition":
-        if not isinstance(obj, dict) or "summands" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("summands"), list):
             raise ValueError("decomposition JSON must have a 'summands' list")
         summands = []
         for item in obj["summands"]:
@@ -70,12 +78,12 @@ class Decomposition(NamedTuple):
                 raise ValueError(f"malformed summand: {item!r}")
             if not isinstance(item["e"], list) or any(type(e) is not int for e in item["e"]):
                 raise ValueError(f"degrees must be a list of JSON integers: {item!r}")
-            summands.append(
-                PureSummand(
-                    coefficient=Fraction(str(item["c"])),
-                    degrees=DegreeSequence(item["e"]),
-                )
-            )
+            try:
+                coefficient = Fraction(str(item["c"]))
+                degrees = DegreeSequence(item["e"])
+            except (ValueError, ZeroDivisionError, MalformedDegreeSequence) as exc:
+                raise ValueError(f"malformed summand: {item!r}") from exc
+            summands.append(PureSummand(coefficient=coefficient, degrees=degrees))
         residual = obj.get("residual")
         return cls(
             summands=tuple(summands),
@@ -86,10 +94,15 @@ class Decomposition(NamedTuple):
 def decompose(b: BettiDiagram) -> Decomposition:
     """Decompose b into positive multiples of pure diagrams.
 
-    Raises NotInCone when a step cannot continue (gap in the columns, top
-    strand not strictly increasing, or a subtraction that would go
-    negative); the exception carries the partial decomposition and the
-    residual at the point of failure.
+    Raises NotInCone when a step cannot continue (gap in the columns or top
+    strand not strictly increasing); the exception carries the partial
+    decomposition and a snapshot of the residual at the point of failure.
+    b itself is never modified.
+
+    No step can go negative: c is the least residual/pure ratio over the
+    top-strand cells, each of which is a positive entry of the residual, so
+    every entry the step touches stays >= 0 and exactly the tight ones
+    reach zero.
     """
     if not b:
         raise EmptyDiagram("cannot decompose an empty diagram")
@@ -97,38 +110,34 @@ def decompose(b: BettiDiagram) -> Decomposition:
         if v < 0:
             raise NegativeEntry(p, q, v)
     summands = []
-    residual = b
+    work = dict(b._e)
+    view = BettiDiagram._adopt(work)
+
+    def not_in_cone(message):
+        snapshot = BettiDiagram._adopt(dict(work))
+        return NotInCone(
+            message, partial=Decomposition(tuple(summands), snapshot), residual=snapshot
+        )
+
     budget = len(b)
-    while residual:
+    while work:
         if len(summands) >= budget:
-            raise NotInCone(
-                "greedy loop exceeded its entry budget",
-                partial=Decomposition(tuple(summands), residual),
-                residual=residual,
-            )
+            raise not_in_cone("greedy loop exceeded its entry budget")
         try:
-            e = top_strand(residual)
+            e = top_strand(view)
         except (MissingColumn, NotStrictlyIncreasing) as exc:
-            raise NotInCone(
-                f"top strand failed: {exc}",
-                partial=Decomposition(tuple(summands), residual),
-                residual=residual,
-            ) from exc
-        pure = pure_diagram(e)
-        ratios = [
-            (residual.get(p, ep - p) / pure.get(p, ep - p), p)
-            for p, ep in enumerate(e)
-        ]
-        c = min(r for r, _ in ratios)
-        tight = tuple(p for r, p in ratios if r == c)
-        try:
-            residual = subtract(residual, scale(pure, c), strict=True)
-        except NegativeEntry as exc:
-            raise NotInCone(
-                f"subtraction went negative at ({exc.p},{exc.q})",
-                partial=Decomposition(tuple(summands), residual),
-                residual=residual,
-            ) from exc
+            raise not_in_cone(f"top strand failed: {exc}") from exc
+        pure = pure_diagram(e)._e
+        keys = [(p, ep - p) for p, ep in enumerate(e)]
+        ratios = [work[key] / pure[key] for key in keys]
+        c = min(ratios)
+        tight = tuple(p for p, r in enumerate(ratios) if r == c)
+        for key in keys:
+            v = work[key] - c * pure[key]
+            if v:
+                work[key] = v
+            else:
+                del work[key]
         summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tight))
     return Decomposition(tuple(summands), BettiDiagram())
 

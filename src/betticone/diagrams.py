@@ -133,6 +133,17 @@ class BettiDiagram:
                 self._e[(p, q)] = val
 
     @classmethod
+    def _adopt(cls, entries: dict) -> "BettiDiagram":
+        """A diagram over entries itself: no copy, no normalisation.
+
+        The caller guarantees nonzero Fractions on int keys, and that a
+        change to entries is meant to show through the diagram.
+        """
+        out = cls.__new__(cls)
+        out._e = entries
+        return out
+
+    @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
         """Build from (p, q, value) triples, summing duplicates."""
         acc = {}
@@ -251,11 +262,8 @@ def pure_diagram(e) -> BettiDiagram:
         ):
             den = den * num // div
             entries[(p, q)] = Fraction(n_fact, den)
-    # the entries are nonzero Fractions on int keys by construction, so
-    # BettiDiagram's per-entry normalisation is skipped
-    out = BettiDiagram.__new__(BettiDiagram)
-    out._e = entries
-    return out
+    # the entries are nonzero Fractions on int keys by construction
+    return BettiDiagram._adopt(entries)
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:

@@ -265,3 +265,40 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys):
+    verify = ["verify", "--suite", "hn-leading", "--g-max", "1", "--k-max", "1", "--d-max", "12"]
+    secant_pure = ["secant-pure", "-g", "3", "-k", "1", "-d", "11"]
+    sequence = [
+        (verify + ["--alt-denominator"], 1),
+        (verify, 0),
+        (secant_pure + ["--dominant"], 0),
+        (secant_pure + ["--tuple", "1,3"], 0),
+        (["pure", "--format", "table"], 2),  # --degseq missing: argparse exits
+        (["pure", "--degseq", "0,1,2", "--format", "table"], 0),
+        (["--help"], 0),
+        (["--help"], 0),
+        (["decompose", "--help"], 0),
+        (["decompose", "--help"], 0),
+    ]
+    cli._parser.cache_clear()
+    together = [_call(capsys, argv) for argv, _ in sequence]
+    alone = []
+    for argv, _ in sequence:
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(_call(capsys, argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [code for _, code in sequence]
+    assert together[2][1] != together[3][1]  # --dominant did not stick
+    assert together[6][1].startswith("usage: betticone")

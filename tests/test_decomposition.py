@@ -6,7 +6,12 @@ Claims pinned here:
     - seeded random convex combinations of pure diagrams reconstruct exactly
     - diagrams outside the cone raise NotInCone carrying the partial state
     - verify rejects tampered decompositions and says why
-    - decomposition JSON with a degree that is not an integer is rejected
+    - decomposition JSON with a degree that is not an integer, degrees
+      that are not strictly increasing, a zero denominator or a 'summands'
+      that is not a list is rejected with ValueError
+    - the in-place peel agrees with a copy-per-step peel (the oracle) on
+      results, tight columns and NotInCone diagnostics, and never aliases
+      its input or its diagnostics with its working state
 """
 
 import random
@@ -14,8 +19,14 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import decomposition, diagrams
-from betticone.errors import EmptyDiagram, NegativeEntry, NotInCone
+from betticone import decomposition, diagrams, secant
+from betticone.errors import (
+    EmptyDiagram,
+    MissingColumn,
+    NegativeEntry,
+    NotInCone,
+    NotStrictlyIncreasing,
+)
 
 F = Fraction
 
@@ -174,3 +185,126 @@ def test_decomposition_json_rejects_non_integer_degrees():
     for e in ([0, 1.7, 3], [0, "1", 3], [0, True, 3], "013", 5):
         with pytest.raises(ValueError):
             decomposition.Decomposition.from_json_obj({"summands": [{"c": "1", "e": e}]})
+
+
+def test_decomposition_json_rejects_bad_coefficient_and_summands():
+    for obj in (
+        {"summands": [{"c": "1/0", "e": [0, 1]}]},
+        {"summands": [{"c": "x", "e": [0, 1]}]},
+        {"summands": [{"c": "1", "e": []}]},
+        {"summands": [{"c": "1", "e": [1, 0]}]},
+        {"summands": 5},
+        {"summands": None},
+    ):
+        with pytest.raises(ValueError):
+            decomposition.Decomposition.from_json_obj(obj)
+
+
+def _peel_oracle(b):
+    """The copy-per-step peel: each step builds a new residual with the
+    public subtract(strict=True), so the in-place peel is checked against
+    an independent rebuild of every intermediate diagram."""
+    summands = []
+    residual = b
+    while residual:
+        try:
+            e = diagrams.top_strand(residual)
+        except (MissingColumn, NotStrictlyIncreasing) as exc:
+            raise NotInCone(
+                f"top strand failed: {exc}",
+                partial=decomposition.Decomposition(tuple(summands), residual),
+                residual=residual,
+            ) from exc
+        pure = diagrams.pure_diagram(e)
+        ratios = [(residual.get(p, ep - p) / pure.get(p, ep - p), p) for p, ep in enumerate(e)]
+        c = min(r for r, _ in ratios)
+        tight = tuple(p for r, p in ratios if r == c)
+        residual = diagrams.subtract(residual, diagrams.scale(pure, c), strict=True)
+        summands.append(decomposition.PureSummand(c, e, tight))
+    return decomposition.Decomposition(tuple(summands), diagrams.BettiDiagram())
+
+
+def _family_combination(rng):
+    """A seeded convex combination of 1-6 family diagrams, g <= 5, k <= 3, d <= 120."""
+    g, k = rng.randint(1, 5), rng.randint(0, 3)
+    params = secant.SecantParams(g, k, rng.randint(2 * g + 2 * k + 1, 120))
+    tuples = secant.jump_tuples(g, k)
+    chosen = rng.sample(tuples, rng.randint(1, min(6, len(tuples))))
+    weights = [F(rng.randint(1, 20)) for _ in chosen]
+    combo = diagrams.BettiDiagram()
+    for tup, w in zip(chosen, weights):
+        term = diagrams.scale(secant.secant_pure_diagram(params, tup), w / sum(weights))
+        combo = diagrams.add(combo, term)
+    return combo
+
+
+def _perturbed(rng, b):
+    """b with one entry rescaled, one cell added or one cell dropped."""
+    entries = dict(b.items())
+    keys = sorted(entries)
+    kind = rng.randrange(3)
+    if kind == 0:
+        key = rng.choice(keys)
+        entries[key] *= F(rng.randint(1, 30), 10)
+    elif kind == 1:
+        key = (rng.randint(0, diagrams.projective_dimension(b) + 1),
+               rng.randint(0, diagrams.regularity(b) + 1))
+        entries[key] = entries.get(key, 0) + F(rng.randint(1, 9), rng.randint(1, 9))
+    else:
+        del entries[rng.choice(keys)]
+    return diagrams.BettiDiagram(entries)
+
+
+def _outcome(fn, b):
+    try:
+        return "ok", fn(b)
+    except NotInCone as exc:
+        return "not in cone", (str(exc), exc.partial, exc.residual)
+
+
+def test_in_place_peel_matches_copy_per_step_oracle():
+    rng = random.Random(606)
+    for _ in range(40):
+        combo = _family_combination(rng)
+        # summands are tuples, so == compares tight_columns too
+        assert decomposition.decompose(combo) == _peel_oracle(combo)
+    outside = 0
+    for _ in range(60):
+        b = _perturbed(rng, _family_combination(rng))
+        got, want = _outcome(decomposition.decompose, b), _outcome(_peel_oracle, b)
+        assert got == want
+        outside += got[0] == "not in cone"
+    assert 10 <= outside < 60, "the perturbations should land on both sides of the cone"
+
+
+def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
+    rng = random.Random(7)
+    combo = _family_combination(rng)
+    before = dict(combo.items())
+    decomposition.decompose(combo)
+    assert dict(combo.items()) == before
+
+    # one valid peel, then the leftover strand is flat
+    bad = diagrams.add(
+        diagrams.pure_diagram((0, 1, 2)),
+        diagrams.BettiDiagram({(1, 1): F(1), (2, 0): F(1)}),
+    )
+    bad_before = dict(bad.items())
+    views = []
+
+    def spying_top_strand(view):
+        views.append(view)
+        return diagrams.top_strand(view)
+
+    monkeypatch.setattr(decomposition, "top_strand", spying_top_strand)
+    with pytest.raises(NotInCone) as exc:
+        decomposition.decompose(bad)
+    assert dict(bad.items()) == bad_before
+    residual = dict(exc.value.residual.items())
+    assert dict(exc.value.partial.residual.items()) == residual
+    # what a further peel step would do to the working state must not
+    # reach the diagnostics already raised
+    views[-1]._e.clear()
+    assert dict(exc.value.residual.items()) == residual
+    assert dict(exc.value.partial.residual.items()) == residual
+    assert exc.value.partial.reconstruct() == bad
