@@ -97,7 +97,7 @@ def stirling_ratio(r: int, p: int, method: str = "auto") -> float:
     Centered columns p ~ r/2 + a*sqrt(r/2) send this to exp(-a^2) as r
     grows.
     """
-    if not isinstance(r, int) or not isinstance(p, int):
+    if type(r) is not int or type(p) is not int:
         raise OutOfRange(f"r and p must be integers, got {r!r}, {p!r}")
     if r < 1 or p < 0 or p > r:
         raise OutOfRange(f"need 1 <= r and 0 <= p <= r, got r={r}, p={p}")

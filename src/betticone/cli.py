@@ -196,15 +196,21 @@ def cmd_verify(args) -> int:
             if not failed:
                 print(f"{args.suite}: first failure at {case}", file=sys.stderr)
             failed += 1
+    if not checked:
+        grid = f"--g-max {args.g_max} --k-max {args.k_max} --d-max {args.d_max}"
+        chosen = f"--count {args.count}" if args.suite == "herzog-kuhl" else grid
+        raise ValueError(f"{args.suite}: {chosen} selects no case to check")
     status = "FAIL" if failed else "ok"
     print(f"{args.suite}: {checked - failed}/{checked} passed ({status})")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    result = asymptotics.calibrate_purity(
-        args.g, args.k, args.d_max, Fraction(args.threshold)
-    )
+    try:
+        threshold = Fraction(args.threshold)
+    except ZeroDivisionError:
+        raise ValueError(f"threshold {args.threshold} has a zero denominator") from None
+    result = asymptotics.calibrate_purity(args.g, args.k, args.d_max, threshold)
     payload = json.dumps(result, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -5,10 +5,11 @@ minimal degrees, subtract the largest multiple of that pure diagram that
 keeps every entry nonnegative, repeat. Each step zeroes at least one entry,
 so the loop runs at most as many times as the input has entries.
 
-The residual is one working dict, peeled in place. A step reads the top
-strand through a view of that dict (one scan of its keys), then touches only
-the n+1 entries of one pure diagram, n the projective dimension of the
-current residual; it copies no residual.
+The residual is the peel's own copy of the input, peeled in place. A step
+reads its top strand (one scan of its keys), then adds -c times one pure
+diagram into it through the same summing loop as every other diagram sum,
+touching only n+1 entries, n the projective dimension of the current
+residual; it copies no residual.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagrams import BettiDiagram, DegreeSequence, pure_diagram, top_strand
+from .diagrams import BettiDiagram, DegreeSequence, _add_into, pure_diagram, top_strand
 from .errors import (
     EmptyDiagram,
     MalformedDegreeSequence,
@@ -49,12 +50,11 @@ class Decomposition(NamedTuple):
 
     def reconstruct(self) -> BettiDiagram:
         """Sum of all summands plus the residual."""
-        out = dict(self.residual._e)
+        out = _add_into(BettiDiagram(), self.residual.items())
         for s in self.summands:
             c = Fraction(s.coefficient)
-            for key, v in pure_diagram(s.degrees)._e.items():
-                out[key] = out.get(key, 0) + c * v
-        return BettiDiagram(out)
+            _add_into(out, ((key, c * v) for key, v in pure_diagram(s.degrees).items()))
+        return out
 
     def to_json_obj(self) -> dict:
         return {
@@ -110,34 +110,23 @@ def decompose(b: BettiDiagram) -> Decomposition:
         if v < 0:
             raise NegativeEntry(p, q, v)
     summands = []
-    work = dict(b._e)
-    view = BettiDiagram._adopt(work)
-
-    def not_in_cone(message):
-        snapshot = BettiDiagram._adopt(dict(work))
-        return NotInCone(
-            message, partial=Decomposition(tuple(summands), snapshot), residual=snapshot
-        )
-
-    budget = len(b)
-    while work:
-        if len(summands) >= budget:
-            raise not_in_cone("greedy loop exceeded its entry budget")
+    residual = _add_into(BettiDiagram(), b.items())
+    while residual:
         try:
-            e = top_strand(view)
+            e = top_strand(residual)
         except (MissingColumn, NotStrictlyIncreasing) as exc:
-            raise not_in_cone(f"top strand failed: {exc}") from exc
-        pure = pure_diagram(e)._e
-        keys = [(p, ep - p) for p, ep in enumerate(e)]
-        ratios = [work[key] / pure[key] for key in keys]
+            snapshot = _add_into(BettiDiagram(), residual.items())
+            raise NotInCone(
+                f"top strand failed: {exc}",
+                partial=Decomposition(tuple(summands), snapshot),
+                residual=snapshot,
+            ) from exc
+        pure = pure_diagram(e).items()
+        ratios = [residual.get(p, q) / v for (p, q), v in pure]
         c = min(ratios)
         tight = tuple(p for p, r in enumerate(ratios) if r == c)
-        for key in keys:
-            v = work[key] - c * pure[key]
-            if v:
-                work[key] = v
-            else:
-                del work[key]
+        minus_c = -c
+        _add_into(residual, ((key, minus_c * v) for key, v in pure))
         summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tight))
     return Decomposition(tuple(summands), BettiDiagram())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import sub
 from typing import Iterable, Mapping
 
@@ -38,6 +38,8 @@ class DegreeSequence(tuple):
     """
 
     def __new__(cls, degrees: Iterable[int]):
+        if type(degrees) is cls:  # already checked, and a tuple is immutable
+            return degrees
         seq = tuple(degrees)
         if not seq:
             raise MalformedDegreeSequence("degree sequence is empty")
@@ -65,9 +67,11 @@ class RationalPolynomial:
         self._c = {}
         if coefficients:
             for exp, val in coefficients.items():
+                if type(exp) is not int:
+                    raise ValueError(f"exponents must be integers, got {exp!r}")
                 val = Fraction(val)
                 if val != 0:
-                    self._c[int(exp)] = val
+                    self._c[exp] = val
 
     def coefficient(self, exp: int) -> Fraction:
         return self._c.get(exp, Fraction(0))
@@ -105,14 +109,6 @@ class RationalPolynomial:
         return f"RationalPolynomial({terms})"
 
 
-def _check_index(p, q):
-    """Reject an index that is not an int (bools too) or a negative column."""
-    if type(p) is not int or type(q) is not int:
-        raise ValueError(f"indices must be integers, got ({p!r}, {q!r})")
-    if p < 0:
-        raise ValueError(f"negative column index {p}")
-
-
 class BettiDiagram:
     """Sparse map (p, q) -> Fraction with zeros dropped.
 
@@ -125,33 +121,12 @@ class BettiDiagram:
     def __init__(self, entries: Mapping[tuple, object] | None = None):
         self._e = {}
         if entries:
-            for (p, q), val in entries.items():
-                val = Fraction(val)
-                if val == 0:
-                    continue
-                _check_index(p, q)
-                self._e[(p, q)] = val
-
-    @classmethod
-    def _adopt(cls, entries: dict) -> "BettiDiagram":
-        """A diagram over entries itself: no copy, no normalisation.
-
-        The caller guarantees nonzero Fractions on int keys, and that a
-        change to entries is meant to show through the diagram.
-        """
-        out = cls.__new__(cls)
-        out._e = entries
-        return out
+            _add_into(self, _checked((p, q, v) for (p, q), v in entries.items()))
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
         """Build from (p, q, value) triples, summing duplicates."""
-        acc = {}
-        for p, q, val in triples:
-            # checked before summing: 1.0 would merge into the key 1
-            _check_index(p, q)
-            acc[(p, q)] = acc.get((p, q), Fraction(0)) + Fraction(val)
-        return cls(acc)
+        return _add_into(cls(), _checked(triples))
 
     def get(self, p: int, q: int) -> Fraction:
         return self._e.get((p, q), Fraction(0))
@@ -215,6 +190,33 @@ class BettiDiagram:
         return cls.from_entries(triples)
 
 
+def _checked(triples):
+    """((p, q), Fraction) pairs from (p, q, value) triples given from outside:
+    each index is checked before any sum (1.0 would merge into the key 1), and
+    each value that is not yet a Fraction becomes one here, once."""
+    for p, q, val in triples:
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"indices must be integers, got ({p!r}, {q!r})")
+        if p < 0:
+            raise ValueError(f"negative column index {p}")
+        yield (p, q), val if type(val) is Fraction else Fraction(val)
+
+
+def _add_into(b: BettiDiagram, terms) -> BettiDiagram:
+    """Add ((p, q), Fraction) terms on checked keys into b in place, dropping
+    every key whose sum reaches zero, and return b: the one loop that sums
+    into an entry dict. b is a diagram its caller has just made or owns."""
+    entries = b._e
+    for key, v in terms:
+        if key in entries:
+            v += entries[key]
+        if v:
+            entries[key] = v
+        else:
+            entries.pop(key, None)
+    return b
+
+
 def pure_diagram(e) -> BettiDiagram:
     """The multiplicity-1 pure diagram of a degree sequence.
 
@@ -235,12 +237,13 @@ def pure_diagram(e) -> BettiDiagram:
     [((0, 0), Fraction(1, 1)), ((1, 0), Fraction(2, 1)), ((2, 0), Fraction(1, 1))]
     """
     e = DegreeSequence(e)
+    out = BettiDiagram()
+    entries = out._e  # nonzero Fractions on int keys by construction
     n_fact = math.factorial(len(e) - 1)
     starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
     stops = starts[1:] + [len(e)]
     los = [e[p] for p in starts]
     his = [e[p - 1] for p in stops]
-    entries = {}
     for j, (start, stop, lo, hi) in enumerate(zip(starts, stops, los, his)):
         q = lo - start  # every column of a run sits at the same weight
         den = math.prod(map(sub, repeat(lo), e[:start])) * math.prod(
@@ -262,37 +265,31 @@ def pure_diagram(e) -> BettiDiagram:
         ):
             den = den * num // div
             entries[(p, q)] = Fraction(n_fact, den)
-    # the entries are nonzero Fractions on int keys by construction
-    return BettiDiagram._adopt(entries)
+    return out
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
     c = Fraction(c)
-    return BettiDiagram({key: v * c for key, v in b._e.items()})
+    return _add_into(BettiDiagram(), ((key, v * c) for key, v in b._e.items()))
 
 
 def add(a: BettiDiagram, b: BettiDiagram) -> BettiDiagram:
-    out = dict(a._e)
-    for key, v in b._e.items():
-        out[key] = out.get(key, Fraction(0)) + v
-    return BettiDiagram(out)
+    return _add_into(BettiDiagram(), chain(a._e.items(), b._e.items()))
 
 
 def subtract(a: BettiDiagram, b: BettiDiagram, strict: bool = True) -> BettiDiagram:
     """Entrywise a - b.
 
-    In strict (cone) mode any entry that would go negative raises
-    NegativeEntry naming the offending position; permissive mode returns the
-    formal difference.
+    In strict (cone) mode the first negative entry in (p, q) order raises
+    NegativeEntry naming its position; permissive mode returns the formal
+    difference.
     """
-    out = dict(a.items())
-    for key, v in b.items():
-        out[key] = out.get(key, Fraction(0)) - v
+    out = add(a, scale(b, -1))
     if strict:
         for (p, q), v in out.items():
             if v < 0:
                 raise NegativeEntry(p, q, v)
-    return BettiDiagram(out)
+    return out
 
 
 def projective_dimension(b: BettiDiagram) -> int:

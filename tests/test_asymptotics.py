@@ -75,6 +75,13 @@ def test_stirling_ratio_validation():
         asymptotics.stirling_ratio(10, 5, method="fast")
 
 
+def test_stirling_ratio_rejects_bools():
+    # True is an int to isinstance, but not an integer argument here
+    for r, p in ((True, 1), (10, False)):
+        with pytest.raises(OutOfRange):
+            asymptotics.stirling_ratio(r, p)
+
+
 def test_kappa_dominant_log_matches_exact():
     for (g, k, d) in [(1, 1, 30), (2, 1, 41), (3, 2, 60)]:
         params = secant.SecantParams(g, k, d)

@@ -231,6 +231,34 @@ def test_verify_alt_denominator_fails(capsys):
     assert err == "hn-leading: first failure at g=1 k=0 d=3 tuple=(1,)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--suite", "multiplicity", "--g-max", "0"), "--g-max 0"),
+        (("--suite", "hn-leading", "--d-max", "2"), "--d-max 2"),
+        # the grid holds (1, 0, 3), whose dominant strand has no interior column
+        (("--suite", "dominant-kappa", "--g-max", "1", "--k-max", "0", "--d-max", "3"), "--d-max 3"),
+        (("--suite", "herzog-kuhl", "--count", "0"), "--count 0"),
+        (("--suite", "herzog-kuhl", "--count", "-3"), "--count -3"),
+    ],
+)
+def test_verify_empty_selection_is_bad_input(capsys, argv, named):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad input: ")
+    assert "selects no case" in err and named in err
+
+
+def test_calibrate_zero_denominator_threshold(capsys):
+    code, out, err = run(
+        capsys, "calibrate", "-g", "2", "-k", "1", "--d-max", "50", "--threshold", "1/0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "bad input: threshold 1/0 has a zero denominator\n"
+
+
 def test_calibrate_stdout(capsys):
     code, out, err = run(capsys, "calibrate", "-g", "2", "-k", "1", "--d-max", "450")
     assert code == 0

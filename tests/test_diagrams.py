@@ -8,9 +8,12 @@ Claims pinned here:
     - hilbert_numerator divides out (1-t)^pd exactly and flags shapes where
       it cannot
     - power sums sum((-1)^p kappa_p e_p^j) vanish for j < n on pure diagrams
-    - subtract in strict mode names the entry that went negative
+    - subtract in strict mode names the first negative entry in (p, q) order
+    - sums that cancel leave no entry behind, and duplicate cells are summed
     - JSON round-trips preserve diagrams exactly
-    - indices that are not ints are rejected, never truncated
+    - indices and exponents that are not ints are rejected, never truncated,
+      even under a zero value
+    - a DegreeSequence is checked once: passing one back returns it
 """
 
 import math
@@ -41,6 +44,12 @@ def test_degree_sequence_rejects_bad_input():
         diagrams.DegreeSequence((3, 1))
     with pytest.raises(MalformedDegreeSequence):
         diagrams.DegreeSequence((0, 1.5, 2))
+
+
+def test_degree_sequence_is_checked_once():
+    e = diagrams.DegreeSequence((0, 3, 4))
+    assert diagrams.DegreeSequence(e) is e
+    assert diagrams.DegreeSequence([0, 3, 4]) is not e
 
 
 def test_degree_sequence_is_a_tuple():
@@ -223,6 +232,20 @@ def test_add_subtract_round_trip():
     assert not diagrams.subtract(a, a)
 
 
+def test_subtract_strict_names_first_negative_in_index_order():
+    a = diagrams.BettiDiagram({(1, 0): F(1)})
+    b = diagrams.BettiDiagram({(0, 0): F(1), (1, 0): F(2)})
+    with pytest.raises(NegativeEntry) as exc:
+        diagrams.subtract(a, b)
+    assert (exc.value.p, exc.value.q, exc.value.value) == (0, 0, -1)
+
+
+def test_cancelling_sums_leave_the_empty_diagram():
+    b = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
+    assert diagrams.scale(b, 0) == diagrams.BettiDiagram()
+    assert diagrams.add(b, diagrams.scale(b, -1)) == diagrams.BettiDiagram()
+
+
 def test_from_entries_sums_duplicates():
     b = diagrams.BettiDiagram.from_entries([(0, 0, F(1, 2)), (0, 0, F(1, 2)), (1, 0, 1)])
     assert dict(b.items()) == {(0, 0): F(1), (1, 0): F(1)}
@@ -243,6 +266,28 @@ def test_non_integer_index_rejected():
     # checked before duplicates are summed, so a float cannot hide behind an int
     with pytest.raises(ValueError):
         diagrams.BettiDiagram.from_entries([(1, 0, F(1)), (1.0, 0, F(1))])
+
+
+def test_zero_entry_under_non_integer_key_rejected():
+    # the key is checked before the zero is dropped
+    with pytest.raises(ValueError):
+        diagrams.BettiDiagram({(1.5, 0): 0})
+    with pytest.raises(ValueError):
+        diagrams.BettiDiagram.from_entries([(1.5, 0, 0)])
+
+
+def test_json_duplicate_cells_are_summed():
+    obj = {
+        "entries": [
+            {"p": 0, "q": 0, "v": "1/2"},
+            {"p": 1, "q": 0, "v": "1"},
+            {"p": 0, "q": 0, "v": "1/2"},
+            {"p": 1, "q": 0, "v": "-1"},
+        ]
+    }
+    b = diagrams.BettiDiagram.from_json_obj(obj)
+    assert dict(b.items()) == {(0, 0): F(1)}
+    assert (1, 0) not in b
 
 
 def test_json_round_trip():
@@ -269,3 +314,12 @@ def test_polynomial_evaluation_and_equality():
     assert not zero
     with pytest.raises(ValueError):
         zero.degree
+
+
+def test_polynomial_rejects_non_integer_exponents():
+    # an exponent is never truncated: t^1.5 is not t^1
+    for exp in (1.5, 2.0, True, "1"):
+        with pytest.raises(ValueError):
+            diagrams.RationalPolynomial({exp: F(1)})
+    with pytest.raises(ValueError):
+        diagrams.RationalPolynomial({1.5: F(0)})
