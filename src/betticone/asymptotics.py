@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidRange, OutOfRange
+from .errors import InvalidRange, OutOfRange, require_int
 from .secant import (
     Factors,
     SecantParams,
@@ -97,9 +97,7 @@ def stirling_ratio(r: int, p: int, method: str = "auto") -> float:
     Centered columns p ~ r/2 + a*sqrt(r/2) send this to exp(-a^2) as r
     grows.
     """
-    if type(r) is not int or type(p) is not int:
-        raise OutOfRange(f"r and p must be integers, got {r!r}, {p!r}")
-    if r < 1 or p < 0 or p > r:
+    if require_int(r, "r", OutOfRange) < 1 or require_int(p, "p", OutOfRange) < 0 or p > r:
         raise OutOfRange(f"need 1 <= r and 0 <= p <= r, got r={r}, p={p}")
     return _evaluate(Factors(binoms=((r, p, 1),), two=-(r + 1)), 2 * math.pi * r, r, method)
 
@@ -193,6 +191,8 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
 
 def purity_sweep(g: int, k: int, d_min: int, d_max: int, step: int = 1):
     """Purity rows for d = d_min, d_min+step, ..., capped at d_max."""
+    for name, v in (("g", g), ("k", k), ("d_min", d_min), ("d_max", d_max), ("step", step)):
+        require_int(v, name, InvalidRange)
     if step < 1:
         raise InvalidRange(f"step must be positive, got {step}")
     if d_min < 2 * g + 2 * k + 1:
@@ -246,6 +246,8 @@ def calibrate_purity(g: int, k: int, d_max: int, threshold: Fraction = Fraction(
     """
     d_min = 2 * g + 2 * k + 1
     rows = purity_sweep(g, k, d_min, d_max)
+    if not rows:
+        raise InvalidRange(f"d_max={d_max} below the valid range start {d_min}")
     last_below = None
     max_r_gap = Fraction(0)
     for row in rows:

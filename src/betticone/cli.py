@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, decomposition, diagrams, secant
-from .errors import BettiConeError, NotInCone
+from .errors import BettiConeError, NotInCone, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -88,8 +88,7 @@ def cmd_secant_pure(args) -> int:
     elif args.tuple is not None:
         tup = tuple(_parse_int_list(args.tuple))
     else:
-        print("need --tuple or --dominant", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("need --tuple or --dominant")
     e = secant.degree_sequence(params, tup)
     comment = "# degseq: " + ",".join(str(x) for x in e) + "\n"
     _emit_diagram(diagrams.pure_diagram(e), args.format, prefix=comment)
@@ -97,14 +96,7 @@ def cmd_secant_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    b = _read_diagram_file(args.input)
-    try:
-        dec = decomposition.decompose(b)
-    except NotInCone as exc:
-        print(f"not in cone: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            print(json.dumps(exc.partial.to_json_obj(), indent=2), file=sys.stderr)
-        return EXIT_NOT_IN_CONE
+    dec = decomposition.decompose(_read_diagram_file(args.input))
     sys.stdout.write(json.dumps(dec.to_json_obj(), indent=2) + "\n")
     return EXIT_OK
 
@@ -112,18 +104,19 @@ def cmd_decompose(args) -> int:
 def cmd_sweep(args) -> int:
     if args.kind == "purity":
         if args.d_min is None or args.d_max is None:
-            print("purity sweep needs --d-min and --d-max", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("purity sweep needs --d-min and --d-max")
         rows = asymptotics.purity_sweep(args.g, args.k, args.d_min, args.d_max, args.step)
-        asymptotics.write_purity_csv(args.g, args.k, rows, args.out)
+        write = asymptotics.write_purity_csv
     else:
         if args.d is None:
-            print("distribution sweep needs --d", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("distribution sweep needs --d")
         rows = asymptotics.distribution_sweep(
             args.g, args.k, _parse_float_list(args.a), _parse_int_list(args.d)
         )
-        asymptotics.write_distribution_csv(args.g, args.k, rows, args.out)
+        write = asymptotics.write_distribution_csv
+    if not rows:
+        raise ValueError(f"{args.kind} sweep: the grid has no point")
+    write(args.g, args.k, rows, args.out)
     return EXIT_OK
 
 
@@ -206,10 +199,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        threshold = Fraction(args.threshold)
-    except ZeroDivisionError:
-        raise ValueError(f"threshold {args.threshold} has a zero denominator") from None
+    threshold = parse_rational(args.threshold, "threshold")
     result = asymptotics.calibrate_purity(args.g, args.k, args.d_max, threshold)
     payload = json.dumps(result, indent=2) + "\n"
     if args.out:
@@ -291,6 +281,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except NotInCone as exc:
         print(f"not in cone: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            print(json.dumps(exc.partial.to_json_obj(), indent=2), file=sys.stderr)
         return EXIT_NOT_IN_CONE
     except (BettiConeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)

@@ -17,14 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagrams import BettiDiagram, DegreeSequence, _add_into, pure_diagram, top_strand
+from .diagrams import BettiDiagram, DegreeSequence, _add_into, _nonnegative, pure_diagram, top_strand
 from .errors import (
     EmptyDiagram,
     MalformedDegreeSequence,
     MissingColumn,
-    NegativeEntry,
     NotInCone,
     NotStrictlyIncreasing,
+    parse_rational,
 )
 
 
@@ -76,12 +76,10 @@ class Decomposition(NamedTuple):
         for item in obj["summands"]:
             if not isinstance(item, dict) or not {"c", "e"} <= set(item):
                 raise ValueError(f"malformed summand: {item!r}")
-            if not isinstance(item["e"], list) or any(type(e) is not int for e in item["e"]):
-                raise ValueError(f"degrees must be a list of JSON integers: {item!r}")
-            try:
-                coefficient = Fraction(str(item["c"]))
+            coefficient = parse_rational(item["c"], "coefficient")
+            try:  # a JSON number or null for e is not iterable: TypeError
                 degrees = DegreeSequence(item["e"])
-            except (ValueError, ZeroDivisionError, MalformedDegreeSequence) as exc:
+            except (MalformedDegreeSequence, TypeError) as exc:
                 raise ValueError(f"malformed summand: {item!r}") from exc
             summands.append(PureSummand(coefficient=coefficient, degrees=degrees))
         residual = obj.get("residual")
@@ -106,11 +104,8 @@ def decompose(b: BettiDiagram) -> Decomposition:
     """
     if not b:
         raise EmptyDiagram("cannot decompose an empty diagram")
-    for (p, q), v in b.items():
-        if v < 0:
-            raise NegativeEntry(p, q, v)
     summands = []
-    residual = _add_into(BettiDiagram(), b.items())
+    residual = _add_into(BettiDiagram(), _nonnegative(b).items())
     while residual:
         try:
             e = top_strand(residual)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import lt, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -23,6 +23,8 @@ from .errors import (
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
+    parse_rational,
+    require_int,
 )
 
 
@@ -44,9 +46,8 @@ class DegreeSequence(tuple):
         if not seq:
             raise MalformedDegreeSequence("degree sequence is empty")
         for e in seq:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise MalformedDegreeSequence(f"non-integer degree: {e!r}")
-        if any(a >= b for a, b in zip(seq, seq[1:])):
+            require_int(e, "degree", MalformedDegreeSequence)
+        if not all(map(lt, seq, seq[1:])):
             raise MalformedDegreeSequence(f"not strictly increasing: {seq}")
         return super().__new__(cls, seq)
 
@@ -67,8 +68,7 @@ class RationalPolynomial:
         self._c = {}
         if coefficients:
             for exp, val in coefficients.items():
-                if type(exp) is not int:
-                    raise ValueError(f"exponents must be integers, got {exp!r}")
+                require_int(exp, "exponent", ValueError)
                 val = Fraction(val)
                 if val != 0:
                     self._c[exp] = val
@@ -173,20 +173,13 @@ class BettiDiagram:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BettiDiagram":
-        if not isinstance(obj, dict) or "entries" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise ValueError("diagram JSON must be an object with an 'entries' list")
-        if not isinstance(obj["entries"], list):
-            raise ValueError("'entries' must be a list")
         triples = []
         for cell in obj["entries"]:
             if not isinstance(cell, dict) or not {"p", "q", "v"} <= set(cell):
                 raise ValueError(f"malformed diagram cell: {cell!r}")
-            if type(cell["p"]) is not int or type(cell["q"]) is not int:
-                raise ValueError(f"p and q must be JSON integers: {cell!r}")
-            try:
-                triples.append((cell["p"], cell["q"], Fraction(str(cell["v"]))))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValueError(f"malformed diagram cell: {cell!r}") from exc
+            triples.append((cell["p"], cell["q"], parse_rational(cell["v"], "diagram value")))
         return cls.from_entries(triples)
 
 
@@ -195,8 +188,8 @@ def _checked(triples):
     each index is checked before any sum (1.0 would merge into the key 1), and
     each value that is not yet a Fraction becomes one here, once."""
     for p, q, val in triples:
-        if type(p) is not int or type(q) is not int:
-            raise ValueError(f"indices must be integers, got ({p!r}, {q!r})")
+        require_int(p, "column index p", ValueError)
+        require_int(q, "weight q", ValueError)
         if p < 0:
             raise ValueError(f"negative column index {p}")
         yield (p, q), val if type(val) is Fraction else Fraction(val)
@@ -285,11 +278,16 @@ def subtract(a: BettiDiagram, b: BettiDiagram, strict: bool = True) -> BettiDiag
     difference.
     """
     out = add(a, scale(b, -1))
-    if strict:
-        for (p, q), v in out.items():
-            if v < 0:
-                raise NegativeEntry(p, q, v)
-    return out
+    return _nonnegative(out) if strict else out
+
+
+def _nonnegative(b: BettiDiagram) -> BettiDiagram:
+    """b, once no entry is negative; else NegativeEntry at the first negative
+    entry in (p, q) order."""
+    for (p, q), v in b.items():
+        if v < 0:
+            raise NegativeEntry(p, q, v)
+    return b
 
 
 def projective_dimension(b: BettiDiagram) -> int:

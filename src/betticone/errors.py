@@ -1,8 +1,44 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks on outside input.
 
 Everything raised on purpose derives from BettiConeError so callers can
 catch one type at the boundary (the CLI does exactly that).
 """
+
+import re
+import sys
+from fractions import Fraction
+
+# the exponent of Fraction's "1.5e-3" form, with the underscores Fraction allows
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def require_int(value, what: str, error: type) -> int:
+    """value if it is an int; a bool, 1.0 or "1" raises error naming what."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_rational(text, what: str) -> Fraction:
+    """The Fraction that text ("-5/2", "0.25", "1e-3", or a JSON number's str
+    form) spells; anything else raises ValueError naming what.
+
+    The exponent form is how a short text reaches a huge integer, so an
+    exponent whose power of ten would have more digits than
+    sys.get_int_max_str_digits() is refused before Fraction builds it.
+    """
+    literal = str(text)
+    limit = sys.get_int_max_str_digits()
+    if limit and (exp := _EXPONENT.search(literal)):
+        n = exp[1].replace("_", "").lstrip("0")
+        if len(n) > len(str(limit)) or int(n or 0) >= limit:
+            raise ValueError(f"{what} {text!r}: |exponent| must be below the digit limit {limit}")
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {literal} has a zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 class BettiConeError(Exception):

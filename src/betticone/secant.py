@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .diagrams import BettiDiagram, DegreeSequence, pure_diagram
-from .errors import InvalidParams, InvalidTuple, OutOfRange, TupleNotMaximalRegularity
+from .errors import InvalidParams, InvalidTuple, OutOfRange, TupleNotMaximalRegularity, require_int
 
 
 # Parameter and row types are named tuples rather than dataclasses: importing
@@ -38,8 +38,7 @@ class SecantParams(_SecantFields):
 
     def __new__(cls, g: int, k: int, d: int):
         for name, v in (("g", g), ("k", k), ("d", d)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidParams(f"{name} must be an integer, got {v!r}")
+            require_int(v, name, InvalidParams)
         if g < 1:
             raise InvalidParams(f"g must be at least 1, got {g}")
         if k < 0:
@@ -58,8 +57,7 @@ def _checked_tuple(params: SecantParams, i) -> tuple:
     if len(t) != params.k + 1:
         raise InvalidTuple(f"need {params.k + 1} entries, got {len(t)}")
     for v in t:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidTuple(f"non-integer entry {v!r}")
+        require_int(v, "jump tuple entry", InvalidTuple)
     if t[0] < 0 or t[-1] > params.g:
         raise InvalidTuple(f"entries of {t} must lie in [0, {params.g}]")
     if any(a > b for a, b in zip(t, t[1:])):
@@ -72,7 +70,7 @@ def jump_tuples(g: int, k: int):
 
     There are binomial(g+k+1, k+1) of them.
     """
-    if g < 1 or k < 0:
+    if require_int(g, "g", InvalidParams) < 1 or require_int(k, "k", InvalidParams) < 0:
         raise InvalidParams(f"need g >= 1 and k >= 0, got g={g}, k={k}")
     return list(combinations_with_replacement(range(g + 1), k + 1))
 
@@ -164,9 +162,7 @@ def kappa_dominant_factors(params: SecantParams, p: int) -> Factors:
     consecutive integers.
     """
     g, k, r = params.g, params.k, params.r
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise OutOfRange(f"p must be an integer, got {p!r}")
-    if p < 1 or p > r - g - 2 * k - 1:
+    if require_int(p, "p", OutOfRange) < 1 or p > r - g - 2 * k - 1:
         raise OutOfRange(f"p={p} outside [1, {r - g - 2 * k - 1}]")
     return Factors(
         num=(p, *range(r - p - g - 2 * k, r - p - g - k + 1)),

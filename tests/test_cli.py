@@ -5,10 +5,11 @@ Exit code contract: 0 success, 1 verification failure, 2 bad input,
 """
 
 import json
+import sys
 
 import pytest
 
-from betticone import cli
+from betticone import cli, decomposition, diagrams
 
 
 def run(capsys, *argv):
@@ -52,6 +53,13 @@ def test_pure_rejects_malformed_sequence(capsys):
     assert "bad input" in err
     code, out, err = run(capsys, "pure", "--degseq", "0,x,2")
     assert code == 2
+
+
+def test_pure_negative_degrees_in_equals_form(capsys):
+    # argparse reads a bare "-3,-1,0,5" as an option; the = form passes it
+    code, out, err = run(capsys, "pure", "--degseq=-3,-1,0,5")
+    assert code == 0
+    assert out == json.dumps(diagrams.pure_diagram((-3, -1, 0, 5)).to_json_obj(), indent=2) + "\n"
 
 
 def test_secant_pure_comment_line_and_payload(capsys):
@@ -257,6 +265,59 @@ def test_calibrate_zero_denominator_threshold(capsys):
     assert code == 2
     assert out == ""
     assert err == "bad input: threshold 1/0 has a zero denominator\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int digit limit, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e4300", "-1E-4300", "1e4_300", "2.5e+3000000", " 7e0000010000 "]
+)
+def test_exponent_past_digit_limit_refused_by_every_reader(tmp_path, capsys, digit_limit, text):
+    # Fraction would build 10**|exponent| first: seconds for 1e3000000
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"entries": [{"p": 0, "q": 0, "v": text}]}))
+    code, out, err = run(capsys, "decompose", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: diagram value") and "exponent" in err
+    code, out, err = run(
+        capsys, "calibrate", "-g", "2", "-k", "1", "--d-max", "50", f"--threshold={text}"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: threshold") and "exponent" in err
+    with pytest.raises(ValueError, match="exponent"):
+        decomposition.Decomposition.from_json_obj({"summands": [{"c": text, "e": [0, 1]}]})
+
+
+def test_exponent_below_digit_limit_read_exactly(digit_limit):
+    obj = {"entries": [{"p": 0, "q": 0, "v": "1e4299"}, {"p": 1, "q": 0, "v": "3E-4_299"}]}
+    b = diagrams.BettiDiagram.from_json_obj(obj)
+    assert b.get(0, 0) == 10**4299
+    assert b.get(1, 0) * 10**4299 == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "-g", "1", "-k", "0", "--d-max", "2"),
+        ("sweep", "purity", "-g", "1", "-k", "0", "--d-min", "10", "--d-max", "5"),
+        ("sweep", "distribution", "-g", "1", "-k", "1", "--a", "", "--d", "101"),
+        ("sweep", "distribution", "-g", "1", "-k", "1", "--a", "0", "--d", ""),
+    ],
+)
+def test_empty_range_is_bad_input(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad input: ")
+    assert "None" not in err
+    assert not out_file.exists()
 
 
 def test_calibrate_stdout(capsys):

@@ -11,6 +11,9 @@ Claims pinned here:
       pure-diagram computation (the closed forms are never self-certified)
     - the alt_denominator variant disagrees with the oracle, on purpose
     - secant_degree frozen values and the k = 0 collapse to d
+    - for g = 1, degree times the dominant diagram is integral and symmetric
+    - every entry point taking an outside integer refuses 1.0, True and "1"
+      with its own error type
 """
 
 import math
@@ -18,10 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import diagrams, secant
+from betticone import asymptotics, diagrams, secant
 from betticone.errors import (
     InvalidParams,
+    InvalidRange,
     InvalidTuple,
+    MalformedDegreeSequence,
     OutOfRange,
     TupleNotMaximalRegularity,
 )
@@ -237,3 +242,50 @@ def test_nonvanishing_range():
     lo, hi = secant.nonvanishing_range(params)
     assert hi == params.r - 2 * params.k - 1
     assert hi - lo + 1 == params.g
+
+
+def test_genus_one_dominant_diagram_is_gorenstein_symmetric():
+    # For g = 1 the secant variety of an elliptic normal curve is
+    # arithmetically Gorenstein (Graf v. Bothmer-Hulek 2004), so degree times
+    # the dominant diagram is an integral Betti table, symmetric under
+    # (p, q) -> (pd - p, reg - q).
+    cases = 0
+    for k in range(5):
+        for d in range(2 * k + 3, 80):
+            params = secant.SecantParams(1, k, d)
+            table = diagrams.scale(
+                secant.secant_pure_diagram(params, secant.dominant_tuple(params)),
+                secant.secant_degree(params),
+            )
+            pd, reg = diagrams.projective_dimension(table), diagrams.regularity(table)
+            for (p, q), v in table.items():
+                assert v.denominator == 1, (params, p, q, v)
+                assert table.get(pd - p, reg - q) == v, (params, p, q)
+            cases += 1
+    assert cases == 365
+
+
+_PARAMS = secant.SecantParams(2, 1, 9)
+
+# each public entry point that takes an integer from outside, fed x, and the
+# error it must raise
+_INT_ENTRY_POINTS = {
+    "SecantParams": (lambda x: secant.SecantParams(x, 1, 9), InvalidParams),
+    "jump tuple": (lambda x: secant.degree_sequence(_PARAMS, (x, 2)), InvalidTuple),
+    "DegreeSequence": (lambda x: diagrams.DegreeSequence((0, x, 3)), MalformedDegreeSequence),
+    "diagram key": (lambda x: diagrams.BettiDiagram({(0, x): 1}), ValueError),
+    "polynomial exponent": (lambda x: diagrams.RationalPolynomial({x: 1}), ValueError),
+    "kappa_dominant p": (lambda x: secant.kappa_dominant(_PARAMS, x), OutOfRange),
+    "stirling_ratio p": (lambda x: asymptotics.stirling_ratio(10, x), OutOfRange),
+    "jump_tuples g": (lambda x: secant.jump_tuples(x, 0), InvalidParams),
+    "purity_sweep d_min": (lambda x: asymptotics.purity_sweep(1, 0, x, 10), InvalidRange),
+    "purity_sweep d_max": (lambda x: asymptotics.purity_sweep(1, 0, 3, x), InvalidRange),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INT_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_outside_integers_refused_everywhere(entry, x):
+    call, error = _INT_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="must be an integer"):
+        call(x)
