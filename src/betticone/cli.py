@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -23,12 +24,26 @@ EXIT_NOT_IN_CONE = 3
 EXIT_IO = 4
 
 
-def _parse_int_list(text: str):
-    return [int(part) for part in text.split(",") if part != ""]
+# one item of a comma list: ASCII digits with an optional sign, and for a
+# decimal a point and an exponent; no "_", no empty item
+_LIST_ITEM = {
+    int: (re.compile(r"\s*[+-]?\d+\s*", re.ASCII), "an integer"),
+    float: (
+        re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)(e[+-]?\d+)?\s*", re.ASCII | re.IGNORECASE),
+        "a decimal number",
+    ),
+}
 
 
-def _parse_float_list(text: str):
-    return [float(part) for part in text.split(",") if part != ""]
+def _parse_list(text: str, flag: str, kind: type = int) -> list:
+    """The numbers of flag's comma list; ValueError names flag and the first
+    item that is not an ASCII integer (or decimal, for kind float)."""
+    pattern, noun = _LIST_ITEM[kind]
+    items = text.split(",")
+    for i, item in enumerate(items, 1):
+        if not pattern.fullmatch(item):
+            raise ValueError(f"{flag} {text!r}: item {i} ({item!r}) is not {noun}")
+    return [kind(item) for item in items]
 
 
 def render_table(b: diagrams.BettiDiagram) -> str:
@@ -76,7 +91,7 @@ def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
 
 
 def cmd_pure(args) -> int:
-    e = diagrams.DegreeSequence(_parse_int_list(args.degseq))
+    e = diagrams.DegreeSequence(_parse_list(args.degseq, "--degseq"))
     _emit_diagram(diagrams.pure_diagram(e), args.format)
     return EXIT_OK
 
@@ -86,7 +101,7 @@ def cmd_secant_pure(args) -> int:
     if args.dominant:
         tup = secant.dominant_tuple(params)
     elif args.tuple is not None:
-        tup = tuple(_parse_int_list(args.tuple))
+        tup = tuple(_parse_list(args.tuple, "--tuple"))
     else:
         raise ValueError("need --tuple or --dominant")
     e = secant.degree_sequence(params, tup)
@@ -111,7 +126,7 @@ def cmd_sweep(args) -> int:
         if args.d is None:
             raise ValueError("distribution sweep needs --d")
         rows = asymptotics.distribution_sweep(
-            args.g, args.k, _parse_float_list(args.a), _parse_int_list(args.d)
+            args.g, args.k, _parse_list(args.a, "--a", float), _parse_list(args.d, "--d")
         )
         write = asymptotics.write_distribution_csv
     if not rows:

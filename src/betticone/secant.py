@@ -85,13 +85,14 @@ def degree_sequence(params: SecantParams, i) -> DegreeSequence:
     Entry j of the tuple drops position r + 1 - (i_j + j). The dropped
     positions are pairwise distinct because i_j + j strictly increases, and
     the standing hypothesis d >= 2g + 2k + 1 keeps them all at or above
-    k + 2, so the result always has exactly r - 2k terms.
+    k + 2, so the result always has exactly r - 2k terms. It is strictly
+    increasing by construction, so DegreeSequence does not check it again.
     """
     i = _checked_tuple(params, i)
     r = params.r
     dropped = {r + 1 - (ij + j) for j, ij in enumerate(i)}
     seq = [0] + [m for m in range(params.k + 2, r + 2) if m not in dropped]
-    return DegreeSequence(seq)
+    return DegreeSequence._trusted(seq)
 
 
 def secant_pure_diagram(params: SecantParams, i) -> BettiDiagram:

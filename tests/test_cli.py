@@ -55,6 +55,43 @@ def test_pure_rejects_malformed_sequence(capsys):
     assert code == 2
 
 
+_SWEEP = ("sweep", "distribution", "-g", "1", "-k", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("pure", "--degseq", "0,,1"), "--degseq"),
+        (("pure", "--degseq", "0,3,"), "--degseq"),
+        (("pure", "--degseq", "1_0,20"), "--degseq"),
+        (("pure", "--degseq", "\u0660,\u0663"), "--degseq"),  # Arabic-Indic 0 and 3
+        (("pure", "--degseq", "0,1.0,2"), "--degseq"),
+        (("secant-pure", "-g", "3", "-k", "1", "-d", "11", "--tuple", "1,,3"), "--tuple"),
+        (("secant-pure", "-g", "3", "-k", "1", "-d", "11", "--tuple", "1,3_0"), "--tuple"),
+        (_SWEEP + ("--a", "0,,1", "--d", "101"), "--a"),
+        (_SWEEP + ("--a", "0_5", "--d", "101"), "--a"),
+        (_SWEEP + ("--a", "\u0661.5", "--d", "101"), "--a"),
+        (_SWEEP + ("--a", "0", "--d", "101,,1001"), "--d"),
+        (_SWEEP + ("--a", "0", "--d", "1_01"), "--d"),
+        (_SWEEP + ("--a", "0", "--d", "\u0661\u0660\u0661"), "--d"),
+        (_SWEEP + ("--a", "0", "--d", "101.0"), "--d"),
+    ],
+)
+def test_comma_lists_are_strict(tmp_path, capsys, argv, flag):
+    out_file = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv += ("--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bad input: {flag} ")
+    assert not out_file.exists()
+
+
+def test_comma_lists_read_signs_spaces_and_decimals():
+    assert cli._parse_list(" 0, +3,-4 ", "--degseq") == [0, 3, -4]
+    assert cli._parse_list("-1,2.,.5,1E-1", "--a", float) == [-1.0, 2.0, 0.5, 0.1]
+
+
 def test_pure_negative_degrees_in_equals_form(capsys):
     # argparse reads a bare "-3,-1,0,5" as an option; the = form passes it
     code, out, err = run(capsys, "pure", "--degseq=-3,-1,0,5")

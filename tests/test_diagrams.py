@@ -13,12 +13,19 @@ Claims pinned here:
     - JSON round-trips preserve diagrams exactly
     - indices and exponents that are not ints are rejected, never truncated,
       even under a zero value
-    - a DegreeSequence is checked once: passing one back returns it
+    - a DegreeSequence is checked once: passing one back returns it, and a
+      sequence built valid (a top strand, a family sequence) is not checked
+    - the (1-t)^s division gives what s prefix sums give, on both sides of
+      its shape test and at its exact boundary, and fails with one message
+      on both paths
+    - within a run, pure_diagram steps a reduced entry by a ratio whose
+      small factors cancel against it
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -50,6 +57,23 @@ def test_degree_sequence_is_checked_once():
     e = diagrams.DegreeSequence((0, 3, 4))
     assert diagrams.DegreeSequence(e) is e
     assert diagrams.DegreeSequence([0, 3, 4]) is not e
+
+
+def test_sequences_valid_by_construction_are_not_rechecked(monkeypatch):
+    checked = []
+
+    def counting_require_int(value, what, error):
+        checked.append(what)
+        return value
+
+    monkeypatch.setattr(diagrams, "require_int", counting_require_int)
+    e = secant.degree_sequence(secant.SecantParams(2, 1, 30), (1, 2))
+    strand = diagrams.top_strand(diagrams.pure_diagram(e))
+    assert type(e) is type(strand) is diagrams.DegreeSequence
+    assert strand == e
+    assert checked == []
+    diagrams.DegreeSequence(list(e))
+    assert checked == ["degree"] * len(e)
 
 
 def test_degree_sequence_is_a_tuple():
@@ -114,6 +138,29 @@ def test_pure_diagram_matches_naive_formula():
         assert diagrams.pure_diagram(e).items() == _naive_pure_entries(e), e
 
 
+def test_pure_diagram_multi_run_ratios_share_factors():
+    # Runs of consecutive degrees whose stepping ratios div/num share factors
+    # with each other and with the running entry: every entry must still be
+    # the reduced Herzog-Kuhl value.
+    seqs = [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 20, 21, 22, 23, 24),
+        (-6, -5, -4, -3, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15, 16, 17, 30, 31),
+        (0, *range(6, 36), *range(42, 72), 120, 121, 122, 123),
+    ]
+    for e in seqs:
+        b = diagrams.pure_diagram(e)
+        assert b.items() == _naive_pure_entries(e), e
+        stepped = [p for p in range(1, len(e)) if e[p] == e[p - 1] + 1]
+        # the step from column p - 1 to p cancels against the running entry
+        unreduced = 0
+        for p in stepped:
+            prev, cur = b.get(p - 1, e[p - 1] - p + 1), b.get(p, e[p] - p)
+            ratio = cur / prev
+            unreduced += math.gcd(prev.numerator, ratio.denominator) > 1
+            assert math.gcd(cur.numerator, cur.denominator) == 1
+        assert unreduced > 0, e
+
+
 def test_pure_diagram_one_entry_per_column():
     rng = random.Random(11)
     for _ in range(25):
@@ -170,6 +217,119 @@ def test_hilbert_numerator_zero_cancellation():
         hn = diagrams.hilbert_numerator(b)
         assert not hn
         assert diagrams.multiplicity(b) == 0
+
+
+def _prefix_sum_quotient(coeffs, s):
+    """The division the library made before it had a shape test: s prefix
+    sums, each leaving a last value that must be zero. None if (1-t)^s does
+    not divide."""
+    for _ in range(s):
+        coeffs = list(accumulate(coeffs))
+        if coeffs and coeffs.pop() != 0:
+            return None
+    return coeffs
+
+
+def _diagram_with_polynomial(coeffs, s):
+    """A diagram of projective dimension s whose alternating polynomial is
+    sum coeffs[j] t^j: each coefficient in column 0 or 1, plus an entry in
+    column s and one in column 1 or 0 that cancel at t^(s+1)."""
+    triples = [(0, j, F(c)) if c > 0 else (1, j - 1, F(-c)) for j, c in enumerate(coeffs) if c]
+    partner = (1, s) if s % 2 == 0 else (0, s + 1)  # the opposite sign of (s, 1)
+    triples += [(s, 1, F(1)), (*partner, F(1))]
+    return diagrams.BettiDiagram.from_entries(triples)
+
+
+def _shape(b):
+    coeffs, _, _ = diagrams._cleared_alternating(b)
+    s = diagrams.projective_dimension(b)
+    return max(len(coeffs) - s, 0), s
+
+
+def _assert_division_matches_prefix_sums(b, short):
+    """_divided_numerator(b) equals the prefix-sum oracle, on the path that
+    short names; where the oracle finds a remainder, the one message."""
+    coeffs, offset, lcm = diagrams._cleared_alternating(b)
+    m, s = _shape(b)
+    assert diagrams._short_quotient_pays(m, s) is short, (m, s)
+    expected = _prefix_sum_quotient(coeffs, s)
+    if expected is None:
+        message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
+        with pytest.raises(NotCohenMacaulayShape, match=message):
+            diagrams._divided_numerator(b)
+        with pytest.raises(NotCohenMacaulayShape, match=message):
+            diagrams.hilbert_numerator(b)
+    else:
+        assert diagrams._divided_numerator(b) == (expected, offset, lcm)
+        assert diagrams.multiplicity(b) == F(sum(expected), lcm)
+    return expected
+
+
+def _run_sequence(n, extra):
+    """0..n with the extra gap added between 3 and 4: pd n, m = extra + 1."""
+    return tuple(range(4)) + tuple(range(4 + extra, n + 1 + extra))
+
+
+def test_division_shape_test_sides():
+    family = [
+        secant.degree_sequence(secant.SecantParams(g, k, d), t)
+        for g, k, d in ((1, 0, 61), (3, 2, 120), (6, 4, 300), (2, 1, 60))
+        for t in secant.jump_tuples(g, k)[:: 2 * g]
+    ]
+    rng = random.Random(9)
+    gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
+    for e in family + [_run_sequence(10, 0)]:
+        assert _assert_division_matches_prefix_sums(diagrams.pure_diagram(e), True)
+    for e in gapped + [(0, 1, 2), (0, 3, 4, 6, 7, 9)]:
+        assert _assert_division_matches_prefix_sums(diagrams.pure_diagram(e), False)
+
+
+def test_division_shape_test_exact_boundary():
+    # m (s + 225) + 400 = 72 s at (m, s) = (22, 107): the boundary takes
+    # prefix sums, one coefficient less takes the long division
+    assert 22 * (107 + 225) + 400 == 72 * 107
+    on = diagrams.pure_diagram(_run_sequence(107, 21))
+    below = diagrams.pure_diagram(_run_sequence(107, 20))
+    assert (_shape(on), _shape(below)) == ((22, 107), (21, 107))
+    assert _assert_division_matches_prefix_sums(on, False)
+    assert _assert_division_matches_prefix_sums(below, True)
+    assert not diagrams._short_quotient_pays(23, 107)
+    assert diagrams._short_quotient_pays(22, 108)
+
+
+def test_division_with_no_quotient_coefficient():
+    # m = 0 on both paths: a polynomial with at most s coefficients divides
+    # only when it cancels to nothing
+    for s, short in ((6, True), (40, True), (1, False), (5, False)):
+        cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
+        assert _shape(cancels) == (0, s)
+        assert _assert_division_matches_prefix_sums(cancels, short) == []
+        assert not diagrams.hilbert_numerator(cancels)
+        assert diagrams.multiplicity(cancels) == 0
+        single = diagrams.BettiDiagram({(0, s): F(1), (s, 0): F(1 + s % 2)})
+        assert _shape(single) == (0, s)
+        assert _assert_division_matches_prefix_sums(single, short) is None
+
+
+def test_division_rejects_non_cm_on_both_paths():
+    cases = []
+    # a nonzero remainder only in the top coefficient: one more unit of
+    # the last column of a pure diagram, on each side of the shape test
+    for e, short in (
+        (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), True),
+        (_random_sequence(random.Random(4), 0, (2, 3, 5), 30), False),
+    ):
+        n = len(e) - 1
+        b = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
+        cases.append((b, short))
+    # divisible by (1-t)^(s-1) but not by (1-t)^s: the prefix sums find it
+    # only at the last division
+    for s, short in ((60, True), (5, False)):
+        row = [(-1) ** j * math.comb(s - 1, j) for j in range(s)]
+        poly = list(map(sum, zip(row + [0], [0] + [2 * c for c in row])))  # (1-t)^(s-1) (1+2t)
+        cases.append((_diagram_with_polynomial(poly, s), short))
+    for b, short in cases:
+        assert _assert_division_matches_prefix_sums(b, short) is None
 
 
 def test_power_sum_relations_random_pure():
