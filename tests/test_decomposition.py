@@ -9,11 +9,19 @@ Claims pinned here:
     - decomposition JSON with a degree that is not an integer, degrees
       that are not strictly increasing, a zero denominator or a 'summands'
       that is not a list is rejected with ValueError
-    - the in-place peel agrees with a copy-per-step peel (the oracle) on
-      results, tight columns and NotInCone diagnostics, and never aliases
-      its input or its diagnostics with its working state
+    - only an absent or null 'residual' reads as no residual; any other
+      value must be diagram JSON
+    - the integer peel agrees with a copy-per-step Fraction peel (the
+      oracle) on results, tight columns and NotInCone diagnostics, also
+      when weights over large coprime denominators make its common
+      denominator grow and shrink, and never aliases its input or its
+      diagnostics with its working state
+    - reconstruct agrees with the Fraction sum it replaced (the oracle) on
+      residuals, zero and negative coefficients and cells that cancel, and
+      verify gives the same answers and reasons on either
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -200,6 +208,19 @@ def test_decomposition_json_rejects_bad_coefficient_and_summands():
             decomposition.Decomposition.from_json_obj(obj)
 
 
+def test_decomposition_json_reads_only_absent_or_null_as_no_residual():
+    summands = [{"c": "1", "e": [0, 1]}]
+    for obj in ({"summands": summands}, {"summands": summands, "residual": None}):
+        assert decomposition.Decomposition.from_json_obj(obj).residual == diagrams.BettiDiagram()
+    # a falsy value is not an absent one: each must be read as diagram JSON
+    for residual in ({}, [], 0, False, "", 5):
+        with pytest.raises(ValueError, match="diagram JSON"):
+            decomposition.Decomposition.from_json_obj({"summands": summands, "residual": residual})
+    cell = {"entries": [{"p": 0, "q": 1, "v": "2/3"}]}
+    back = decomposition.Decomposition.from_json_obj({"summands": summands, "residual": cell})
+    assert back.residual == diagrams.BettiDiagram({(0, 1): F(2, 3)})
+
+
 def _peel_oracle(b):
     """The copy-per-step peel: each step builds a new residual with the
     public subtract(strict=True), so the in-place peel is checked against
@@ -224,17 +245,31 @@ def _peel_oracle(b):
     return decomposition.Decomposition(tuple(summands), diagrams.BettiDiagram())
 
 
-def _family_combination(rng):
-    """A seeded convex combination of 1-6 family diagrams, g <= 5, k <= 3, d <= 120."""
+# Mersenne primes 2^61-1, 2^31-1, 2^17-1, 2^13-1, the Fermat prime 65537 and
+# the largest prime below 10^6: pairwise coprime, and coprime to every
+# pure-diagram denominator of a small degree sequence
+LARGE_PRIMES = (2**61 - 1, 2**31 - 1, 2**17 - 1, 2**13 - 1, 65537, 999983)
+
+
+def _convex_weights(rng, count):
+    weights = [F(rng.randint(1, 20)) for _ in range(count)]
+    return [w / sum(weights) for w in weights]
+
+
+def _prime_weights(rng, count):
+    return [F(rng.randint(1, 20), rng.choice(LARGE_PRIMES)) for _ in range(count)]
+
+
+def _family_combination(rng, weights=_convex_weights):
+    """A seeded combination of 1-6 family diagrams, g <= 5, k <= 3, d <= 120,
+    with convex weights or those weights(rng, count) draws."""
     g, k = rng.randint(1, 5), rng.randint(0, 3)
     params = secant.SecantParams(g, k, rng.randint(2 * g + 2 * k + 1, 120))
     tuples = secant.jump_tuples(g, k)
     chosen = rng.sample(tuples, rng.randint(1, min(6, len(tuples))))
-    weights = [F(rng.randint(1, 20)) for _ in chosen]
     combo = diagrams.BettiDiagram()
-    for tup, w in zip(chosen, weights):
-        term = diagrams.scale(secant.secant_pure_diagram(params, tup), w / sum(weights))
-        combo = diagrams.add(combo, term)
+    for tup, w in zip(chosen, weights(rng, len(chosen))):
+        combo = diagrams.add(combo, diagrams.scale(secant.secant_pure_diagram(params, tup), w))
     return combo
 
 
@@ -277,6 +312,87 @@ def test_in_place_peel_matches_copy_per_step_oracle():
     assert 10 <= outside < 60, "the perturbations should land on both sides of the cone"
 
 
+def test_peel_matches_oracle_over_large_coprime_denominators():
+    rng = random.Random(2**31 - 1)
+    grew = 0
+    for _ in range(25):
+        combo = _family_combination(rng, _prime_weights)
+        dec = decomposition.decompose(combo)
+        assert dec == _peel_oracle(combo)
+        assert decomposition.verify(combo, dec)
+        # a common denominator that has taken in two of the primes
+        lcm = math.lcm(*(v.denominator for _, v in combo.items()))
+        grew += sum(lcm % prime == 0 for prime in LARGE_PRIMES) >= 2
+    assert grew >= 10
+    outside = 0
+    for _ in range(40):
+        b = _perturbed(rng, _family_combination(rng, _prime_weights))
+        got, want = _outcome(decomposition.decompose, b), _outcome(_peel_oracle, b)
+        assert got == want
+        outside += got[0] == "not in cone"
+    assert 8 <= outside < 40, "the perturbations should land on both sides of the cone"
+
+
+def _reconstruct_oracle(dec):
+    """Decomposition.reconstruct as a Fraction sum: c times each pure
+    diagram's entries added cell by cell into a copy of the residual."""
+    out = diagrams._add_into(diagrams.BettiDiagram(), dec.residual.items())
+    for s in dec.summands:
+        c = F(s.coefficient)
+        pure = diagrams.pure_diagram(s.degrees).items()
+        diagrams._add_into(out, ((key, c * v) for key, v in pure))
+    return out
+
+
+def _seeded_decomposition(rng, signed):
+    """1-5 summands over random degree sequences. Signed ones also draw zero
+    and negative coefficients, repeat a summand with the opposite sign (its
+    cells cancel), and carry a residual, part of which cancels a summand's
+    cell; the others are positive with no residual."""
+    summands = []
+    for _ in range(rng.randint(1, 5)):
+        e = _random_degree_sequence(rng, rng.randint(1, 5))
+        c = F(rng.randint(1, 20), rng.choice((1, 2, 6) + LARGE_PRIMES))
+        if signed:
+            c *= rng.choice((0, -1, 1, 1))
+        summands.append(decomposition.PureSummand(c, e))
+    residual = diagrams.BettiDiagram()
+    if signed:
+        if rng.random() < 0.5:
+            s = rng.choice(summands)
+            summands.append(decomposition.PureSummand(-s.coefficient, s.degrees))
+        s = rng.choice(summands)
+        (p, q), v = rng.choice(diagrams.pure_diagram(s.degrees).items())
+        triples = [(p, q, -s.coefficient * v)]
+        triples += [
+            (rng.randint(0, 5), rng.randint(0, 4), F(rng.randint(-9, 9), rng.randint(1, 9)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        residual = diagrams.BettiDiagram.from_entries(triples)
+        rng.shuffle(summands)
+    return decomposition.Decomposition(tuple(summands), residual)
+
+
+def test_reconstruct_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(1010)
+    cases, cancelled = [], 0
+    for i in range(80):
+        dec = _seeded_decomposition(rng, signed=i % 2 == 0)
+        want = _reconstruct_oracle(dec)
+        assert dec.reconstruct() == want
+        cells = {key for s in dec.summands for key in diagrams.pure_diagram(s.degrees).support()}
+        cancelled += not cells | dec.residual.support() <= want.support()
+        tampered = _perturbed(rng, want) if want else diagrams.BettiDiagram({(0, 0): F(1)})
+        cases += [(want, dec), (tampered, dec)]
+    assert cancelled >= 20, "some cells should sum to zero and drop out"
+
+    got = [decomposition.verify(b, dec) for b, dec in cases]
+    monkeypatch.setattr(decomposition.Decomposition, "reconstruct", _reconstruct_oracle)
+    assert got == [decomposition.verify(b, dec) for b, dec in cases]
+    reasons = {r.reason.split(" ")[0] if r.reason else None for r in got}
+    assert reasons == {None, "summand", "residual", "reconstruction"}
+
+
 def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
     rng = random.Random(7)
     combo = _family_combination(rng)
@@ -292,11 +408,11 @@ def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
     bad_before = dict(bad.items())
     views = []
 
-    def spying_top_strand(view):
-        views.append(view)
-        return diagrams.top_strand(view)
+    def spying_top_strand(cells):  # the peel's working numerators, keyed by cell
+        views.append(cells)
+        return diagrams._top_strand(cells)
 
-    monkeypatch.setattr(decomposition, "top_strand", spying_top_strand)
+    monkeypatch.setattr(decomposition, "_top_strand", spying_top_strand)
     with pytest.raises(NotInCone) as exc:
         decomposition.decompose(bad)
     assert dict(bad.items()) == bad_before
@@ -304,7 +420,7 @@ def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
     assert dict(exc.value.partial.residual.items()) == residual
     # what a further peel step would do to the working state must not
     # reach the diagnostics already raised
-    views[-1]._e.clear()
+    views[-1].clear()
     assert dict(exc.value.residual.items()) == residual
     assert dict(exc.value.partial.residual.items()) == residual
     assert exc.value.partial.reconstruct() == bad
