@@ -5,27 +5,24 @@ minimal degrees, subtract the largest multiple of that pure diagram that
 keeps every entry nonnegative, repeat. Each step zeroes at least one entry,
 so the loop runs at most as many times as the input has entries.
 
-The peel and Decomposition.reconstruct run on integers. A diagram is
-written once as integer numerators over the lcm of its denominators
-(diagrams._cleared), and each step compares, subtracts and rescales those
-integers. A Fraction is built only where a value leaves: one per
-coefficient, and one per cell of a reconstruction or of the residual that
-NotInCone carries. Summing Fractions instead would pay a gcd on every
-divide, compare, multiply and add of every cell.
+A diagram is held as integer numerators over one denominator, so the peel
+compares those integers directly, and each peel step and
+Decomposition.reconstruct are linear combinations summed by the one kernel
+of diagrams (_combination). A Fraction is built only where a value leaves:
+one per coefficient here, and one per cell where a diagram is read.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .diagrams import (
     BettiDiagram,
     DegreeSequence,
-    _add_into,
-    _cleared,
+    _combination,
     _nonnegative,
+    _reduced,
     _top_strand,
     pure_diagram,
 )
@@ -60,27 +57,10 @@ class Decomposition(NamedTuple):
         return sum((s.coefficient for s in self.summands), Fraction(0))
 
     def reconstruct(self) -> BettiDiagram:
-        """Sum of all summands plus the residual.
-
-        The cells are summed as integers over one common denominator, which
-        grows to the lcm with each summand's c.denominator * lcm(pure); one
-        Fraction per cell is built at the end.
-        """
-        total, den = _cleared(self.residual._e)
-        for s in self.summands:
-            c = Fraction(s.coefficient)
-            pure, pure_den = _cleared(pure_diagram(s.degrees)._e)
-            term_den = c.denominator * pure_den
-            common = math.lcm(den, term_den)
-            if common != den:
-                grow = common // den
-                for key in total:
-                    total[key] *= grow
-                den = common
-            factor = c.numerator * (den // term_den)
-            for key, u in pure.items():
-                total[key] = total.get(key, 0) + factor * u
-        return _add_into(BettiDiagram(), ((key, Fraction(n, den)) for key, n in total.items() if n))
+        """Sum of all summands plus the residual, as one combination."""
+        terms = [(1, self.residual)]
+        terms += ((Fraction(s.coefficient), pure_diagram(s.degrees)) for s in self.summands)
+        return _combination(terms)
 
     def to_json_obj(self) -> dict:
         return {
@@ -123,64 +103,41 @@ def decompose(b: BettiDiagram) -> Decomposition:
     decomposition and a snapshot of the residual at the point of failure.
     b itself is never modified.
 
-    The residual is held as integer numerators N over one denominator L,
-    the pure diagram of each step as numerators U over V. The step takes
-    the first column p that minimises N_p/U_p, compared by
-    cross-multiplication; for that column (N*, U*) the coefficient is
-    c = N*·V / (L·U*). With g = gcd(N*, U*), the residual minus c times the
-    pure diagram is (N·U*/g - U·N*/g) over L·U*/g: a strand cell becomes
-    N_p·U*/g - U_p·N*/g, every other cell N_x·U*/g. Dividing all of them
-    and the denominator by their gcd brings L back to the lcm of the
-    residual's reduced denominators, where clearing it afresh would put it.
+    The residual is integer numerators N over one denominator L, the pure
+    diagram of each step numerators U over V. The step takes the least
+    ratio N*/U* of N_p/U_p over the top-strand cells, compared by
+    cross-multiplication, so the coefficient is c = N*·V / (L·U*), and the
+    next residual is the combination residual - c·pure.
 
     No step can go negative: N*/U* is the least ratio over the top-strand
     cells, each of which is a positive entry of the residual, so every
     entry the step touches stays >= 0, and the tight columns are exactly
-    the cells that reach zero.
+    the strand cells that reach zero, which the combination drops.
     """
     if not b:
         raise EmptyDiagram("cannot decompose an empty diagram")
     summands = []
-    residual, den = _cleared(_nonnegative(b)._e)
+    residual = _nonnegative(b)
     while residual:
         try:
-            e = _top_strand(residual)
+            e = _top_strand(residual._n)
         except (MissingColumn, NotStrictlyIncreasing) as exc:
-            snapshot = _add_into(
-                BettiDiagram(), ((key, Fraction(n, den)) for key, n in residual.items())
-            )
+            snapshot = _reduced(dict(residual._n), residual._den)
             raise NotInCone(
                 f"top strand failed: {exc}",
                 partial=Decomposition(tuple(summands), snapshot),
                 residual=snapshot,
             ) from exc
-        pure, pure_den = _cleared(pure_diagram(e)._e)  # its cells in column order
+        pure = pure_diagram(e)
         n_star, u_star = 1, 0  # the ratio 1/0 exceeds every N_p/U_p
-        for key, u in pure.items():
-            n = residual[key]
+        for key, u in pure._n.items():
+            n = residual._n[key]
             if n * u_star < n_star * u:
                 n_star, u_star = n, u
-        g = math.gcd(n_star, u_star)
-        grow, take = u_star // g, n_star // g
-        c = Fraction(take * pure_den, den * grow)
-        if grow != 1:
-            for key in residual:
-                residual[key] *= grow
-            den *= grow
-        tight = []
-        for key, u in pure.items():
-            n = residual[key] - take * u
-            if n:
-                residual[key] = n
-            else:
-                del residual[key]
-                tight.append(key[0])
-        g = math.gcd(den, *residual.values())
-        if g != 1:
-            for key in residual:
-                residual[key] //= g
-            den //= g
-        summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tuple(tight)))
+        c = Fraction(n_star * pure._den, residual._den * u_star)
+        residual = _combination(((1, residual), (-c, pure)))
+        tight = tuple(p for p, ep in enumerate(e) if (p, ep - p) not in residual._n)
+        summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tight))
     return Decomposition(tuple(summands), BettiDiagram())
 
 

@@ -1,9 +1,14 @@
 """Formal Betti diagrams over exact rationals.
 
-A diagram is a finite sparse table of Fractions indexed by (p, q) where p is
-the column (homological degree) and q the weight. Pure diagrams carry one
-entry per column at weight e_p - p for a strictly increasing degree sequence
-e, normalized so the multiplicity comes out to exactly 1.
+A diagram is a finite sparse table of rationals indexed by (p, q) where p is
+the column (homological degree) and q the weight. It is held as nonzero
+integer numerators over one positive denominator, in lowest terms, and is
+never changed once built; Fractions are made only where a value leaves
+(get, items, the JSON form). Every linear combination of diagrams (add,
+scale, subtract, and in decomposition the peel step and reconstruct) is
+summed by one kernel, _combination, on those integers. Pure diagrams carry
+one entry per column at weight e_p - p for a strictly increasing degree
+sequence e, normalized so the multiplicity comes out to exactly 1.
 
 Everything in this module is exact; no floats.
 """
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import lt, mul, sub
 from typing import Iterable, Mapping
 
@@ -25,6 +30,7 @@ from .errors import (
     NotStrictlyIncreasing,
     parse_rational,
     require_int,
+    require_rational,
 )
 
 
@@ -75,7 +81,7 @@ class RationalPolynomial:
         if coefficients:
             for exp, val in coefficients.items():
                 require_int(exp, "exponent", ValueError)
-                val = Fraction(val)
+                val = require_rational(val, "coefficient")
                 if val != 0:
                     self._c[exp] = val
 
@@ -94,16 +100,10 @@ class RationalPolynomial:
     def items(self):
         return sorted(self._c.items())
 
-    def __call__(self, x) -> Fraction:
-        return sum((c * Fraction(x) ** e for e, c in self._c.items()), Fraction(0))
-
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
             return self._c == other._c
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
 
     def __bool__(self):
         return bool(self._c)
@@ -116,53 +116,52 @@ class RationalPolynomial:
 
 
 class BettiDiagram:
-    """Sparse map (p, q) -> Fraction with zeros dropped.
+    """Sparse map (p, q) -> rational with zeros dropped.
 
-    Entries are allowed to be negative so the type can hold intermediate
-    formal differences; cone-facing operations check signs themselves.
+    Held as nonzero integer numerators _n[(p, q)] over one denominator
+    _den > 0 with gcd(_den, *_n.values()) == 1, so equal diagrams hold
+    equal pairs. Never changed once built. Entries are allowed to be
+    negative so the type can hold intermediate formal differences;
+    cone-facing operations check signs themselves.
     """
 
-    __slots__ = ("_e",)
+    __slots__ = ("_n", "_den")
 
     def __init__(self, entries: Mapping[tuple, object] | None = None):
-        self._e = {}
-        if entries:
-            _add_into(self, _checked((p, q, v) for (p, q), v in entries.items()))
+        triples = ((p, q, v) for (p, q), v in entries.items()) if entries else ()
+        self._n, self._den = _summed(_checked(triples))
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
         """Build from (p, q, value) triples, summing duplicates."""
-        return _add_into(cls(), _checked(triples))
+        b = cls.__new__(cls)
+        b._n, b._den = _summed(_checked(triples))
+        return b
 
     def get(self, p: int, q: int) -> Fraction:
-        return self._e.get((p, q), Fraction(0))
+        return Fraction(self._n.get((p, q), 0), self._den)
 
     def items(self):
-        """Entries as ((p, q), value) pairs sorted by (p, q)."""
-        return sorted(self._e.items())
+        """Entries as ((p, q), Fraction) pairs sorted by (p, q)."""
+        den = self._den
+        return [(key, Fraction(n, den)) for key, n in sorted(self._n.items())]
 
     def support(self):
-        return frozenset(self._e)
-
-    def is_nonnegative(self) -> bool:
-        return all(v > 0 for v in self._e.values())
+        return frozenset(self._n)
 
     def __contains__(self, key):
-        return key in self._e
+        return key in self._n
 
     def __len__(self):
-        return len(self._e)
+        return len(self._n)
 
     def __bool__(self):
-        return bool(self._e)
+        return bool(self._n)
 
     def __eq__(self, other):
         if isinstance(other, BettiDiagram):
-            return self._e == other._e
+            return self._den == other._den and self._n == other._n
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._e.items()))
 
     def __repr__(self):
         cells = ", ".join(f"({p},{q}): {v}" for (p, q), v in self.items())
@@ -192,28 +191,67 @@ class BettiDiagram:
 def _checked(triples):
     """((p, q), Fraction) pairs from (p, q, value) triples given from outside:
     each index is checked before any sum (1.0 would merge into the key 1), and
-    each value that is not yet a Fraction becomes one here, once."""
+    each value goes through require_rational, once."""
     for p, q, val in triples:
         require_int(p, "column index p", ValueError)
         require_int(q, "weight q", ValueError)
         if p < 0:
             raise ValueError(f"negative column index {p}")
-        yield (p, q), val if type(val) is Fraction else Fraction(val)
+        yield (p, q), require_rational(val, "diagram value")
 
 
-def _add_into(b: BettiDiagram, terms) -> BettiDiagram:
-    """Add ((p, q), Fraction) terms on checked keys into b in place, dropping
-    every key whose sum reaches zero, and return b: the one loop that sums
-    into an entry dict. b is a diagram its caller has just made or owns."""
-    entries = b._e
+def _summed(terms):
+    """(numerators, denominator) of checked ((p, q), Fraction) terms from
+    outside, duplicates summed: the one loop that sums outside Fractions,
+    before they are cleared over the lcm of the nonzero sums' denominators.
+    Each sum is in lowest terms, so the cleared numerators are too.
+
+    The denominators go to math.lcm as a list: a generator there becomes a
+    tuple guessed at 10 items and resized, and the interpreter's tuple free
+    lists fill up over a long run.
+    """
+    sums = {}
     for key, v in terms:
-        if key in entries:
-            v += entries[key]
-        if v:
-            entries[key] = v
-        else:
-            entries.pop(key, None)
+        sums[key] = sums[key] + v if key in sums else v
+    sums = {key: v for key, v in sums.items() if v}
+    den = math.lcm(*[v.denominator for v in sums.values()])
+    return {key: v.numerator * (den // v.denominator) for key, v in sums.items()}, den
+
+
+def _reduced(n: dict, den: int) -> BettiDiagram:
+    """The diagram n / den, for nonzero integer numerators n on checked keys
+    and den > 0, with n and den divided by their gcd; n becomes its own."""
+    g = math.gcd(den, *n.values())
+    if g != 1:
+        n = {key: v // g for key, v in n.items()}
+        den //= g
+    b = BettiDiagram.__new__(BettiDiagram)
+    b._n, b._den = n, den
     return b
+
+
+def _combination(terms) -> BettiDiagram:
+    """The diagram sum c * b over (c, b) pairs, c an int or a Fraction: the
+    one loop that sums diagram cells.
+
+    The numerators are summed as integers over a common denominator that
+    grows to the lcm of the terms' c.denominator * b._den; cells that reach
+    0 are dropped, and one gcd brings the result to lowest terms.
+    """
+    total = {}
+    den = 1
+    for c, b in terms:
+        term_den = c.denominator * b._den
+        common = math.lcm(den, term_den)
+        if common != den:
+            grow = common // den
+            for key in total:
+                total[key] *= grow
+            den = common
+        factor = c.numerator * (den // term_den)
+        for key, u in b._n.items():
+            total[key] = total.get(key, 0) + factor * u
+    return _reduced({key: v for key, v in total.items() if v}, den)
 
 
 def pure_diagram(e) -> BettiDiagram:
@@ -224,24 +262,24 @@ def pure_diagram(e) -> BettiDiagram:
 
     The sequence is split into maximal runs of consecutive integers. The
     first column of a run is one product over all other entries, and one
-    Fraction(n!, den) reduces it. Moving e_p = x to x + 1 inside a run
-    multiplies the denominator by a quotient that telescopes over each run
-    [lo, hi]: (x+1-lo)/(x-hi) for a run below, (lo-x-1)/(hi-x) for a run
-    above, (x+1-lo)/(hi-x) for its own run. Each later column is therefore
-    the previous entry, kept as a reduced fraction, times div/num, two
-    products of O(runs) small integers. Its one gcd has the reduced
-    denominator times num (tens of bits) as its smaller side, where a fresh
-    Fraction(n!, den) would take the gcd of n! and a denominator of some 900
+    gcd reduces n!/den. Moving e_p = x to x + 1 inside a run multiplies the
+    denominator by a quotient that telescopes over each run [lo, hi]:
+    (x+1-lo)/(x-hi) for a run below, (lo-x-1)/(hi-x) for a run above,
+    (x+1-lo)/(hi-x) for its own run. Each later column is therefore the
+    previous entry, kept as a reduced pair of positive ints, times div/num,
+    two products of O(runs) small integers. Its one gcd has the reduced
+    denominator times num (tens of bits) as its smaller side, where reducing
+    n!/den afresh would take the gcd of n! and a denominator of some 900
     bits. The cost is O(n * runs) products: O(n) for the secant family (a
     few runs), and the O(n^2) of the direct formula when no two entries are
-    consecutive (every run a singleton, every column a first column).
+    consecutive (every run a singleton, every column a first column). One
+    lcm of the reduced denominators then gives the diagram's denominator.
 
     >>> pure_diagram((0, 1, 2)).items()
     [((0, 0), Fraction(1, 1)), ((1, 0), Fraction(2, 1)), ((2, 0), Fraction(1, 1))]
     """
     e = DegreeSequence(e)
-    out = BettiDiagram()
-    entries = out._e  # nonzero Fractions on int keys, filled in column order
+    columns = []  # (key, u, v): the entry u/v in lowest terms, in column order
     n_fact = math.factorial(len(e) - 1)
     starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
     stops = starts[1:] + [len(e)]
@@ -252,7 +290,9 @@ def pure_diagram(e) -> BettiDiagram:
         den = math.prod(map(sub, repeat(lo), e[:start])) * math.prod(
             map(sub, e[start + 1 :], repeat(lo))
         )
-        v = entries[(start, q)] = Fraction(n_fact, den)
+        g = math.gcd(n_fact, den)
+        u, v = n_fact // g, den // g
+        columns.append(((start, q), u, v))
         if stop - start == 1:  # no later column: skip building O(runs) ranges
             continue
         # one range per run, stepping x over lo..hi-1; column p's ratio is the
@@ -266,17 +306,20 @@ def pure_diagram(e) -> BettiDiagram:
             map(math.prod, zip(*rises)),
             map(math.prod, zip(*falls)),
         ):
-            v = entries[(p, q)] = Fraction(v.numerator * div, v.denominator * num)
-    return out
+            u, v = u * div, v * num
+            g = math.gcd(u, v)
+            u, v = u // g, v // g
+            columns.append(((p, q), u, v))
+    den = math.lcm(*[v for _, _, v in columns])
+    return _reduced({key: u * (den // v) for key, u, v in columns}, den)
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
-    c = Fraction(c)
-    return _add_into(BettiDiagram(), ((key, v * c) for key, v in b._e.items()))
+    return _combination(((require_rational(c, "scale factor"), b),))
 
 
 def add(a: BettiDiagram, b: BettiDiagram) -> BettiDiagram:
-    return _add_into(BettiDiagram(), chain(a._e.items(), b._e.items()))
+    return _combination(((1, a), (1, b)))
 
 
 def subtract(a: BettiDiagram, b: BettiDiagram, strict: bool = True) -> BettiDiagram:
@@ -286,16 +329,16 @@ def subtract(a: BettiDiagram, b: BettiDiagram, strict: bool = True) -> BettiDiag
     NegativeEntry naming its position; permissive mode returns the formal
     difference.
     """
-    out = add(a, scale(b, -1))
+    out = _combination(((1, a), (-1, b)))
     return _nonnegative(out) if strict else out
 
 
 def _nonnegative(b: BettiDiagram) -> BettiDiagram:
     """b, once no entry is negative; else NegativeEntry at the first negative
     entry in (p, q) order."""
-    for (p, q), v in b.items():
-        if v < 0:
-            raise NegativeEntry(p, q, v)
+    for (p, q), n in sorted(b._n.items()):
+        if n < 0:
+            raise NegativeEntry(p, q, Fraction(n, b._den))
     return b
 
 
@@ -319,7 +362,7 @@ def top_strand(b: BettiDiagram) -> DegreeSequence:
     """
     if not b:
         raise EmptyDiagram("top strand of an empty diagram")
-    return _top_strand(b._e)
+    return _top_strand(b._n)
 
 
 def _top_strand(cells) -> DegreeSequence:
@@ -339,35 +382,20 @@ def _top_strand(cells) -> DegreeSequence:
     return DegreeSequence._trusted(strand)
 
 
-def _cleared(entries: Mapping[tuple, Fraction]):
-    """(numerators, lcm): entries written as integers over the lcm of their
-    denominators, in the entries' own order; ({}, 1) for no entries.
-
-    The denominators go to math.lcm as a list: a generator there becomes a
-    tuple guessed at 10 items and resized, so each call would take a
-    10-item tuple from the interpreter's free lists and give back one of
-    another size, and those lists filled up over a long run (about 0.9 MB
-    more after 4,500 decompose_cli ops).
-    """
-    lcm = math.lcm(*[v.denominator for v in entries.values()])
-    return {key: v.numerator * (lcm // v.denominator) for key, v in entries.items()}, lcm
-
-
 def _cleared_alternating(b: BettiDiagram):
-    """Integer coefficient list of lcm * sum (-1)^p kappa_{p,q} t^{p+q}.
+    """Integer coefficient list of den * sum (-1)^p kappa_{p,q} t^{p+q}.
 
-    Returns (coeffs, offset, lcm): coeffs[j] is the coefficient of
-    t^(j + offset). Clearing denominators up front keeps the repeated
-    division below in plain bigint arithmetic.
+    Returns (coeffs, offset, den), den the diagram's own denominator:
+    coeffs[j] is the coefficient of t^(j + offset). Its integer numerators
+    keep the repeated division below in plain bigint arithmetic.
     """
-    numerators, lcm = _cleared(b._e)
     degs = {}
-    for (p, q), c in numerators.items():
+    for (p, q), c in b._n.items():
         degs[p + q] = degs.get(p + q, 0) + (-c if p & 1 else c)
     lo = min(degs)
     hi = max(degs)
     coeffs = [degs.get(t, 0) for t in range(lo, hi + 1)]
-    return coeffs, lo, lcm
+    return coeffs, lo, b._den
 
 
 def _short_quotient_pays(m: int, s: int) -> bool:
@@ -397,7 +425,8 @@ def _short_quotient_pays(m: int, s: int) -> bool:
 
 
 def _divided_numerator(b: BettiDiagram):
-    """Integer coefficients of lcm * HN(t), as (coeffs, offset, lcm).
+    """Integer coefficients of den * HN(t), as (coeffs, offset, den), den the
+    diagram's denominator.
 
     coeffs[j] is the coefficient of t^(j + offset). The alternating
     polynomial has m + s coefficients (s = pd(b)) and is divided by (1-t)^s
@@ -418,7 +447,7 @@ def _divided_numerator(b: BettiDiagram):
     zero, and then the quotient is the empty list.
     """
     s = projective_dimension(b)
-    coeffs, offset, lcm = _cleared_alternating(b)
+    coeffs, offset, den = _cleared_alternating(b)
     m = max(len(coeffs) - s, 0)
     if _short_quotient_pays(m, s):
         row = []  # t^1 .. t^s of (1-t)^s, built in 71 us at s = 250 (math.comb: 720 us)
@@ -442,7 +471,7 @@ def _divided_numerator(b: BettiDiagram):
                 break
     if not exact:
         raise NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
-    return coeffs, offset, lcm
+    return coeffs, offset, den
 
 
 def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
@@ -460,9 +489,9 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     """
     if not b:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
-    coeffs, offset, lcm = _divided_numerator(b)
+    coeffs, offset, den = _divided_numerator(b)
     return RationalPolynomial(
-        {offset + j: Fraction(c, lcm) for j, c in enumerate(coeffs) if c != 0}
+        {offset + j: Fraction(c, den) for j, c in enumerate(coeffs) if c != 0}
     )
 
 
@@ -474,5 +503,5 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
-    coeffs, _, lcm = _divided_numerator(b)
-    return Fraction(sum(coeffs), lcm)
+    coeffs, _, den = _divided_numerator(b)
+    return Fraction(sum(coeffs), den)

@@ -41,6 +41,19 @@ def parse_rational(text, what: str) -> Fraction:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def require_rational(value, what: str) -> Fraction:
+    """value as a Fraction: a Fraction as it is, an int (not a bool) made
+    one, a str read by parse_rational; a float, a bool or anything else
+    raises ValueError naming what (0.1 is not 1/10)."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value, what)
+    raise ValueError(f"{what} must be a Fraction, an int or a str, got {value!r}")
+
+
 class BettiConeError(Exception):
     """Base class for all errors raised by this package."""
 

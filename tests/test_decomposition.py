@@ -19,6 +19,10 @@ Claims pinned here:
     - reconstruct agrees with the Fraction sum it replaced (the oracle) on
       residuals, zero and negative coefficients and cells that cancel, and
       verify gives the same answers and reasons on either
+    - every way of building a diagram (the constructors, the JSON reader,
+      pure_diagram, add, scale, subtract, reconstruct and the NotInCone
+      snapshot) gives integer numerators over a positive denominator in
+      lowest terms, so == agrees with comparing entries
 """
 
 import math
@@ -223,7 +227,7 @@ def test_decomposition_json_reads_only_absent_or_null_as_no_residual():
 
 def _peel_oracle(b):
     """The copy-per-step peel: each step builds a new residual with the
-    public subtract(strict=True), so the in-place peel is checked against
+    public subtract(strict=True), so the integer peel is checked against
     an independent rebuild of every intermediate diagram."""
     summands = []
     residual = b
@@ -336,12 +340,12 @@ def test_peel_matches_oracle_over_large_coprime_denominators():
 def _reconstruct_oracle(dec):
     """Decomposition.reconstruct as a Fraction sum: c times each pure
     diagram's entries added cell by cell into a copy of the residual."""
-    out = diagrams._add_into(diagrams.BettiDiagram(), dec.residual.items())
+    out = dict(dec.residual.items())
     for s in dec.summands:
         c = F(s.coefficient)
-        pure = diagrams.pure_diagram(s.degrees).items()
-        diagrams._add_into(out, ((key, c * v) for key, v in pure))
-    return out
+        for key, v in diagrams.pure_diagram(s.degrees).items():
+            out[key] = out.get(key, 0) + c * v
+    return diagrams.BettiDiagram(out)
 
 
 def _seeded_decomposition(rng, signed):
@@ -424,3 +428,63 @@ def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
     assert dict(exc.value.residual.items()) == residual
     assert dict(exc.value.partial.residual.items()) == residual
     assert exc.value.partial.reconstruct() == bad
+
+
+def _assert_canonical(b):
+    """b holds nonzero int numerators over an int denominator > 0, in lowest
+    terms."""
+    assert type(b._den) is int and b._den > 0
+    assert all(type(n) is int and n != 0 for n in b._n.values())
+    assert math.gcd(b._den, *b._n.values()) == 1
+
+
+def test_every_path_builds_the_canonical_form():
+    rng = random.Random(1111)
+    for _ in range(40):
+        e = _random_degree_sequence(rng, rng.randint(1, 6))
+        pure = diagrams.pure_diagram(e)
+        w = F(rng.randint(1, 30), rng.choice((1, 2, 6) + LARGE_PRIMES))
+        entries = {key: w * v for key, v in pure.items()}
+        thirds = [(p, q, part) for (p, q), v in entries.items() for part in (v / 3, 2 * v / 3)]
+        paths = [
+            diagrams.BettiDiagram(entries),
+            diagrams.BettiDiagram.from_entries(thirds),
+            diagrams.BettiDiagram.from_json_obj({"entries": [
+                {"p": p, "q": q, "v": f"{7 * v.numerator}/{7 * v.denominator}"}
+                for (p, q), v in entries.items()
+            ]}),
+            diagrams.scale(pure, w),
+            diagrams.add(diagrams.scale(pure, w / 3), diagrams.scale(pure, 2 * w / 3)),
+            diagrams.subtract(diagrams.scale(pure, 3 * w), diagrams.scale(pure, 2 * w)),
+            decomposition.Decomposition((decomposition.PureSummand(w, e),)).reconstruct(),
+        ]
+        _assert_canonical(pure)
+        for b in paths:
+            _assert_canonical(b)
+        # == agrees with comparing entries, on equal and unequal diagrams
+        others = [pure, diagrams.scale(pure, 2), diagrams.scale(pure, w + 1)]
+        for a in paths + others:
+            for b in paths + others:
+                assert (a == b) is (a.items() == b.items())
+        assert all(b == paths[0] for b in paths)
+        assert diagrams.add(diagrams.scale(pure, F(1, 3)), diagrams.scale(pure, F(2, 3))) == pure
+        cancelled = diagrams.subtract(pure, pure)
+        _assert_canonical(cancelled)
+        assert cancelled == diagrams.BettiDiagram() and cancelled._den == 1
+
+    outside = 0
+    for _ in range(30):
+        b = _family_combination(rng, _prime_weights)
+        if rng.random() < 0.5:
+            b = _perturbed(rng, b)
+        _assert_canonical(b)
+        try:
+            dec = decomposition.decompose(b)
+        except NotInCone as exc:
+            outside += 1
+            _assert_canonical(exc.residual)
+            dec = exc.partial
+        rebuilt = dec.reconstruct()
+        _assert_canonical(rebuilt)
+        assert rebuilt == b and rebuilt.items() == b.items()
+    assert 5 <= outside < 30

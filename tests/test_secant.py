@@ -14,9 +14,13 @@ Claims pinned here:
     - for g = 1, degree times the dominant diagram is integral and symmetric
     - every entry point taking an outside integer refuses 1.0, True and "1"
       with its own error type
+    - every entry point taking an outside rational value reads it through
+      one check: a Fraction, an int or a str, never a float or a bool, and
+      a str's exponent past the digit limit is refused before it is built
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -289,3 +293,57 @@ def test_outside_integers_refused_everywhere(entry, x):
     call, error = _INT_ENTRY_POINTS[entry]
     with pytest.raises(error, match="must be an integer"):
         call(x)
+
+
+# each public entry point that takes a rational value from outside, fed x,
+# and what it reads x as
+_RATIONAL_ENTRY_POINTS = {
+    "BettiDiagram": lambda x: diagrams.BettiDiagram({(0, 0): x}).get(0, 0),
+    "from_entries": lambda x: diagrams.BettiDiagram.from_entries([(0, 0, x)]).get(0, 0),
+    "RationalPolynomial": lambda x: diagrams.RationalPolynomial({0: x}).coefficient(0),
+    "scale": lambda x: diagrams.scale(diagrams.BettiDiagram({(0, 0): 1}), x).get(0, 0),
+}
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int digit limit, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("entry", sorted(_RATIONAL_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x, read",
+    [(F(-5, 2), F(-5, 2)), (7, F(7)), ("-5/2", F(-5, 2)), ("0.25", F(1, 4)), ("1e3", F(1000))],
+    ids=["Fraction", "int", "str", "decimal", "exponent"],
+)
+def test_outside_rationals_read_by_one_check(entry, x, read):
+    assert _RATIONAL_ENTRY_POINTS[entry](x) == read
+
+
+@pytest.mark.parametrize("entry", sorted(_RATIONAL_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ("1/0", "zero denominator"),
+        ("1/2/3", "Invalid literal"),
+        (float("inf"), "must be a Fraction, an int or a str"),
+        (0.1, "must be a Fraction, an int or a str"),
+        (True, "must be a Fraction, an int or a str"),
+        (None, "must be a Fraction, an int or a str"),
+    ],
+    ids=["zero-denominator", "malformed", "inf", "float", "bool", "none"],
+)
+def test_outside_rationals_refused_everywhere(entry, x, message):
+    with pytest.raises(ValueError, match=message):
+        _RATIONAL_ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", sorted(_RATIONAL_ENTRY_POINTS))
+def test_outside_rational_exponent_past_digit_limit_refused(entry, digit_limit):
+    # Fraction("1e4300") would build a 14,285-bit numerator first
+    with pytest.raises(ValueError, match="exponent"):
+        _RATIONAL_ENTRY_POINTS[entry](f"1e{sys.get_int_max_str_digits()}")
