@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import random
 import re
@@ -77,12 +78,18 @@ def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
     if fmt == "table":
         sys.stdout.write(render_table(b) + "\n")
     else:
-        sys.stdout.write(json.dumps(b.to_json_obj(), indent=2) + "\n")
+        sys.stdout.write(diagrams._diagram_json(b) + "\n")
 
 
 def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
+    """The diagram in a JSON file, read whole (a decode error names its byte
+    offset in the file). Lines whose first non-blank character is "#" are
+    dropped; a line ends at "\n" once the file's "\r\n" and "\r" are read
+    as "\n", not at the other breaks str.splitlines knows."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = "".join(line for line in fh if not line.lstrip().startswith("#"))
+        text = fh.read()
+    if "#" in text:
+        text = "".join(line for line in io.StringIO(text) if not line.lstrip().startswith("#"))
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -112,7 +119,7 @@ def cmd_secant_pure(args) -> int:
 
 def cmd_decompose(args) -> int:
     dec = decomposition.decompose(_read_diagram_file(args.input))
-    sys.stdout.write(json.dumps(dec.to_json_obj(), indent=2) + "\n")
+    sys.stdout.write(decomposition._decomposition_json(dec) + "\n")
     return EXIT_OK
 
 
@@ -297,7 +304,7 @@ def main(argv=None) -> int:
     except NotInCone as exc:
         print(f"not in cone: {exc}", file=sys.stderr)
         if exc.partial is not None:
-            print(json.dumps(exc.partial.to_json_obj(), indent=2), file=sys.stderr)
+            print(decomposition._decomposition_json(exc.partial), file=sys.stderr)
         return EXIT_NOT_IN_CONE
     except (BettiConeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)

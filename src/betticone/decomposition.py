@@ -21,6 +21,7 @@ from .diagrams import (
     BettiDiagram,
     DegreeSequence,
     _combination,
+    _diagram_json,
     _nonnegative,
     _reduced,
     _top_strand,
@@ -33,6 +34,7 @@ from .errors import (
     NotInCone,
     NotStrictlyIncreasing,
     parse_rational,
+    require_rational,
 )
 
 
@@ -57,9 +59,14 @@ class Decomposition(NamedTuple):
         return sum((s.coefficient for s in self.summands), Fraction(0))
 
     def reconstruct(self) -> BettiDiagram:
-        """Sum of all summands plus the residual, as one combination."""
+        """Sum of all summands plus the residual, as one combination; each
+        coefficient is read by require_rational (0.1 is refused, not
+        taken as 3602879701896397/36028797018963968)."""
         terms = [(1, self.residual)]
-        terms += ((Fraction(s.coefficient), pure_diagram(s.degrees)) for s in self.summands)
+        terms += (
+            (require_rational(s.coefficient, "coefficient"), pure_diagram(s.degrees))
+            for s in self.summands
+        )
         return _combination(terms)
 
     def to_json_obj(self) -> dict:
@@ -93,6 +100,21 @@ class Decomposition(NamedTuple):
             summands=tuple(summands),
             residual=BettiDiagram() if residual is None else BettiDiagram.from_json_obj(residual),
         )
+
+
+def _decomposition_json(dec: Decomposition) -> str:
+    """json.dumps(dec.to_json_obj(), indent=2): the CLI's writer, formatted
+    straight from the summands, whose degrees are never empty."""
+    summands = []
+    for s in dec.summands:
+        c, degrees = s.coefficient, ",\n        ".join(map(str, s.degrees))
+        summands.append(
+            f'    {{\n      "c": "{c.numerator}/{c.denominator}",\n'
+            f'      "e": [\n        {degrees}\n      ]\n    }}'
+        )
+    listed = "[\n" + ",\n".join(summands) + "\n  ]" if summands else "[]"
+    residual = _diagram_json(dec.residual, "  ") if dec.residual else "null"
+    return f'{{\n  "summands": {listed},\n  "residual": {residual}\n}}'
 
 
 def decompose(b: BettiDiagram) -> Decomposition:
@@ -154,11 +176,13 @@ def verify(b: BettiDiagram, dec: Decomposition) -> VerifyResult:
 
     True iff every coefficient is positive, the residual is empty, and the
     summands reconstruct b exactly; otherwise false with the first violated
-    condition spelled out.
+    condition spelled out. A coefficient that is not a rational
+    (require_rational) raises ValueError.
     """
     for idx, s in enumerate(dec.summands):
-        if s.coefficient <= 0:
-            return VerifyResult(False, f"summand {idx} has coefficient {s.coefficient} <= 0")
+        c = require_rational(s.coefficient, "coefficient")
+        if c <= 0:
+            return VerifyResult(False, f"summand {idx} has coefficient {c} <= 0")
     if dec.residual:
         return VerifyResult(False, "residual is not empty")
     if dec.reconstruct() != b:

@@ -188,6 +188,24 @@ class BettiDiagram:
         return cls.from_entries(triples)
 
 
+def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
+    """json.dumps(b.to_json_obj(), indent=2), with every line after the
+    first indented by pad more: the CLI's writer, formatted straight from
+    the numerators (each cell reduced by one gcd, as Fraction(n, _den) is).
+    """
+    den = b._den
+    inner = pad + "    "
+    cells = []
+    for (p, q), n in sorted(b._n.items()):
+        g = math.gcd(n, den)
+        cells.append(
+            f'{inner}{{\n{inner}  "p": {p},\n{inner}  "q": {q},\n'
+            f'{inner}  "v": "{n // g}/{den // g}"\n{inner}}}'
+        )
+    entries = "[\n" + ",\n".join(cells) + f"\n{pad}  ]" if cells else "[]"
+    return f'{{\n{pad}  "entries": {entries}\n{pad}}}'
+
+
 def _checked(triples):
     """((p, q), Fraction) pairs from (p, q, value) triples given from outside:
     each index is checked before any sum (1.0 would merge into the key 1), and

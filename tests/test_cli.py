@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 verification failure, 2 bad input,
 3 not in cone, 4 I/O failure.
 """
 
+import gc
 import json
 import sys
 
@@ -192,6 +193,35 @@ def test_decompose_outside_cone(tmp_path, capsys):
     assert code == 3
     assert "not in cone" in err
     assert "column 1" in err
+
+
+def test_decode_error_names_the_byte_offset_in_the_file(tmp_path, capsys):
+    src = tmp_path / "latin1.json"
+    src.write_bytes(b" " * 20_013 + b"\xfe{}")  # past 8 KiB: a chunked decode counts from its chunk
+    code, out, err = run(capsys, "decompose", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert "can't decode byte 0xfe in position 20013:" in err
+
+
+def test_warm_decompose_leaves_no_cyclic_garbage(tmp_path, capsys):
+    inside = diagrams.add(
+        diagrams.scale(diagrams.pure_diagram((0, 2, 5)), 3), diagrams.pure_diagram((0, 3, 5))
+    )
+    gap = {(0, 0): 3, (1, 1): 2, (2, 2): 1, (2, 3): 1, (3, 4): 1}  # not in cone after 2 steps
+    paths = []
+    for name, b in (("inside", inside), ("gap", diagrams.BettiDiagram(gap))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text("# a comment\n" + json.dumps(b.to_json_obj(), indent=2))
+    for path in paths:  # warm: the parser is built on the first call
+        cli.main(["decompose", "--input", str(path)])
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [cli.main(["decompose", "--input", str(path)]) for path in paths * 5]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert codes == [0, 3] * 5
 
 
 def test_sweep_purity_writes_csv(tmp_path, capsys):

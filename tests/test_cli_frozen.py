@@ -3,8 +3,10 @@
 Each digest covers the exit code, stdout, stderr and the bytes of any file
 the command wrote, with the temporary directory's path replaced by a fixed
 token. The cases are the README's commands (shrunk where the full command
-would take a large share of the suite's time; each shrink is named below)
-and seeded `decompose` inputs that end in exit codes 0, 2 and 3.
+would take a large share of the suite's time; each shrink is named below),
+seeded `decompose` inputs that end in exit codes 0, 2 and 3, and edge cases
+of the JSON boundary: value spellings around the canonical "n/d", the digit
+limit, the comment rule, and a long `pure --format json`.
 
 The digests in tests/fixtures/cli_digests.json were written by this module
 run as a script, from a checkout whose CLI output was known good:
@@ -169,6 +171,50 @@ _MALFORMED = [
 ]
 
 
+def _one_cell(v) -> str:
+    return json.dumps({"entries": [{"p": 0, "q": 0, "v": v}]}, ensure_ascii=False) + "\n"
+
+
+_LIMIT_DIGITS = "7" * 4300  # sys.get_int_max_str_digits() by default
+_CRLF_DIAGRAM = '{\r\n  "entries": [\r\n    {"p": 0, "q": 0, "v": "9/4"}\r\n  ]\r\n}\r\n'
+
+# Diagram files at the edges of the reader. A comment line is one whose
+# first non-blank character is "#"; lines end at "\n", "\r\n" or "\r", not
+# at the other characters str.splitlines splits on (\x0c, U+2028, ...).
+EDGE_FILES = {
+    "digits-4300-numerator": _one_cell(f"{_LIMIT_DIGITS}/3"),
+    "digits-4301-numerator": _one_cell(f"{_LIMIT_DIGITS}7/3"),
+    "digits-4300-denominator": _one_cell(f"3/{_LIMIT_DIGITS}"),
+    "digits-4301-denominator": _one_cell(f"3/{_LIMIT_DIGITS}7"),
+    "plus-sign": _one_cell("+1/2"),
+    "leading-space": _one_cell(" 1/2"),
+    "underscore": _one_cell("1_0/3"),
+    "leading-zeros": _one_cell("007/3"),
+    "negative-zero": _one_cell("-0/5"),
+    "negative": _one_cell("-7/3"),
+    "arabic-indic-digit": _one_cell("\u0663/2"),
+    "exponent": _one_cell("1e-3"),
+    "zero-denominator": _one_cell("3/0"),
+    "hash-in-string": '{"entries": [{"p": 0, "q": 0, "v": "1/2", "note": "# not a comment"}]}\n',
+    "indented-comments": "   # indented comment\n\t# tab comment\n" + _one_cell("1/2"),
+    "comment-inside-object": '{"entries": [{"p": 0, "q": 0, "v":\n  # a comment line\n  "5/2"}]}',
+    "crlf-comments": "# degseq: 0\r\n" + _CRLF_DIAGRAM + "  # trailing\r\n",
+    "cr-comments": ("# degseq: 0\r" + _CRLF_DIAGRAM + "# trailing").replace("\r\n", "\r"),
+    "crlf-comment-malformed": "# degseq: 0\r\n" + _CRLF_DIAGRAM[:-5],
+    "formfeed-after-comment": "# comment\x0c" + _one_cell("1/2"),
+    "line-separator-after-comment": "# comment\u2028" + _one_cell("1/2"),
+    "next-line-after-comment": "# comment\x85" + _one_cell("1/2"),
+    "not-in-cone-residual": json.dumps(
+        {"entries": [{"p": p, "q": q, "v": v} for p, q, v in
+                     [(0, 0, 3), (1, 1, "2/1"), (2, 2, "1"), (2, 3, "1/1"), (3, 4, 1)]]}
+    ),
+}
+
+# pure --format json on a 150-term degree sequence that starts below zero
+PURE_LONG = ["pure", "--degseq=" + ",".join(str(i + i // 7 - 100) for i in range(150)),
+             "--format", "json"]
+
+
 def decompose_inputs(seed=DECOMPOSE_SEED, count=DECOMPOSE_COUNT):
     """count seeded diagram files as text: two in five built in the cone, two
     in five random positive tables, one in five malformed or refused (each
@@ -197,7 +243,7 @@ def run_case(argv, tmp, files=()):
     for name in os.listdir(tmp):
         os.remove(os.path.join(tmp, name))
     for name, text in files:
-        Path(tmp, name).write_text(text, encoding="utf-8")
+        Path(tmp, name).write_text(text, encoding="utf-8", newline="")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -233,6 +279,11 @@ def all_results(tmp):
         results[f"decompose/{i:03d}"] = run_case(
             ["decompose", "--input", "{tmp}/in.json"], tmp, (("in.json", text),)
         )
+    for name, text in EDGE_FILES.items():
+        results[f"edge/decompose-{name}"] = run_case(
+            ["decompose", "--input", "{tmp}/in.json"], tmp, (("in.json", text),)
+        )
+    results["edge/pure-long-json"] = run_case(PURE_LONG, tmp)
     return results
 
 

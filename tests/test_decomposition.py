@@ -23,8 +23,13 @@ Claims pinned here:
       pure_diagram, add, scale, subtract, reconstruct and the NotInCone
       snapshot) gives integer numerators over a positive denominator in
       lowest terms, so == agrees with comparing entries
+    - reconstruct and verify read a caller's coefficients as rationals: a
+      float or a zero denominator is a ValueError, a str is read
+    - the CLI's JSON writers give the bytes of json.dumps(to_json_obj(),
+      indent=2), their oracle
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -488,3 +493,71 @@ def test_every_path_builds_the_canonical_form():
         _assert_canonical(rebuilt)
         assert rebuilt == b and rebuilt.items() == b.items()
     assert 5 <= outside < 30
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [(0.1, "must be a Fraction, an int or a str"), ("1/0", "zero denominator")],
+    ids=["float", "zero-denominator"],
+)
+def test_verify_reads_caller_coefficients_as_rationals(c, message):
+    e = diagrams.DegreeSequence((0, 1))
+    dec = decomposition.Decomposition((decomposition.PureSummand(c, e),))
+    # what reconstruct once made of 0.1: its binary value in every cell
+    binary = diagrams.scale(diagrams.pure_diagram(e), F(3602879701896397, 2**55))
+    with pytest.raises(ValueError, match=message):
+        decomposition.verify(binary, dec)
+
+
+def test_verify_reads_a_str_coefficient():
+    e = diagrams.DegreeSequence((0, 2, 3))
+    b = diagrams.scale(diagrams.pure_diagram(e), F(5, 2))
+
+    def dec(c):
+        return decomposition.Decomposition((decomposition.PureSummand(c, e),))
+
+    assert decomposition.verify(b, dec("5/2"))
+    assert decomposition.verify(b, dec("-5/2")).reason == "summand 0 has coefficient -5/2 <= 0"
+
+
+def _writer_decomposition(rng):
+    """0-4 summands over degree sequences that may start below zero, with
+    integer or fractional coefficients of either sign, and half the time a
+    residual with negative weights and integer or fractional values."""
+    summands = []
+    for _ in range(rng.randint(0, 4)):
+        e = [rng.randint(-12, 3)]
+        for _ in range(rng.randint(0, 6)):
+            e.append(e[-1] + rng.randint(1, 4))
+        c = F(rng.randint(-50, 50), rng.choice((1, 1, 3, 2**61 - 1)))
+        summands.append(decomposition.PureSummand(c, diagrams.DegreeSequence(e)))
+    residual = diagrams.BettiDiagram()
+    if rng.random() < 0.5:
+        cells = [(rng.randint(0, 6), rng.randint(-8, 5)) for _ in range(rng.randint(1, 8))]
+        residual = diagrams.BettiDiagram.from_entries(
+            (p, q, F(rng.randint(-99, 99), rng.choice((1, 4, 7**30)))) for p, q in cells
+        )
+    return decomposition.Decomposition(tuple(summands), residual)
+
+
+def test_json_writers_match_json_dumps():
+    rng = random.Random(1212)
+    decs = [_writer_decomposition(rng) for _ in range(200)]
+    decs += [decomposition.decompose(_family_combination(rng)) for _ in range(20)]
+    for _ in range(40):
+        try:
+            decs.append(decomposition.decompose(_perturbed(rng, _family_combination(rng))))
+        except NotInCone as exc:
+            decs.append(exc.partial)
+    shapes = {"no summands": 0, "residual": 0, "negative degree": 0, "integer value": 0}
+    for dec in decs:
+        assert decomposition._decomposition_json(dec) == json.dumps(dec.to_json_obj(), indent=2)
+        tables = [dec.residual] + [diagrams.pure_diagram(s.degrees) for s in dec.summands]
+        for b in tables:
+            assert diagrams._diagram_json(b) == json.dumps(b.to_json_obj(), indent=2)
+        shapes["no summands"] += not dec.summands
+        shapes["residual"] += bool(dec.residual)
+        shapes["negative degree"] += any(s.degrees[0] < 0 for s in dec.summands)
+        shapes["integer value"] += any(v.denominator == 1 for b in tables for _, v in b.items())
+    assert min(shapes.values()) >= 20, shapes
+

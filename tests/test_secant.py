@@ -17,6 +17,8 @@ Claims pinned here:
     - every entry point taking an outside rational value reads it through
       one check: a Fraction, an int or a str, never a float or a bool, and
       a str's exponent past the digit limit is refused before it is built
+    - the reader's fast path for the canonical "n/d" gives the value, or
+      the message, that Fraction(str) gives on every spelling around it
 """
 
 import math
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import asymptotics, diagrams, secant
+from betticone import asymptotics, decomposition, diagrams, secant
 from betticone.errors import (
     InvalidParams,
     InvalidRange,
@@ -33,6 +35,7 @@ from betticone.errors import (
     MalformedDegreeSequence,
     OutOfRange,
     TupleNotMaximalRegularity,
+    parse_rational,
 )
 
 F = Fraction
@@ -302,6 +305,9 @@ _RATIONAL_ENTRY_POINTS = {
     "from_entries": lambda x: diagrams.BettiDiagram.from_entries([(0, 0, x)]).get(0, 0),
     "RationalPolynomial": lambda x: diagrams.RationalPolynomial({0: x}).coefficient(0),
     "scale": lambda x: diagrams.scale(diagrams.BettiDiagram({(0, 0): 1}), x).get(0, 0),
+    "reconstruct": lambda x: decomposition.Decomposition(
+        (decomposition.PureSummand(x, diagrams.DegreeSequence((0,))),)
+    ).reconstruct().get(0, 0),
 }
 
 
@@ -347,3 +353,35 @@ def test_outside_rational_exponent_past_digit_limit_refused(entry, digit_limit):
     # Fraction("1e4300") would build a 14,285-bit numerator first
     with pytest.raises(ValueError, match="exponent"):
         _RATIONAL_ENTRY_POINTS[entry](f"1e{sys.get_int_max_str_digits()}")
+
+
+def _fraction_str_reader(text, what):
+    """parse_rational's Fraction(str) path, without its exponent refusal:
+    the oracle for its fast path, as a value or the ValueError's text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return f"{what} {text} has a zero denominator"
+    except ValueError as exc:
+        return f"{what}: {exc}"
+
+
+_DIGITS = "7" * 4300  # the default digit limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3/4", "-6/8", "007/3", "-0/5", "0/1", "12/1", "3/0", "-3/0", "00/0",
+        "+1/2", " 1/2", "1/2 ", "1/2\n", "1_0/3", "\u0663/2", "1/\u0663", "1e-3",
+        "1.5/2", "--1/2", "1/-2", "/2", "1/", "1//2", "1/2/3", "-", "7",
+        f"{_DIGITS}/3", f"{_DIGITS}7/3", f"-3/{_DIGITS}", f"3/{_DIGITS}7",
+    ],
+)
+def test_canonical_fast_path_agrees_with_fraction_str(text, digit_limit):
+    try:
+        got = parse_rational(text, "diagram value")
+    except ValueError as exc:
+        got = str(exc)
+    assert got == _fraction_str_reader(text, "diagram value")
+
