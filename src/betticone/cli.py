@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import random
 import re
@@ -81,6 +80,11 @@ def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
         sys.stdout.write(diagrams._diagram_json(b) + "\n")
 
 
+# A comment line: blanks (str.isspace) other than "\n", "#", the rest of
+# the line and its "\n". "^" under MULTILINE holds only after "\n".
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*\n?", re.MULTILINE)
+
+
 def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
     """The diagram in a JSON file, read whole (a decode error names its byte
     offset in the file). Lines whose first non-blank character is "#" are
@@ -88,8 +92,8 @@ def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
     as "\n", not at the other breaks str.splitlines knows."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if "#" in text:
-        text = "".join(line for line in io.StringIO(text) if not line.lstrip().startswith("#"))
+    if "#" in text:  # the scan costs ~0.1 ms on a 5 KB file that has no comment
+        text = _COMMENT_LINE.sub("", text)
     try:
         obj = json.loads(text)
     except RecursionError:

@@ -5,7 +5,9 @@ Exit code contract: 0 success, 1 verification failure, 2 bad input,
 """
 
 import gc
+import io
 import json
+import random
 import sys
 
 import pytest
@@ -201,6 +203,19 @@ def test_decode_error_names_the_byte_offset_in_the_file(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", "--input", str(src))
     assert (code, out) == (2, "")
     assert "can't decode byte 0xfe in position 20013:" in err
+
+
+def test_comment_filter_drops_the_lines_that_line_iteration_drops():
+    # the rule as stated: split after each "\n", drop a line whose lstrip starts with "#"
+    def by_lines(text):
+        return "".join(line for line in io.StringIO(text) if not line.lstrip().startswith("#"))
+
+    blanks = [c for c in map(chr, range(0x3001)) if c.isspace()]  # every str.isspace char
+    alphabet = blanks + ["#", "#", "a", "{", '"', "\r", " x"]
+    rng = random.Random(12)
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert cli._COMMENT_LINE.sub("", text) == by_lines(text), repr(text)
 
 
 def test_warm_decompose_leaves_no_cyclic_garbage(tmp_path, capsys):
