@@ -29,6 +29,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from betticone import cli
@@ -204,6 +205,21 @@ EDGE_FILES = {
     "formfeed-after-comment": "# comment\x0c" + _one_cell("1/2"),
     "line-separator-after-comment": "# comment\u2028" + _one_cell("1/2"),
     "next-line-after-comment": "# comment\x85" + _one_cell("1/2"),
+    # the reader checks every cell's shape and value before any index: the
+    # later bad value is named, not the earlier bad index
+    "bad-index-then-bad-value": (
+        '{"entries": [{"p": 0.5, "q": 0, "v": "1/2"}, {"p": 0, "q": 0, "v": "abc"}]}\n'
+    ),
+    "bad-value-then-bad-index": (
+        '{"entries": [{"p": 0, "q": 0, "v": "1/0"}, {"p": -1, "q": 0, "v": "1/2"}]}\n'
+    ),
+    # duplicates of (1,1) over unlike denominators cancel; (0,0) and (1,0) stay
+    "duplicates-sum-to-zero": json.dumps({"entries": [
+        {"p": 0, "q": 0, "v": "1/2"}, {"p": 1, "q": 1, "v": "1/3"}, {"p": 1, "q": 0, "v": "1/2"},
+        {"p": 1, "q": 1, "v": "-2/6"}, {"p": 0, "q": 0, "v": "1/2"}, {"p": 1, "q": 0, "v": "1/2"},
+    ]}) + "\n",
+    "half": _one_cell("1/2"),
+    "half-unreduced": _one_cell("2/4"),
     "not-in-cone-residual": json.dumps(
         {"entries": [{"p": p, "q": q, "v": v} for p, q, v in
                      [(0, 0, 3), (1, 1, "2/1"), (2, 2, "1"), (2, 3, "1/1"), (3, 4, 1)]]}
@@ -213,6 +229,15 @@ EDGE_FILES = {
 # pure --format json on a 150-term degree sequence that starts below zero
 PURE_LONG = ["pure", "--degseq=" + ",".join(str(i + i // 7 - 100) for i in range(150)),
              "--format", "json"]
+# pure --format json on 60 terms with gaps 2, 5, 4, 3 in turn: 2.5 holes per term
+PURE_GAPPED = ["pure", "--degseq=" + ",".join(
+    str(e) for e in accumulate((2 + 7 * i % 4 for i in range(59)), initial=0)
+), "--format", "json"]
+# long family diagrams: 293 and 993 columns, six holes each
+SECANT_LONG = {
+    d: ["secant-pure", "-g", "3", "-k", "2", "-d", str(d), "--tuple", "0,1,3", "--format", "json"]
+    for d in (300, 1000)
+}
 
 
 def decompose_inputs(seed=DECOMPOSE_SEED, count=DECOMPOSE_COUNT):
@@ -284,6 +309,9 @@ def all_results(tmp):
             ["decompose", "--input", "{tmp}/in.json"], tmp, (("in.json", text),)
         )
     results["edge/pure-long-json"] = run_case(PURE_LONG, tmp)
+    results["edge/pure-gapped-json"] = run_case(PURE_GAPPED, tmp)
+    for d, argv in SECANT_LONG.items():
+        results[f"edge/secant-pure-json-{d}"] = run_case(argv, tmp)
     return results
 
 
