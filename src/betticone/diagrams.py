@@ -28,7 +28,7 @@ from .errors import (
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
-    parse_rational,
+    rational_pair,
     require_int,
     require_rational,
 )
@@ -178,14 +178,20 @@ class BettiDiagram:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BettiDiagram":
+        """The diagram of a JSON object {"entries": [{"p", "q", "v"}, ...]},
+        duplicate cells summed. Every cell's shape and value is checked, in
+        file order, before any index. Each value is read as an int pair by
+        rational_pair and summed as integers, with no Fraction per cell."""
         if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise ValueError("diagram JSON must be an object with an 'entries' list")
-        triples = []
+        cells = []
         for cell in obj["entries"]:
-            if not isinstance(cell, dict) or not {"p", "q", "v"} <= set(cell):
+            if not (isinstance(cell, dict) and "p" in cell and "q" in cell and "v" in cell):
                 raise ValueError(f"malformed diagram cell: {cell!r}")
-            triples.append((cell["p"], cell["q"], parse_rational(cell["v"], "diagram value")))
-        return cls.from_entries(triples)
+            cells.append((cell["p"], cell["q"], *rational_pair(cell["v"], "diagram value")))
+        b = cls.__new__(cls)
+        b._n, b._den = _summed((_key(p, q), n, d) for p, q, n, d in cells)
+        return b
 
 
 def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
@@ -206,45 +212,66 @@ def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
     return f'{{\n{pad}  "entries": {entries}\n{pad}}}'
 
 
+def _key(p, q) -> tuple:
+    """The key (p, q) of a cell given from outside, once p and q are ints
+    and p >= 0: checked before any sum (1.0 would merge into the key 1)."""
+    require_int(p, "column index p", ValueError)
+    require_int(q, "weight q", ValueError)
+    if p < 0:
+        raise ValueError(f"negative column index {p}")
+    return p, q
+
+
 def _checked(triples):
-    """((p, q), Fraction) pairs from (p, q, value) triples given from outside:
-    each index is checked before any sum (1.0 would merge into the key 1), and
-    each value goes through require_rational, once."""
+    """((p, q), numerator, denominator) triples from (p, q, value) triples
+    given from outside: each index is checked, then its value goes through
+    require_rational, once."""
     for p, q, val in triples:
-        require_int(p, "column index p", ValueError)
-        require_int(q, "weight q", ValueError)
-        if p < 0:
-            raise ValueError(f"negative column index {p}")
-        yield (p, q), require_rational(val, "diagram value")
+        key = _key(p, q)
+        v = require_rational(val, "diagram value")
+        yield key, v.numerator, v.denominator
 
 
 def _summed(terms):
-    """(numerators, denominator) of checked ((p, q), Fraction) terms from
-    outside, duplicates summed: the one loop that sums outside Fractions,
-    before they are cleared over the lcm of the nonzero sums' denominators.
-    Each sum is in lowest terms, so the cleared numerators are too.
+    """(numerators, denominator) in lowest terms of checked ((p, q), n, d)
+    terms from outside, d > 0 and n/d not necessarily reduced, duplicates
+    summed: the one loop that sums outside values. Duplicates are summed
+    over the lcm of their denominators, the nonzero sums are cleared over
+    the lcm of theirs, and one gcd brings the table to lowest terms.
 
     The denominators go to math.lcm as a list: a generator there becomes a
     tuple guessed at 10 items and resized, and the interpreter's tuple free
     lists fill up over a long run.
     """
     sums = {}
-    for key, v in terms:
-        sums[key] = sums[key] + v if key in sums else v
-    sums = {key: v for key, v in sums.items() if v}
-    den = math.lcm(*[v.denominator for v in sums.values()])
-    return {key: v.numerator * (den // v.denominator) for key, v in sums.items()}, den
+    for key, n, d in terms:
+        if key in sums:
+            m, c = sums[key]
+            if c != d:
+                common = math.lcm(c, d)
+                m, n, d = m * (common // c), n * (common // d), common
+            n += m
+        sums[key] = n, d
+    sums = [(key, n, d) for key, (n, d) in sums.items() if n]
+    den = math.lcm(*[d for _, _, d in sums])
+    return _lowest({key: n * (den // d) for key, n, d in sums}, den)
 
 
-def _reduced(n: dict, den: int) -> BettiDiagram:
-    """The diagram n / den, for nonzero integer numerators n on checked keys
-    and den > 0, with n and den divided by their gcd; n becomes its own."""
+def _lowest(n: dict, den: int):
+    """(n, den) for nonzero integer numerators n and den > 0, both divided by
+    their gcd; n is returned as it is when the gcd is 1."""
     g = math.gcd(den, *n.values())
     if g != 1:
         n = {key: v // g for key, v in n.items()}
         den //= g
+    return n, den
+
+
+def _reduced(n: dict, den: int) -> BettiDiagram:
+    """The diagram n / den, for nonzero integer numerators n on checked keys
+    and den > 0, in lowest terms; n becomes its own."""
     b = BettiDiagram.__new__(BettiDiagram)
-    b._n, b._den = n, den
+    b._n, b._den = _lowest(n, den)
     return b
 
 
@@ -278,31 +305,149 @@ def pure_diagram(e) -> BettiDiagram:
     Column p holds n! * prod_{i != p} 1/|e_i - e_p| at weight e_p - p and
     nothing else (Herzog-Kuhl).
 
-    The sequence is split into maximal runs of consecutive integers. The
-    first column of a run is one product over all other entries, and one
-    gcd reduces n!/den. Moving e_p = x to x + 1 inside a run multiplies the
-    denominator by a quotient that telescopes over each run [lo, hi]:
-    (x+1-lo)/(x-hi) for a run below, (lo-x-1)/(hi-x) for a run above,
-    (x+1-lo)/(hi-x) for its own run. Each later column is therefore the
-    previous entry, kept as a reduced pair of positive ints, times div/num,
-    two products of O(runs) small integers. Its one gcd has the reduced
-    denominator times num (tens of bits) as its smaller side, where reducing
-    n!/den afresh would take the gcd of n! and a denominator of some 900
-    bits. The cost is O(n * runs) products: O(n) for the secant family (a
-    few runs), and the O(n^2) of the direct formula when no two entries are
-    consecutive (every run a singleton, every column a first column). One
-    lcm of the reduced denominators then gives the diagram's denominator.
-
     >>> pure_diagram((0, 1, 2)).items()
     [((0, 0), Fraction(1, 1)), ((1, 0), Fraction(2, 1)), ((2, 0), Fraction(1, 1))]
+
+    The sequence spans S = e_n - e_0 and misses H = S - n holes, the
+    integers h strictly between e_0 and e_n that are not in it. With
+    x = e_p - e_0, the entries and the holes together are every integer of
+    [e_0, e_n], so prod_{i != p} |e_i - e_p| * prod_h |h - e_p| is
+    x! (S - x)!, and the entry is C(S, x) * prod_h |h - e_p| over S!/n!:
+
+    >>> e, holes = (0, 2, 3, 4, 7), (1, 5, 6)
+    >>> S, n = e[-1] - e[0], len(e) - 1
+    >>> all(
+    ...     math.prod(abs(y - x) for y in e + holes if y != x)
+    ...     == math.factorial(x) * math.factorial(S - x)
+    ...     for x in e
+    ... )
+    True
+    >>> [math.comb(S, x) * math.prod(abs(h - x) for h in holes) for x in e]
+    [30, 252, 420, 210, 12]
+    >>> [v * math.perm(S, S - n) for _, v in pure_diagram(e).items()]
+    [Fraction(30, 1), Fraction(252, 1), Fraction(420, 1), Fraction(210, 1), Fraction(12, 1)]
+
+    The diagram comes from one of two kernels, picked by _few_holes_pay
+    from S and n alone: _pure_over_holes builds those numerators over the
+    one denominator S!/n!, and _pure_over_runs reduces each entry as it
+    goes. Secant-family sequences (H = 2k + 2, so H << n once d is past a
+    few dozen) take the first; sequences with all gaps in [2, 5] (H of
+    about 2.5 n) take the second, as does a short sequence over a long span
+    such as (0, 10^8), whose S!/n! the first would never finish.
     """
     e = DegreeSequence(e)
-    columns = []  # (key, u, v): the entry u/v in lowest terms, in column order
-    n_fact = math.factorial(len(e) - 1)
+    runs = _runs(e)
+    if _few_holes_pay(e[-1] - e[0], len(e) - 1):
+        return _pure_over_holes(e, *runs)
+    return _pure_over_runs(e, *runs)
+
+
+def _runs(e):
+    """The maximal runs of consecutive integers in e, as four lists: the
+    first and one-past-last column of each run, and its first and last
+    degree."""
     starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
     stops = starts[1:] + [len(e)]
-    los = [e[p] for p in starts]
-    his = [e[p - 1] for p in stops]
+    return starts, stops, [e[p] for p in starts], [e[p - 1] for p in stops]
+
+
+def _few_holes_pay(span: int, n: int) -> bool:
+    """Whether _pure_over_holes builds the pure diagram of n + 1 degrees
+    over the given span faster than _pure_over_runs: 3H(n + 8) < n(n + 23)
+    for H = span - n holes.
+
+    The hole form does one multiply and one exact division per column where
+    the run form does two multiplies, a gcd and two divisions, then an lcm
+    and a rescale; but its numerators carry C(S, x) and the hole products,
+    about H log2(S) bits more than the reduced entries, and it pays a fixed
+    cost to list the holes. The test is fitted to the hole count H* at which
+    both take the same time, measured on degrees placed at random in the
+    span (Python 3.11.7, x86_64; median of 3 to 5 seeded sets, best of 5
+    timings each):
+
+        n       3    4    6    8   12   16   24   32   48   64   96  128  256  512
+        H*      2    3    5    7  9.5   12   17   17   18   26   40   55   84  172
+        test  2.4  3.0  4.1  5.2  7.0  8.7 11.8 14.7 20.3 25.8 36.6 47.4 90.2  176
+
+    H*/n falls from about 0.8 near n = 10 to 1/3 past n = 250. For n of 1
+    or 2 the run form wins at any H, and the test takes it. Random placement
+    is the hole form's worst shape, many short runs of holes: below H* it
+    wins there by 5-20%, and on secant-family sequences, whose 2k + 2 holes
+    lie in at most k + 2 runs, by 1.5-1.7x at n = 60-300 and 2.2x and 4x at
+    n = 2993 and 11998. Those sequences cross over near n = H + 2 for
+    H = 2..10, and the test sends each one with n >= 2H to the hole form.
+    Above H* the hole form loses by up to 1.5x at H = n (n = 512), and by
+    1.4-4x at H = 3n with the holes in two runs (n = 64-256). The test holds
+    only for H < n, so a sequence with every gap at least 2 (H >= n), such
+    as one with gaps in [2, 5], always takes the run form.
+    """
+    holes = span - n
+    return 3 * holes * (n + 8) < n * (n + 23)
+
+
+def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
+    """The pure diagram of e as integer numerators
+    N_p = C(S, x_p) * prod_h |h - e_p| over the one denominator S!/n!, a
+    product of the H integers n+1 .. S (see pure_diagram).
+
+    The first column of each run of consecutive degrees is C(S, x) times
+    two products over the holes below and above it. Moving e_p = y to
+    y + 1 inside a run multiplies C(S, x) by (S-x)/(x+1) and the hole
+    product by a quotient that telescopes over each run of holes [a, b]:
+    (y+1-a)/(y-b) for a run below, (a-y-1)/(b-y) for a run above. So each
+    later column is the previous numerator times one product of O(hole
+    runs) small integers, floor-divided exactly by another. No gcd is
+    taken until the one in _reduced at the end.
+    """
+    e0 = e[0]
+    span = e[-1] - e0
+    n = len(e) - 1
+    firsts = [hi + 1 for hi in his[:-1]]  # the runs of holes, [a, b]
+    lasts = [lo - 1 for lo in los[1:]]
+    holes = [h for a, b in zip(firsts, lasts) for h in range(a, b + 1)]
+    numerators = []
+    for j, (start, stop, lo, hi) in enumerate(zip(starts, stops, los, his)):
+        x = lo - e0
+        below = x - start  # holes below lo: the x integers of [e_0, lo) less the entries
+        u = math.comb(span, x)
+        u *= math.prod(map(sub, repeat(lo), holes[:below]))
+        u *= math.prod(map(sub, holes[below:], repeat(lo)))
+        numerators.append(u)
+        if stop - start == 1:
+            continue
+        steps = hi - lo
+        rise = range(span - x, span - x - steps, -1)
+        fall = range(x + 1, x + 1 + steps)
+        for a, b in zip(firsts[:j], lasts[:j]):
+            rise = map(mul, rise, range(lo + 1 - a, hi + 1 - a))
+            fall = map(mul, fall, range(lo - b, hi - b))
+        for a, b in zip(firsts[j:], lasts[j:]):
+            rise = map(mul, rise, range(a - lo - 1, a - hi - 1, -1))
+            fall = map(mul, fall, range(b - lo, b - hi, -1))
+        for num, div in zip(rise, fall):
+            u = u * num // div
+            numerators.append(u)
+    keys = zip(range(n + 1), map(sub, e, range(n + 1)))
+    return _reduced(dict(zip(keys, numerators)), math.perm(span, span - n))
+
+
+def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
+    """The pure diagram of e, each entry kept as a reduced pair of ints.
+
+    The first column of a run of consecutive degrees is one product over
+    all other entries, and one gcd reduces n!/den. Moving e_p = x to x + 1
+    inside a run multiplies the denominator by a quotient that telescopes
+    over each run [lo, hi]: (x+1-lo)/(x-hi) for a run below, (lo-x-1)/(hi-x)
+    for a run above, (x+1-lo)/(hi-x) for its own run. Each later column is
+    therefore the previous entry times div/num, two products of O(runs)
+    small integers, and one gcd reduces it. The cost is O(n * runs)
+    products, and the O(n^2) of the direct formula when no two entries are
+    consecutive (every run a singleton, every column a first column). One
+    lcm of the reduced denominators then gives the diagram's denominator.
+    Unlike _pure_over_holes, its integers do not grow with the span.
+    """
+    columns = []  # (key, u, v): the entry u/v in lowest terms, in column order
+    n_fact = math.factorial(len(e) - 1)
     for j, (start, stop, lo, hi) in enumerate(zip(starts, stops, los, his)):
         q = lo - start  # every column of a run sits at the same weight
         den = math.prod(map(sub, repeat(lo), e[:start])) * math.prod(
@@ -400,20 +545,24 @@ def _top_strand(cells) -> DegreeSequence:
     return DegreeSequence._trusted(strand)
 
 
-def _cleared_alternating(b: BettiDiagram):
-    """Integer coefficient list of den * sum (-1)^p kappa_{p,q} t^{p+q}.
+def _alternating(b: BettiDiagram):
+    """Integer coefficient list of _den * sum (-1)^p kappa_{p,q} t^{p+q}, and
+    s = pd(b), from one pass over the cells of a nonempty diagram.
 
-    Returns (coeffs, offset, den), den the diagram's own denominator:
-    coeffs[j] is the coefficient of t^(j + offset). Its integer numerators
-    keep the repeated division below in plain bigint arithmetic.
+    Returns (coeffs, offset, s): coeffs[j] is the coefficient of
+    t^(j + offset). Its integer numerators keep the repeated division below
+    in plain bigint arithmetic.
     """
     degs = {}
+    s = 0
     for (p, q), c in b._n.items():
-        degs[p + q] = degs.get(p + q, 0) + (-c if p & 1 else c)
+        if p > s:
+            s = p
+        t = p + q
+        degs[t] = degs.get(t, 0) + (-c if p & 1 else c)
     lo = min(degs)
     hi = max(degs)
-    coeffs = [degs.get(t, 0) for t in range(lo, hi + 1)]
-    return coeffs, lo, b._den
+    return [degs.get(t, 0) for t in range(lo, hi + 1)], lo, s
 
 
 def _short_quotient_pays(m: int, s: int) -> bool:
@@ -464,8 +613,7 @@ def _divided_numerator(b: BettiDiagram):
     same. A polynomial with at most s coefficients divides only if it is
     zero, and then the quotient is the empty list.
     """
-    s = projective_dimension(b)
-    coeffs, offset, den = _cleared_alternating(b)
+    coeffs, offset, s = _alternating(b)
     m = max(len(coeffs) - s, 0)
     if _short_quotient_pays(m, s):
         row = []  # t^1 .. t^s of (1-t)^s, built in 71 us at s = 250 (math.comb: 720 us)
@@ -489,7 +637,7 @@ def _divided_numerator(b: BettiDiagram):
                 break
     if not exact:
         raise NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
-    return coeffs, offset, den
+    return coeffs, offset, b._den
 
 
 def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:

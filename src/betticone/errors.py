@@ -23,12 +23,20 @@ def require_int(value, what: str, error: type) -> int:
 
 def parse_rational(text, what: str) -> Fraction:
     """The Fraction that text ("-5/2", "0.25", "1e-3", or a JSON number's str
-    form) spells; anything else raises ValueError naming what.
+    form) spells; anything else raises ValueError naming what. It is the
+    pair rational_pair reads, in lowest terms."""
+    return Fraction(*rational_pair(text, what))
+
+
+def rational_pair(text, what: str) -> tuple:
+    """(n, d) with d > 0 and n/d the value text spells, the one reader of
+    rational text: parse_rational is this pair as a Fraction, and the
+    diagram reader sums the pairs as integers.
 
     The canonical "n/d" that to_json_obj writes, with a nonzero d, is read
-    by int() alone: the value Fraction(str) gives, at 1.6 us against 4.1 us
-    per value (Python 3.11, x86_64). Every other spelling, and an int()
-    that refuses (past the digit limit), takes Fraction(str).
+    by int() alone and comes back as written, not reduced ("2/4" is (2, 4)).
+    Every other spelling, and an int() that refuses (past the digit limit),
+    takes Fraction(str) and comes back in lowest terms.
 
     The exponent form is how a short text reaches a huge integer, so an
     exponent whose power of ten would have more digits than
@@ -43,18 +51,19 @@ def parse_rational(text, what: str) -> Fraction:
             pass  # Fraction(literal) below says the same, naming what
         else:
             if d:
-                return Fraction(n, d)
+                return n, d
     limit = sys.get_int_max_str_digits()
     if limit and (exp := _EXPONENT.search(literal)):
         n = exp[1].replace("_", "").lstrip("0")
         if len(n) > len(str(limit)) or int(n or 0) >= limit:
             raise ValueError(f"{what} {text!r}: |exponent| must be below the digit limit {limit}")
     try:
-        return Fraction(literal)
+        value = Fraction(literal)
     except ZeroDivisionError:
         raise ValueError(f"{what} {literal} has a zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
+    return value.numerator, value.denominator
 
 
 def require_rational(value, what: str) -> Fraction:

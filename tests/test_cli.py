@@ -9,6 +9,7 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -48,6 +49,21 @@ def test_pure_table_star_pattern(capsys):
     assert lines[1].split() == ["0", "5/189", "-", "-", "-", "-", "-"]
     assert lines[3].split() == ["2", "-", "5/9", "1", "-", "-", "-"]
     assert lines[5].split() == ["4", "-", "-", "-", "-", "-", "2/27"]
+
+
+def test_pure_over_a_wide_span_stays_fast(capsys):
+    # (0, 10^8) has 10^8 - 1 holes: the shape test sends it to the run
+    # kernel, which answers within a few milliseconds; S!/n! is never built
+    assert not diagrams._few_holes_pay(10**8, 1)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "pure", "--degseq", "0,100000000")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"] == [
+        {"p": 0, "q": 0, "v": "1/100000000"},
+        {"p": 1, "q": 99999999, "v": "1/100000000"},
+    ]
+    assert elapsed < 0.1, f"{elapsed * 1000:.1f} ms"
 
 
 def test_pure_rejects_malformed_sequence(capsys):

@@ -20,6 +20,14 @@ Claims pinned here:
       on both paths
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
+    - both pure_diagram kernels (integer numerators over S!/n!, and reduced
+      pairs stepped along runs) give the Herzog-Kuhl table in lowest terms,
+      on both sides of their shape test and at its exact boundary; gapped
+      sequences and wide spans take the run kernel, secant sequences with
+      n >= 2H the hole kernel
+    - the JSON reader sums int pairs to the Fraction sums, reads 2/4 as
+      1/2, drops duplicates that cancel, and checks every value before any
+      index
 """
 
 import math
@@ -37,6 +45,8 @@ from betticone.errors import (
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
+    parse_rational,
+    rational_pair,
 )
 
 F = Fraction
@@ -161,6 +171,118 @@ def test_pure_diagram_multi_run_ratios_share_factors():
         assert unreduced > 0, e
 
 
+def _spread(rng, start, n, holes):
+    """n + 1 degrees from start to start + n + holes, the n - 1 inner ones
+    placed at random: H = holes."""
+    if n == 0:
+        return (start,)
+    inner = sorted(rng.sample(range(start + 1, start + n + holes), n - 1))
+    return (start, *inner, start + n + holes)
+
+
+def _takes_holes(e):
+    return diagrams._few_holes_pay(e[-1] - e[0], len(e) - 1)
+
+
+def _assert_kernels_match_naive(e):
+    """pure_diagram(e) is the Herzog-Kuhl table in lowest terms, and both
+    kernels return its very pair, whichever side the shape test picks."""
+    b = diagrams.pure_diagram(e)
+    assert b.items() == _naive_pure_entries(e), e
+    assert b._den > 0 and math.gcd(b._den, *b._n.values()) == 1, e
+    seq = diagrams.DegreeSequence(e)
+    runs = diagrams._runs(seq)
+    for kernel in (diagrams._pure_over_holes, diagrams._pure_over_runs):
+        other = kernel(seq, *runs)
+        assert (other._n, other._den) == (b._n, b._den), (kernel.__name__, e)
+
+
+def test_pure_kernels_match_naive_formula_on_both_sides():
+    rng = random.Random(41)
+    sides = {True: 0, False: 0}
+    singles = [(0,), (7,), (-12,)]
+    intervals = [(0, 1), (-5, -4, -3, -2), tuple(range(3, 43)), tuple(range(-60, 61))]
+    spread = []
+    for _ in range(400):
+        n = rng.randint(1, 60)
+        spread.append(_spread(rng, rng.randint(-30, 30), n, rng.randint(0, n + 2)))
+    for e in singles + intervals + spread:
+        sides[_takes_holes(e)] += 1
+        _assert_kernels_match_naive(e)
+    assert all(_takes_holes(e) for e in intervals)  # H = 0
+    assert not any(_takes_holes(e) for e in singles)  # n = 0
+    assert min(sides.values()) > 100, sides
+
+
+def test_pure_kernels_at_the_shape_test_boundary():
+    # 3H(n + 8) = n(n + 23) at (n, H) = (4, 3) and (112, 42): the boundary
+    # takes the run kernel, one hole fewer the hole kernel
+    rng = random.Random(43)
+    for n, holes in ((4, 3), (112, 42)):
+        assert 3 * holes * (n + 8) == n * (n + 23)
+        assert not diagrams._few_holes_pay(n + holes, n)
+        assert diagrams._few_holes_pay(n + holes - 1, n)
+        for h in (holes - 1, holes):
+            for _ in range(4):
+                e = _spread(rng, rng.randint(-9, 9), n, h)
+                assert _takes_holes(e) is (h < holes)
+                _assert_kernels_match_naive(e)
+
+
+def test_pure_kernel_sides_on_family_and_gapped_sequences():
+    # every sequence with gaps in [2, 5] has H >= n and takes the run kernel
+    rng = random.Random(47)
+    for length in (1, 2, 3, 10, 30, 90, 150):
+        for _ in range(20):
+            e = _random_sequence(rng, rng.randint(-9, 4), (2, 3, 4, 5), length)
+            assert not _takes_holes(e), e
+    # a secant sequence has H = 2k + 2 and n = r - 2k - 1; with k <= 4 it
+    # takes the hole kernel whenever n >= 2H, and the run kernel below that,
+    # where the run kernel is the faster one
+    for g in range(1, 7):
+        for k in range(5):
+            for d in range(2 * g + 2 * k + 1, 301):
+                params = secant.SecantParams(g, k, d)
+                e = secant.degree_sequence(params, secant.jump_tuples(g, k)[-1])
+                holes, n = e[-1] - e[0] - (len(e) - 1), len(e) - 1
+                assert holes == 2 * k + 2
+                if n >= 2 * holes:
+                    assert _takes_holes(e), (g, k, d)
+                elif n < holes:
+                    assert not _takes_holes(e), (g, k, d)
+
+
+def _naive_column(e, p):
+    den = math.prod(abs(x - e[p]) for i, x in enumerate(e) if i != p)
+    return F(math.factorial(len(e) - 1), den)
+
+
+def test_pure_hole_kernel_on_long_family_sequences():
+    # columns sampled against the formula, and the whole table against the
+    # run kernel, up to d = 3000
+    rng = random.Random(53)
+    for g, k, d in ((1, 0, 1000), (3, 2, 3000), (6, 4, 2000)):
+        params = secant.SecantParams(g, k, d)
+        for t in (secant.jump_tuples(g, k)[0], secant.dominant_tuple(params)):
+            e = secant.degree_sequence(params, t)
+            assert _takes_holes(e)
+            b = diagrams.pure_diagram(e)
+            assert math.gcd(b._den, *b._n.values()) == 1
+            n = len(e) - 1
+            for p in {0, 1, n - 1, n, *rng.sample(range(n + 1), 12)}:
+                assert b.get(p, e[p] - p) == _naive_column(e, p), (g, k, d, p)
+            other = diagrams._pure_over_runs(e, *diagrams._runs(e))
+            assert (other._n, other._den) == (b._n, b._den)
+
+
+def test_pure_diagram_over_a_wide_span_takes_the_run_kernel():
+    # S!/n! for S = 10^8 would never finish; the run kernel builds each
+    # entry from n = 1..3 differences
+    for e in ((0, 10**8), (0, 1, 2, 10**8), (-(10**8), 0, 10**8)):
+        assert not _takes_holes(e)
+        assert diagrams.pure_diagram(e).items() == _naive_pure_entries(e)
+
+
 def test_pure_diagram_one_entry_per_column():
     rng = random.Random(11)
     for _ in range(25):
@@ -241,15 +363,16 @@ def _diagram_with_polynomial(coeffs, s):
 
 
 def _shape(b):
-    coeffs, _, _ = diagrams._cleared_alternating(b)
-    s = diagrams.projective_dimension(b)
+    coeffs, _, s = diagrams._alternating(b)
+    assert s == diagrams.projective_dimension(b)
     return max(len(coeffs) - s, 0), s
 
 
 def _assert_division_matches_prefix_sums(b, short):
     """_divided_numerator(b) equals the prefix-sum oracle, on the path that
     short names; where the oracle finds a remainder, the one message."""
-    coeffs, offset, lcm = diagrams._cleared_alternating(b)
+    coeffs, offset, _ = diagrams._alternating(b)
+    lcm = b._den
     m, s = _shape(b)
     assert diagrams._short_quotient_pays(m, s) is short, (m, s)
     expected = _prefix_sum_quotient(coeffs, s)
@@ -447,6 +570,83 @@ def test_json_duplicate_cells_are_summed():
     b = diagrams.BettiDiagram.from_json_obj(obj)
     assert dict(b.items()) == {(0, 0): F(1)}
     assert (1, 0) not in b
+
+
+def test_json_reader_checks_every_value_before_any_index():
+    # a bad index in an early cell, a bad value or shape in a later one: the
+    # later cell is named, as when every value was read before the indices
+    bad_index = {"p": 0.5, "q": 0, "v": "1/2"}
+    with pytest.raises(ValueError, match=r"^diagram value: Invalid literal for Fraction: 'abc'$"):
+        diagrams.BettiDiagram.from_json_obj({"entries": [bad_index, {"p": 0, "q": 0, "v": "abc"}]})
+    with pytest.raises(ValueError, match=r"^diagram value 3/0 has a zero denominator$"):
+        diagrams.BettiDiagram.from_json_obj({"entries": [bad_index, {"p": 0, "q": 0, "v": "3/0"}]})
+    with pytest.raises(ValueError, match=r"^malformed diagram cell"):
+        diagrams.BettiDiagram.from_json_obj({"entries": [bad_index, {"p": 0, "q": 0}]})
+    # with every value good, the first bad index in file order
+    with pytest.raises(ValueError, match=r"^column index p must be an integer, got 0\.5$"):
+        diagrams.BettiDiagram.from_json_obj(
+            {"entries": [{"p": 0, "q": 0, "v": "1"}, bad_index, {"p": -1, "q": 0, "v": "1"}]}
+        )
+    # the library's own entry points check each cell's index before its value
+    with pytest.raises(ValueError, match=r"^column index p must be an integer"):
+        diagrams.BettiDiagram.from_entries([(0.5, 0, "abc")])
+
+
+def test_json_duplicates_summing_to_zero_leave_no_cell():
+    obj = {
+        "entries": [
+            {"p": 1, "q": 1, "v": "1/3"},
+            {"p": 0, "q": 0, "v": "1/4"},
+            {"p": 1, "q": 1, "v": "-2/6"},
+            {"p": 0, "q": 0, "v": "1/4"},
+        ]
+    }
+    b = diagrams.BettiDiagram.from_json_obj(obj)
+    assert (1, 1) not in b
+    assert (b._n, b._den) == ({(0, 0): 1}, 2)
+    empty = {"entries": [{"p": 0, "q": 0, "v": "5/7"}, {"p": 0, "q": 0, "v": "-10/14"}]}
+    assert diagrams.BettiDiagram.from_json_obj(empty) == diagrams.BettiDiagram()
+
+
+def test_json_unreduced_value_reads_as_reduced():
+    half = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": "1/2"}]})
+    unreduced = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": "2/4"}]})
+    assert unreduced == half
+    assert (unreduced._n, unreduced._den) == ({(0, 0): 1}, 2)
+    assert rational_pair("2/4", "v") == (2, 4)
+    assert parse_rational("2/4", "v") == F(1, 2)
+
+
+def _spelled(rng, v):
+    """v as a diagram JSON value: canonical, unreduced, a JSON int, or a
+    spelling only Fraction(str) reads."""
+    form = rng.randrange(5)
+    if form == 0:
+        m = rng.randint(2, 6)
+        return f"{v.numerator * m}/{v.denominator * m}"
+    if form == 1 and v.denominator == 1:
+        return v.numerator
+    if form == 2:
+        return f" {v.numerator}/{v.denominator}"
+    return f"{v.numerator}/{v.denominator}"
+
+
+def test_json_reader_matches_fraction_sums():
+    # the integer reader against Fractions summed cell by cell
+    rng = random.Random(31)
+    for _ in range(300):
+        cells, sums = [], {}
+        for _ in range(rng.randint(0, 12)):
+            key = (rng.randint(0, 3), rng.randint(-2, 2))
+            v = F(rng.randint(-30, 30), rng.randint(1, 24))
+            sums[key] = sums.get(key, 0) + v
+            cells.append({"p": key[0], "q": key[1], "v": _spelled(rng, v)})
+        b = diagrams.BettiDiagram.from_json_obj({"entries": cells})
+        assert dict(b.items()) == {key: v for key, v in sums.items() if v}
+        if b:
+            assert b._den > 0 and math.gcd(b._den, *b._n.values()) == 1
+        else:
+            assert b._den == 1
 
 
 def test_json_round_trip():
