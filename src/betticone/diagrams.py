@@ -415,6 +415,8 @@ def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
         numerators.append(u)
         if stop - start == 1:
             continue
+        # rise and fall yield each later column's two products, one map
+        # per run of holes on top of the C(S, x) factors
         steps = hi - lo
         rise = range(span - x, span - x - steps, -1)
         fall = range(x + 1, x + 1 + steps)

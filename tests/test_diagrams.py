@@ -112,17 +112,18 @@ def test_pure_diagram_frozen_example():
     assert dict(b.items()) == expected
 
 
+def _naive_column(e, p):
+    """The Herzog-Kuhl entry n! / prod_{i != p} |e_i - e_p|, term by term."""
+    den = 1
+    for i, ei in enumerate(e):
+        if i != p:
+            den *= abs(ei - e[p])
+    return F(math.factorial(len(e) - 1), den)
+
+
 def _naive_pure_entries(e):
-    """The Herzog-Kuhl formula n! / prod_{i != p} |e_i - e_p|, term by term."""
-    n_fact = math.factorial(len(e) - 1)
-    entries = []
-    for p, ep in enumerate(e):
-        den = 1
-        for i, ei in enumerate(e):
-            if i != p:
-                den *= abs(ei - ep)
-        entries.append(((p, ep - p), F(n_fact, den)))
-    return entries
+    """The Herzog-Kuhl table of e, one column at a time."""
+    return [((p, ep - p), _naive_column(e, p)) for p, ep in enumerate(e)]
 
 
 def _random_sequence(rng, start, gaps, length):
@@ -250,11 +251,6 @@ def test_pure_kernel_sides_on_family_and_gapped_sequences():
                     assert _takes_holes(e), (g, k, d)
                 elif n < holes:
                     assert not _takes_holes(e), (g, k, d)
-
-
-def _naive_column(e, p):
-    den = math.prod(abs(x - e[p]) for i, x in enumerate(e) if i != p)
-    return F(math.factorial(len(e) - 1), den)
 
 
 def test_pure_hole_kernel_on_long_family_sequences():
