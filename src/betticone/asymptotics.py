@@ -178,6 +178,20 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
     the only one with i_0 >= 1, so M = 0, which the formula also gives.
     Substituting M, the bound is g*A/L* - (g-1), clamped to [0, 1].
 
+    With the default A the bound never decreases in d. Let
+    W = prod_{j=k+1}^{2k} (r-j), A' = (g-1)(k+1) and
+    eps(r) = sum_{i=2}^{min(k+1,g)} C(g,i) (k+1)!/(k+1-i)! / prod_{j=k+1}^{k+i-1} (r-j).
+    The degree's term i is C(g,i) C(r-k-i, k+1-i), and (k+1)! times it is
+    C(g,i) (k+1)!/(k+1-i)! prod_{j=k+i}^{2k} (r-j): W (r-k) for i = 0,
+    W g(k+1) for i = 1, and W times the i-th term of eps for i >= 2. So
+    (k+1)! deg = W (r + 1 + A' + eps(r)). Since prod_l (g+l) = C(g+k,k+1)
+    (k+1)!, g*A/L* = g(r+1)W / ((k+1)! deg), and the bound is
+    g(r+1)/(r+1+A'+eps(r)) - (g-1), clamped. From d >= 2g+2k+1,
+    r >= g+2k+1, every r-j above is positive, so eps >= 0 and no term of
+    eps grows with r; then (A'+eps)/(r+1) never increases, the unclamped
+    bound never decreases, and neither does the clamp of it. For g = 1,
+    A' = 0 and eps has no term, so the bound is exactly 1.
+
     A defaults to the family target binomial(g+k,k+1)/degree; pass the
     diagram's own coefficient to bound a specific synthetic diagram.
     """

@@ -7,9 +7,9 @@ so the loop runs at most as many times as the input has entries.
 
 A diagram is held as integer numerators over one denominator, so the peel
 compares those integers directly, and each peel step and
-Decomposition.reconstruct are linear combinations summed by the one kernel
-of diagrams (_combination). A Fraction is built only where a value leaves:
-one per coefficient here, and one per cell where a diagram is read.
+Decomposition.reconstruct are linear combinations (diagrams._combination,
+summed by the one loop of diagrams). The only Fraction built here is one
+per coefficient; the diagram reader builds none.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ A diagram is a finite sparse table of rationals indexed by (p, q) where p is
 the column (homological degree) and q the weight. It is held as nonzero
 integer numerators over one positive denominator, in lowest terms, and is
 never changed once built; Fractions are made only where a value leaves
-(get, items, the JSON form). Every linear combination of diagrams (add,
-scale, subtract, and in decomposition the peel step and reconstruct) is
-summed by one kernel, _combination, on those integers. Pure diagrams carry
+(get, items, the JSON form). One loop, _total, sums integer numerators
+into a table over a common denominator its caller picked as an lcm: the
+linear combinations of diagrams (add, scale, subtract, and in
+decomposition the peel step and reconstruct), the values given from
+outside, and the run kernel's columns of a pure diagram. Pure diagrams carry
 one entry per column at weight e_p - p for a strictly increasing degree
 sequence e, normalized so the multiplicity comes out to exactly 1.
 
@@ -129,14 +131,13 @@ class BettiDiagram:
 
     def __init__(self, entries: Mapping[tuple, object] | None = None):
         triples = ((p, q, v) for (p, q), v in entries.items()) if entries else ()
-        self._n, self._den = _summed(_checked(triples))
+        b = _summed(_checked(triples))
+        self._n, self._den = b._n, b._den
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
         """Build from (p, q, value) triples, summing duplicates."""
-        b = cls.__new__(cls)
-        b._n, b._den = _summed(_checked(triples))
-        return b
+        return _summed(_checked(triples))
 
     def get(self, p: int, q: int) -> Fraction:
         return Fraction(self._n.get((p, q), 0), self._den)
@@ -189,9 +190,7 @@ class BettiDiagram:
             if not (isinstance(cell, dict) and "p" in cell and "q" in cell and "v" in cell):
                 raise ValueError(f"malformed diagram cell: {cell!r}")
             cells.append((cell["p"], cell["q"], *rational_pair(cell["v"], "diagram value")))
-        b = cls.__new__(cls)
-        b._n, b._den = _summed((_key(p, q), n, d) for p, q, n, d in cells)
-        return b
+        return _summed((_key(p, q), n, d) for p, q, n, d in cells)
 
 
 def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
@@ -232,71 +231,55 @@ def _checked(triples):
         yield key, v.numerator, v.denominator
 
 
-def _summed(terms):
-    """(numerators, denominator) in lowest terms of checked ((p, q), n, d)
-    terms from outside, d > 0 and n/d not necessarily reduced, duplicates
-    summed: the one loop that sums outside values. Duplicates are summed
-    over the lcm of their denominators, the nonzero sums are cleared over
-    the lcm of theirs, and one gcd brings the table to lowest terms.
+def _summed(terms) -> BettiDiagram:
+    """The diagram of checked ((p, q), n, d) terms from outside, d > 0 and
+    n/d not necessarily reduced: each n cleared over the lcm of every d,
+    and duplicates summed by _total."""
+    terms = list(terms)
+    den = math.lcm(*[d for _, _, d in terms])
+    return _total(((1, [(key, n * (den // d)) for key, n, d in terms]),), den)
 
-    The denominators go to math.lcm as a list: a generator there becomes a
-    tuple guessed at 10 items and resized, and the interpreter's tuple free
-    lists fill up over a long run.
+
+def _combination(terms) -> BettiDiagram:
+    """The diagram sum c * b over a sequence of (c, b) pairs, c an int or a
+    Fraction, summed by _total over the lcm of every c.denominator * b._den."""
+    dens = [c.denominator * b._den for c, b in terms]
+    den = math.lcm(*dens)
+    return _total(
+        ((c.numerator * (den // d), b._n.items()) for (c, b), d in zip(terms, dens)), den
+    )
+
+
+def _total(parts, den: int) -> BettiDiagram:
+    """The diagram sum of factor * u / den over (factor, cells) parts, cells
+    (key, u) pairs of integers on checked keys and den > 0: the one loop
+    that sums cells into a table. Sums that reach 0 are dropped, and
+    _reduced brings the rest to lowest terms, which do not depend on the
+    common denominator the callers summed over.
+
+    The callers give math.lcm their denominators as a list: a generator
+    there becomes a tuple guessed at 10 items and resized, and the
+    interpreter's tuple free lists fill up over a long run.
     """
-    sums = {}
-    for key, n, d in terms:
-        if key in sums:
-            m, c = sums[key]
-            if c != d:
-                common = math.lcm(c, d)
-                m, n, d = m * (common // c), n * (common // d), common
-            n += m
-        sums[key] = n, d
-    sums = [(key, n, d) for key, (n, d) in sums.items() if n]
-    den = math.lcm(*[d for _, _, d in sums])
-    return _lowest({key: n * (den // d) for key, n, d in sums}, den)
-
-
-def _lowest(n: dict, den: int):
-    """(n, den) for nonzero integer numerators n and den > 0, both divided by
-    their gcd; n is returned as it is when the gcd is 1."""
-    g = math.gcd(den, *n.values())
-    if g != 1:
-        n = {key: v // g for key, v in n.items()}
-        den //= g
-    return n, den
+    total = {}
+    get = total.get
+    for factor, cells in parts:
+        for key, u in cells:
+            total[key] = get(key, 0) + factor * u
+    return _reduced({key: v for key, v in total.items() if v}, den)
 
 
 def _reduced(n: dict, den: int) -> BettiDiagram:
     """The diagram n / den, for nonzero integer numerators n on checked keys
-    and den > 0, in lowest terms; n becomes its own."""
+    and den > 0, both divided by their gcd; n becomes its own, and is kept
+    as it is when the gcd is 1."""
     b = BettiDiagram.__new__(BettiDiagram)
-    b._n, b._den = _lowest(n, den)
+    g = math.gcd(den, *n.values())
+    if g != 1:
+        n = {key: v // g for key, v in n.items()}
+        den //= g
+    b._n, b._den = n, den
     return b
-
-
-def _combination(terms) -> BettiDiagram:
-    """The diagram sum c * b over (c, b) pairs, c an int or a Fraction: the
-    one loop that sums diagram cells.
-
-    The numerators are summed as integers over a common denominator that
-    grows to the lcm of the terms' c.denominator * b._den; cells that reach
-    0 are dropped, and one gcd brings the result to lowest terms.
-    """
-    total = {}
-    den = 1
-    for c, b in terms:
-        term_den = c.denominator * b._den
-        common = math.lcm(den, term_den)
-        if common != den:
-            grow = common // den
-            for key in total:
-                total[key] *= grow
-            den = common
-        factor = c.numerator * (den // term_den)
-        for key, u in b._n.items():
-            total[key] = total.get(key, 0) + factor * u
-    return _reduced({key: v for key, v in total.items() if v}, den)
 
 
 def pure_diagram(e) -> BettiDiagram:
@@ -476,7 +459,7 @@ def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
             u, v = u // g, v // g
             columns.append(((p, q), u, v))
     den = math.lcm(*[v for _, _, v in columns])
-    return _reduced({key: u * (den // v) for key, u, v in columns}, den)
+    return _total(((1, [(key, u * (den // v)) for key, u, v in columns]),), den)
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:

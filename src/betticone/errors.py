@@ -22,9 +22,9 @@ def require_int(value, what: str, error: type) -> int:
 
 
 def parse_rational(text, what: str) -> Fraction:
-    """The Fraction that text ("-5/2", "0.25", "1e-3", or a JSON number's str
-    form) spells; anything else raises ValueError naming what. It is the
-    pair rational_pair reads, in lowest terms."""
+    """The Fraction that text (an int, or a str such as "-5/2", "0.25" or
+    "1e-3") spells; anything else, a float included, raises ValueError
+    naming what. It is the pair rational_pair reads, in lowest terms."""
     return Fraction(*rational_pair(text, what))
 
 
@@ -41,7 +41,16 @@ def rational_pair(text, what: str) -> tuple:
     The exponent form is how a short text reaches a huge integer, so an
     exponent whose power of ten would have more digits than
     sys.get_int_max_str_digits() is refused before Fraction builds it.
+
+    A float (a JSON number with a point or an exponent) is refused: it has
+    already been rounded to a binary double, so 1.00000000000000001 would
+    read as 1.
     """
+    if isinstance(text, float):
+        raise ValueError(
+            f"{what} must be an integer or a string, got the float {text!r}"
+            " (quote it: a float is already rounded to a binary double)"
+        )
     literal = str(text)
     if _CANONICAL.fullmatch(literal):
         n, _, d = literal.partition("/")

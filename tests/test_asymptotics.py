@@ -7,6 +7,8 @@ Claims pinned here:
       (bound exactly 1), and the clamp to 0 when the default target is weak
     - purity_lower_bound's closed form equals the bound from enumerating
       every jump tuple, and M = L*(g-1)/g holds on the same grid
+    - (k+1)! * degree = W * (r + 1 + A + eps(r)) exactly, with eps >= 0 and
+      never increasing, so the default bound never decreases in d
     - the g=2, k=1 calibration constants match the checked-in fixture
     - dominant_binomial_ratio approaches 1 from below, deviation shrinking
     - normal_dist_point satisfies the collapse identity at float precision
@@ -269,6 +271,36 @@ def test_purity_lower_bound_matches_enumerating_oracle():
             want = _enumerated_purity_bound(params, a_coeff)
             got = asymptotics.purity_lower_bound(params, leading_coefficient=a_coeff)
             assert got == want, (params, a_coeff)
+
+
+def test_purity_lower_bound_never_decreases_in_d():
+    # the identity and the steps of the proof in purity_lower_bound's
+    # docstring, exactly, over 150 consecutive d from the range start
+    for g in range(1, 7):
+        for k in range(0, 5):
+            lo = 2 * g + 2 * k + 1
+            shift = (g - 1) * (k + 1)
+            last_bound, last_eps = F(0), None
+            for d in range(lo, lo + 150):
+                params = secant.SecantParams(g, k, d)
+                r = params.r
+                w = math.prod(r - j for j in range(k + 1, 2 * k + 1))
+                eps = sum(
+                    F(math.comb(g, i) * math.perm(k + 1, i),
+                      math.prod(r - j for j in range(k + 1, k + i)))
+                    for i in range(2, min(k + 1, g) + 1)
+                )
+                assert math.factorial(k + 1) * secant.secant_degree(params) == w * (
+                    r + 1 + shift + eps
+                ), (g, k, d)
+                assert eps >= 0 and (last_eps is None or eps <= last_eps), (g, k, d)
+                bound = asymptotics.purity_lower_bound(params)
+                closed = F(g * (r + 1)) / (r + 1 + shift + eps) - (g - 1)
+                assert bound == max(F(0), min(F(1), closed)), (g, k, d)
+                assert bound >= last_bound, (g, k, d)
+                if g == 1:
+                    assert bound == 1
+                last_bound, last_eps = bound, eps
 
 
 def test_purity_sweep_grid_and_errors():

@@ -186,6 +186,27 @@ def test_decompose_rejects_non_integer_column(tmp_path, capsys, cell):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "v, shown",
+    [
+        ("123456789012345678901234567890.0", "1.2345678901234568e+29"),
+        ("1.00000000000000001", "1.0"),
+        ("5e-1", "0.5"),
+    ],
+)
+def test_decompose_refuses_a_float_value(tmp_path, capsys, v, shown):
+    # parsed as JSON numbers, these are doubles already: the first printed
+    # as 123456789012345680000000000000/1 and the second as 1/1
+    src = tmp_path / "float.json"
+    src.write_text('{"entries": [{"p": 0, "q": 0, "v": %s}]}' % v)
+    code, out, err = run(capsys, "decompose", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"bad input: diagram value must be an integer or a string, got the float {shown}"
+        " (quote it: a float is already rounded to a binary double)\n"
+    )
+
+
 def test_decompose_deeply_nested_json(tmp_path, capsys):
     src = tmp_path / "deep.json"
     src.write_text("[" * 100_000)
@@ -363,6 +384,26 @@ def test_calibrate_zero_denominator_threshold(capsys):
     assert code == 2
     assert out == ""
     assert err == "bad input: threshold 1/0 has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("sweep", "distribution", "-g", "1", "-k", "0", "--a", "0"),
+            "distribution sweep needs --d",
+        ),
+        (
+            ("calibrate", "-g", "2", "-k", "1", "--d-max", "50", "--threshold", "2"),
+            "bound never holds through d_max=50; last failure at 50",
+        ),
+    ],
+)
+def test_request_that_cannot_be_met_is_bad_input(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"bad input: {message}\n")
+    assert not out_file.exists()
 
 
 @pytest.fixture

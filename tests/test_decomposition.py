@@ -7,8 +7,9 @@ Claims pinned here:
     - diagrams outside the cone raise NotInCone carrying the partial state
     - verify rejects tampered decompositions and says why
     - decomposition JSON with a degree that is not an integer, degrees
-      that are not strictly increasing, a zero denominator or a 'summands'
-      that is not a list is rejected with ValueError
+      that are not strictly increasing, a zero denominator, a 'summands'
+      that is not a list, a summand that is not an object or a float
+      coefficient or residual value is rejected with ValueError
     - only an absent or null 'residual' reads as no residual; any other
       value must be diagram JSON
     - the integer peel agrees with a copy-per-step Fraction peel (the
@@ -215,6 +216,26 @@ def test_decomposition_json_rejects_bad_coefficient_and_summands():
     ):
         with pytest.raises(ValueError):
             decomposition.Decomposition.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("item", [5, None, [0, 1], {"c": "1"}])
+def test_decomposition_json_rejects_a_summand_that_is_not_an_object(item):
+    with pytest.raises(ValueError) as exc:
+        decomposition.Decomposition.from_json_obj({"summands": [item]})
+    assert str(exc.value) == f"malformed summand: {item!r}"
+
+
+@pytest.mark.parametrize("v", [0.5, 1.00000000000000001, 123456789012345678901234567890.0])
+def test_decomposition_json_refuses_float_values(v):
+    # a JSON float is already a binary double, in "c" as in the residual's "v"
+    expected = f"must be an integer or a string, got the float {v!r}"
+    with pytest.raises(ValueError) as exc:
+        decomposition.Decomposition.from_json_obj({"summands": [{"c": v, "e": [0, 1]}]})
+    assert str(exc.value).startswith(f"coefficient {expected}")
+    residual = {"entries": [{"p": 0, "q": 0, "v": v}]}
+    with pytest.raises(ValueError) as exc:
+        decomposition.Decomposition.from_json_obj({"summands": [], "residual": residual})
+    assert str(exc.value).startswith(f"diagram value {expected}")
 
 
 def test_decomposition_json_reads_only_absent_or_null_as_no_residual():

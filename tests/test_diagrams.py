@@ -27,11 +27,14 @@ Claims pinned here:
       n >= 2H the hole kernel
     - the JSON reader sums int pairs to the Fraction sums, reads 2/4 as
       1/2, drops duplicates that cancel, and checks every value before any
-      index
+      index; a JSON float is refused, since it arrives rounded to a double
+    - quantities of an empty diagram are refused with a message naming the
+      quantity; reprs, len and comparison with another type are pinned
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -643,6 +646,60 @@ def test_json_reader_matches_fraction_sums():
             assert b._den > 0 and math.gcd(b._den, *b._n.values()) == 1
         else:
             assert b._den == 1
+
+
+@pytest.mark.parametrize(
+    "v", [123456789012345678901234567890.0, 1.00000000000000001, 0.5, 2.0, float("inf")]
+)
+def test_json_reader_refuses_a_float_value(v):
+    # a JSON float is already a binary double: 1.00000000000000001 is 1.0
+    message = f"diagram value must be an integer or a string, got the float {v!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": v}]})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rational_pair(v, "diagram value")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_rational(v, "diagram value")
+    # the same digits as a string are read exactly
+    cell = {"p": 0, "q": 0, "v": "1.00000000000000001"}
+    b = diagrams.BettiDiagram.from_json_obj({"entries": [cell]})
+    assert b.get(0, 0) == F(100000000000000001, 10**17)
+
+
+@pytest.mark.parametrize(
+    "quantity, message",
+    [
+        (diagrams.projective_dimension, "projective dimension of an empty diagram"),
+        (diagrams.top_strand, "top strand of an empty diagram"),
+        (diagrams.hilbert_numerator, "Hilbert numerator of an empty diagram"),
+        (diagrams.multiplicity, "multiplicity of an empty diagram"),
+    ],
+)
+def test_quantities_of_the_empty_diagram_are_refused(quantity, message):
+    with pytest.raises(EmptyDiagram) as exc:
+        quantity(diagrams.BettiDiagram())
+    assert str(exc.value) == message
+
+
+def test_reprs_and_len():
+    b = diagrams.pure_diagram((0, 1, 3))
+    # n! / prod |e_i - e_p|: 2/(1*3), 2/(1*2), 2/(3*2)
+    assert repr(b) == "BettiDiagram({(0,0): 2/3, (1,0): 1, (2,1): 1/3})"
+    assert len(b) == 3
+    assert repr(diagrams.BettiDiagram()) == "BettiDiagram({})"
+    assert len(diagrams.BettiDiagram()) == 0
+    assert repr(diagrams.RationalPolynomial()) == "RationalPolynomial(0)"
+    poly = diagrams.RationalPolynomial({2: F(-1, 3), 0: 1})
+    assert repr(poly) == "RationalPolynomial((1)t^0 + (-1/3)t^2)"
+
+
+@pytest.mark.parametrize(
+    "value", [diagrams.BettiDiagram({(0, 0): 1}), diagrams.RationalPolynomial({0: 1})]
+)
+def test_equality_with_another_type_is_not_implemented(value):
+    assert value.__eq__(1) is NotImplemented
+    assert value.__eq__({(0, 0): 1}) is NotImplemented
+    assert value != 1
 
 
 def test_json_round_trip():

@@ -61,6 +61,13 @@ def test_jump_tuples_counts_and_order():
             assert len(secant.jump_tuples(g, k)) == math.comb(g + k + 1, k + 1)
 
 
+@pytest.mark.parametrize("g, k", [(0, 1), (1, -1)])
+def test_jump_tuples_outside_the_hypothesis(g, k):
+    with pytest.raises(InvalidParams) as exc:
+        secant.jump_tuples(g, k)
+    assert str(exc.value) == f"need g >= 1 and k >= 0, got g={g}, k={k}"
+
+
 def test_tuple_validation():
     params = secant.SecantParams(3, 1, 11)
     with pytest.raises(InvalidTuple):
