@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidRange, OutOfRange, require_int
+from .errors import InvalidRange, OutOfRange, require_int, require_rational
 from .secant import (
     Factors,
     SecantParams,
@@ -193,13 +193,16 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
     A' = 0 and eps has no term, so the bound is exactly 1.
 
     A defaults to the family target binomial(g+k,k+1)/degree; pass the
-    diagram's own coefficient to bound a specific synthetic diagram.
+    diagram's own coefficient to bound a specific synthetic diagram. It is
+    read by require_rational, so a float such as 0.015 is refused, not
+    taken as the binary fraction nearest it.
     """
-    a_coeff = leading_coefficient
-    if a_coeff is None:
+    if leading_coefficient is None:
         a_coeff = normalized_hn_leading(params)
+    else:
+        a_coeff = require_rational(leading_coefficient, "leading coefficient")
     l_star = hn_leading_coefficient(params, dominant_tuple(params))
-    bound = params.g * Fraction(a_coeff) / l_star - (params.g - 1)
+    bound = params.g * a_coeff / l_star - (params.g - 1)
     return max(Fraction(0), min(Fraction(1), bound))
 
 
@@ -257,7 +260,9 @@ def calibrate_purity(g: int, k: int, d_max: int, threshold: Fraction = Fraction(
 
     Returns the d after which the bound stays at or above the threshold
     through d_max, the maximal r*gap seen, and an integer ceiling for it.
+    The threshold is read by require_rational before anything else.
     """
+    threshold = require_rational(threshold, "threshold")
     d_min = 2 * g + 2 * k + 1
     rows = purity_sweep(g, k, d_min, d_max)
     if not rows:

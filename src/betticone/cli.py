@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, decomposition, diagrams, secant
-from .errors import BettiConeError, NotInCone, parse_rational
+from .errors import BettiConeError, NotInCone
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -64,7 +64,7 @@ def render_table(b: diagrams.BettiDiagram) -> str:
             if v == 0:
                 row.append("-")
             else:
-                row.append(str(v) if v.denominator != 1 else str(v.numerator))
+                row.append(str(v))
         grid.append(row)
     widths = [max(len(r[c]) for r in grid) for c in range(len(header))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
@@ -225,8 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    threshold = parse_rational(args.threshold, "threshold")
-    result = asymptotics.calibrate_purity(args.g, args.k, args.d_max, threshold)
+    result = asymptotics.calibrate_purity(args.g, args.k, args.d_max, args.threshold)
     payload = json.dumps(result, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -5,11 +5,12 @@ minimal degrees, subtract the largest multiple of that pure diagram that
 keeps every entry nonnegative, repeat. Each step zeroes at least one entry,
 so the loop runs at most as many times as the input has entries.
 
-A diagram is held as integer numerators over one denominator, so the peel
-compares those integers directly, and each peel step and
-Decomposition.reconstruct are linear combinations (diagrams._combination,
-summed by the one loop of diagrams). The only Fraction built here is one
-per coefficient; the diagram reader builds none.
+Each step is diagrams._peel, which compares the integer numerators of
+the residual and the pure diagram directly and builds one Fraction, the
+coefficient; Decomposition.reconstruct is one linear combination
+(diagrams._combination). So the table format is read in diagrams alone.
+No diagram changes once built, so a failure hands out the residual it
+stopped at as it is.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .diagrams import (
     _combination,
     _diagram_json,
     _nonnegative,
-    _reduced,
-    _top_strand,
+    _peel,
     pure_diagram,
+    top_strand,
 )
 from .errors import (
     EmptyDiagram,
@@ -122,19 +123,12 @@ def decompose(b: BettiDiagram) -> Decomposition:
 
     Raises NotInCone when a step cannot continue (gap in the columns or top
     strand not strictly increasing); the exception carries the partial
-    decomposition and a snapshot of the residual at the point of failure.
-    b itself is never modified.
+    decomposition and the residual at the point of failure. b, like every
+    diagram, is never modified.
 
-    The residual is integer numerators N over one denominator L, the pure
-    diagram of each step numerators U over V. The step takes the least
-    ratio N*/U* of N_p/U_p over the top-strand cells, compared by
-    cross-multiplication, so the coefficient is c = N*·V / (L·U*), and the
-    next residual is the combination residual - c·pure.
-
-    No step can go negative: N*/U* is the least ratio over the top-strand
-    cells, each of which is a positive entry of the residual, so every
-    entry the step touches stays >= 0, and the tight columns are exactly
-    the strand cells that reach zero, which the combination drops.
+    Each step peels the pure diagram of the residual's top strand by
+    diagrams._peel, which takes the least entry ratio over its cells as the
+    coefficient, so no entry goes negative.
     """
     if not b:
         raise EmptyDiagram("cannot decompose an empty diagram")
@@ -142,23 +136,14 @@ def decompose(b: BettiDiagram) -> Decomposition:
     residual = _nonnegative(b)
     while residual:
         try:
-            e = _top_strand(residual._n)
+            e = top_strand(residual)
         except (MissingColumn, NotStrictlyIncreasing) as exc:
-            snapshot = _reduced(dict(residual._n), residual._den)
             raise NotInCone(
                 f"top strand failed: {exc}",
-                partial=Decomposition(tuple(summands), snapshot),
-                residual=snapshot,
+                partial=Decomposition(tuple(summands), residual),
+                residual=residual,
             ) from exc
-        pure = pure_diagram(e)
-        n_star, u_star = 1, 0  # the ratio 1/0 exceeds every N_p/U_p
-        for key, u in pure._n.items():
-            n = residual._n[key]
-            if n * u_star < n_star * u:
-                n_star, u_star = n, u
-        c = Fraction(n_star * pure._den, residual._den * u_star)
-        residual = _combination(((1, residual), (-c, pure)))
-        tight = tuple(p for p, ep in enumerate(e) if (p, ep - p) not in residual._n)
+        c, residual, tight = _peel(residual, pure_diagram(e))
         summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tight))
     return Decomposition(tuple(summands), BettiDiagram())
 

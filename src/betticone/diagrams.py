@@ -6,11 +6,12 @@ integer numerators over one positive denominator, in lowest terms, and is
 never changed once built; Fractions are made only where a value leaves
 (get, items, the JSON form). One loop, _total, sums integer numerators
 into a table over a common denominator its caller picked as an lcm: the
-linear combinations of diagrams (add, scale, subtract, and in
-decomposition the peel step and reconstruct), the values given from
-outside, and the run kernel's columns of a pure diagram. Pure diagrams carry
-one entry per column at weight e_p - p for a strictly increasing degree
-sequence e, normalized so the multiplicity comes out to exactly 1.
+linear combinations of diagrams (add, scale, subtract, the greedy peel's
+step _peel, and Decomposition.reconstruct), the values given from
+outside, and the run kernel's columns of a pure diagram. No other module
+reads the numerators or the denominator. Pure diagrams carry one entry per
+column at weight e_p - p for a strictly increasing degree sequence e,
+normalized so the multiplicity comes out to exactly 1.
 
 Everything in this module is exact; no floats.
 """
@@ -510,13 +511,8 @@ def top_strand(b: BettiDiagram) -> DegreeSequence:
     """
     if not b:
         raise EmptyDiagram("top strand of an empty diagram")
-    return _top_strand(b._n)
-
-
-def _top_strand(cells) -> DegreeSequence:
-    """top_strand read off the (p, q) keys of a nonempty table of entries."""
     mins = {}
-    for p, q in cells:
+    for p, q in b._n:
         t = p + q
         if p not in mins or t < mins[p]:
             mins[p] = t
@@ -528,6 +524,35 @@ def _top_strand(cells) -> DegreeSequence:
     if any(a >= c for a, c in zip(strand, strand[1:])):
         raise NotStrictlyIncreasing(f"top strand {tuple(strand)} is not strictly increasing")
     return DegreeSequence._trusted(strand)
+
+
+def _peel(residual: BettiDiagram, pure: BettiDiagram):
+    """One step of the greedy peel: (c, residual - c * pure, tight columns)
+    for the largest c that keeps every entry of residual - c * pure
+    nonnegative.
+
+    Precondition: pure's support lies in the residual's, and the residual
+    is nonnegative there, so positive, as a table stores no zero. decompose
+    passes the pure diagram of the residual's top strand, whose every cell
+    is an entry of the residual.
+
+    The residual is integer numerators N over one denominator L, pure
+    numerators U over V. The step takes the least ratio N*/U* of N_p/U_p
+    over pure's cells, compared by cross-multiplication, so c = N*·V /
+    (L·U*), the one Fraction built here, and the next residual is the
+    combination residual - c·pure. No entry the step touches goes
+    negative, and the tight columns, in the column order pure's cells are
+    built in, are exactly the cells that reach zero, which the combination
+    drops.
+    """
+    n_star, u_star = 1, 0  # the ratio 1/0 exceeds every N_p/U_p
+    for key, u in pure._n.items():
+        n = residual._n[key]
+        if n * u_star < n_star * u:
+            n_star, u_star = n, u
+    c = Fraction(n_star * pure._den, residual._den * u_star)
+    rest = _combination(((1, residual), (-c, pure)))
+    return c, rest, tuple(p for p, q in pure._n if (p, q) not in rest._n)
 
 
 def _alternating(b: BettiDiagram):

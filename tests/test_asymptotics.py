@@ -10,6 +10,9 @@ Claims pinned here:
     - (k+1)! * degree = W * (r + 1 + A + eps(r)) exactly, with eps >= 0 and
       never increasing, so the default bound never decreases in d
     - the g=2, k=1 calibration constants match the checked-in fixture
+    - purity_lower_bound's leading coefficient and calibrate_purity's
+      threshold are read by require_rational: "3/200" is 3/200, and a
+      float, a bool or 1/0 is refused
     - dominant_binomial_ratio approaches 1 from below, deviation shrinking
     - normal_dist_point satisfies the collapse identity at float precision
     - its deviation from exp(-a^2) is the first-order shift of the strand's
@@ -226,6 +229,16 @@ def test_purity_lower_bound_custom_leading_coefficient():
     assert asymptotics.purity_lower_bound(params, leading_coefficient=0) == 0
 
 
+def test_purity_lower_bound_reads_leading_coefficient_as_a_rational():
+    params = secant.SecantParams(2, 1, 20)
+    assert asymptotics.purity_lower_bound(params, "3/200") == F(13, 25)
+    assert asymptotics.purity_lower_bound(params, F(3, 200)) == F(13, 25)
+    # a float is not its decimal, a bool is not 1, and 1/0 names the argument
+    for value in (0.015, True, "1/0", "1e99999"):
+        with pytest.raises(ValueError, match="^leading coefficient"):
+            asymptotics.purity_lower_bound(params, value)
+
+
 def _best_non_dominant(params):
     """M by enumeration: the best leading coefficient of a non-dominant tuple."""
     dom = secant.dominant_tuple(params)
@@ -323,6 +336,19 @@ def test_calibration_fixture_reproduces():
         frozen["g"], frozen["k"], frozen["d_max"], Fraction(frozen["threshold"])
     )
     assert live == frozen
+
+
+def test_calibrate_purity_reads_threshold_as_a_rational():
+    want = asymptotics.calibrate_purity(2, 1, 500, F(99, 100))
+    assert want["purity_d_star"] == 401
+    assert asymptotics.calibrate_purity(2, 1, 500, "99/100") == want
+    for value in (0.99, True):
+        with pytest.raises(ValueError, match="^threshold must be"):
+            asymptotics.calibrate_purity(2, 1, 500, value)
+    # read before anything else: a bad threshold is named even when d_max
+    # lies below the range
+    with pytest.raises(ValueError, match="^threshold must be"):
+        asymptotics.calibrate_purity(2, 1, 3, 0.99)
 
 
 def test_purity_csv_format():

@@ -436,24 +436,23 @@ def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
         diagrams.BettiDiagram({(1, 1): F(1), (2, 0): F(1)}),
     )
     bad_before = dict(bad.items())
-    views = []
+    seen = []
 
-    def spying_top_strand(cells):  # the peel's working numerators, keyed by cell
-        views.append(cells)
-        return diagrams._top_strand(cells)
+    def spying_top_strand(table):  # each residual the peel reads, and its entries then
+        seen.append((table, dict(table.items())))
+        return diagrams.top_strand(table)
 
-    monkeypatch.setattr(decomposition, "_top_strand", spying_top_strand)
+    monkeypatch.setattr(decomposition, "top_strand", spying_top_strand)
     with pytest.raises(NotInCone) as exc:
         decomposition.decompose(bad)
     assert dict(bad.items()) == bad_before
-    residual = dict(exc.value.residual.items())
-    assert dict(exc.value.partial.residual.items()) == residual
-    # what a further peel step would do to the working state must not
-    # reach the diagnostics already raised
-    views[-1].clear()
-    assert dict(exc.value.residual.items()) == residual
-    assert dict(exc.value.partial.residual.items()) == residual
+    residual = exc.value.residual
+    assert exc.value.partial.residual == residual
     assert exc.value.partial.reconstruct() == bad
+    # the raised residual is what the failing step read, and no table the
+    # peel read has changed since
+    assert dict(residual.items()) == seen[-1][1]
+    assert all(dict(table.items()) == entries for table, entries in seen)
 
 
 def _assert_canonical(b):

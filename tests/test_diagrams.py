@@ -30,9 +30,12 @@ Claims pinned here:
       index; a JSON float is refused, since it arrives rounded to a double
     - quantities of an empty diagram are refused with a message naming the
       quantity; reprs, len and comparison with another type are pinned
+    - no module but diagrams.py reads a table's numerators or denominator
 """
 
+import ast
 import math
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -734,3 +737,19 @@ def test_polynomial_rejects_non_integer_exponents():
             diagrams.RationalPolynomial({exp: F(1)})
     with pytest.raises(ValueError):
         diagrams.RationalPolynomial({1.5: F(0)})
+
+
+def test_only_diagrams_reads_the_table_format():
+    # the numerators _n and the denominator _den are read in diagrams.py
+    # alone, so the representation can change in one module
+    readers = {}
+    for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_den")
+        }
+        if names:
+            readers[path.name] = names
+    assert readers == {"diagrams.py": {"_n", "_den"}}
