@@ -10,7 +10,6 @@ to EXACT_CROSSOVER, as a sum of logs above it. The log sum stays within
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 from fractions import Fraction
@@ -56,13 +55,17 @@ def realized_column(params: SecantParams, a: float) -> int:
 
     Clamped into [1, r - g - 2k - 1], the window where the dominant closed
     form is defined. A non-finite a has no column and raises OutOfRange; a
-    finite a so large that the float position overflows just clamps.
+    finite a so large that the float position overflows just clamps. At
+    d = 2g + 2k + 1 the window is empty, and OutOfRange names the first d
+    that has a column.
     """
     if not math.isfinite(a):
         raise OutOfRange(f"a must be finite, got {a!r}")
     r = params.r
-    raw = min(max(r / 2 + a * math.sqrt(r / 2) + 0.5, 0.0), float(r))
     hi = r - params.g - 2 * params.k - 1
+    if hi < 1:
+        raise OutOfRange(f"no dominant column at d={params.d}; the first is at d={params.d - hi + 1}")
+    raw = min(max(r / 2 + a * math.sqrt(r / 2) + 0.5, 0.0), float(r))
     return max(1, min(hi, math.floor(raw)))
 
 
@@ -227,19 +230,10 @@ def distribution_sweep(g: int, k: int, a_list, d_list):
     return [normal_dist_point(SecantParams(g, k, d), a) for d in d_list for a in a_list]
 
 
-@contextlib.contextmanager
-def _opened(out):
-    """A path (str or bytes) opened for writing and closed on exit; a file object as is."""
-    if isinstance(out, (str, bytes)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield out
-
-
 def write_purity_csv(g: int, k: int, rows, out) -> None:
-    """Exact CSV: one row per (d, quantity), quantities as num/den columns."""
-    with _opened(out) as fh:
+    """Exact CSV at the path out: one row per (d, quantity), quantities as
+    num/den columns."""
+    with open(out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["g", "k", "d", "r", "quantity", "value_num", "value_den"])
         for row in rows:
@@ -248,7 +242,7 @@ def write_purity_csv(g: int, k: int, rows, out) -> None:
 
 
 def write_distribution_csv(g: int, k: int, rows, out) -> None:
-    with _opened(out) as fh:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["g", "k", "d", "r", "a", "p", "value", "limit"])
         for row in rows:
@@ -267,17 +261,11 @@ def calibrate_purity(g: int, k: int, d_max: int, threshold: Fraction = Fraction(
     rows = purity_sweep(g, k, d_min, d_max)
     if not rows:
         raise InvalidRange(f"d_max={d_max} below the valid range start {d_min}")
-    last_below = None
-    max_r_gap = Fraction(0)
-    for row in rows:
-        if row.lower_bound < threshold:
-            last_below = row.d
-        max_r_gap = max(max_r_gap, row.r_gap)
-    d_star = d_min if last_below is None else last_below + 1
-    if d_star > d_max:
-        raise InvalidRange(
-            f"bound never holds through d_max={d_max}; last failure at {last_below}"
-        )
+    # the bound never decreases in d (proved in purity_lower_bound)
+    d_star = next((row.d for row in rows if row.lower_bound >= threshold), None)
+    if d_star is None:
+        raise InvalidRange(f"bound never holds through d_max={d_max}; last failure at {d_max}")
+    max_r_gap = max(row.r_gap for row in rows)
     return {
         "g": g,
         "k": k,

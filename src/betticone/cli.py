@@ -111,10 +111,8 @@ def cmd_secant_pure(args) -> int:
     params = secant.SecantParams(args.g, args.k, args.d)
     if args.dominant:
         tup = secant.dominant_tuple(params)
-    elif args.tuple is not None:
-        tup = tuple(_parse_list(args.tuple, "--tuple"))
     else:
-        raise ValueError("need --tuple or --dominant")
+        tup = tuple(_parse_list(args.tuple, "--tuple"))
     e = secant.degree_sequence(params, tup)
     comment = "# degseq: " + ",".join(str(x) for x in e) + "\n"
     _emit_diagram(diagrams.pure_diagram(e), args.format, prefix=comment)
@@ -248,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--tuple", help="comma separated jump tuple, e.g. 1,3")
-    p.add_argument("--dominant", action="store_true", help="use the tuple (g,...,g)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--tuple", help="comma separated jump tuple, e.g. 1,3")
+    which.add_argument("--dominant", action="store_true", help="use the tuple (g,...,g)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=cmd_secant_pure)
 

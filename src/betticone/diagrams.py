@@ -233,9 +233,10 @@ def _checked(triples):
 
 
 def _summed(terms) -> BettiDiagram:
-    """The diagram of checked ((p, q), n, d) terms from outside, d > 0 and
-    n/d not necessarily reduced: each n cleared over the lcm of every d,
-    and duplicates summed by _total."""
+    """The diagram of ((p, q), n, d) terms on checked keys (values from
+    outside, or the run kernel's columns), d > 0 and n/d not necessarily
+    reduced: each n cleared over the lcm of every d, and duplicates summed
+    by _total."""
     terms = list(terms)
     den = math.lcm(*[d for _, _, d in terms])
     return _total(((1, [(key, n * (den // d)) for key, n, d in terms]),), den)
@@ -459,8 +460,7 @@ def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
             g = math.gcd(u, v)
             u, v = u // g, v // g
             columns.append(((p, q), u, v))
-    den = math.lcm(*[v for _, _, v in columns])
-    return _total(((1, [(key, u * (den // v)) for key, u, v in columns]),), den)
+    return _summed(columns)
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
@@ -471,15 +471,12 @@ def add(a: BettiDiagram, b: BettiDiagram) -> BettiDiagram:
     return _combination(((1, a), (1, b)))
 
 
-def subtract(a: BettiDiagram, b: BettiDiagram, strict: bool = True) -> BettiDiagram:
-    """Entrywise a - b.
-
-    In strict (cone) mode the first negative entry in (p, q) order raises
-    NegativeEntry naming its position; permissive mode returns the formal
-    difference.
+def subtract(a: BettiDiagram, b: BettiDiagram) -> BettiDiagram:
+    """Entrywise a - b, inside the cone: the first negative entry in (p, q)
+    order raises NegativeEntry naming its position. The formal difference
+    is add(a, scale(b, -1)).
     """
-    out = _combination(((1, a), (-1, b)))
-    return _nonnegative(out) if strict else out
+    return _nonnegative(_combination(((1, a), (-1, b))))
 
 
 def _nonnegative(b: BettiDiagram) -> BettiDiagram:

@@ -33,8 +33,10 @@ def rational_pair(text, what: str) -> tuple:
     rational text: parse_rational is this pair as a Fraction, and the
     diagram reader sums the pairs as integers.
 
-    The canonical "n/d" that to_json_obj writes, with a nonzero d, is read
-    by int() alone and comes back as written, not reduced ("2/4" is (2, 4)).
+    An int (a JSON integer; not a bool) comes back as (n, 1) without a trip
+    through str(), so the digit limit does not apply to it. The canonical
+    "n/d" that to_json_obj writes, with a nonzero d, is read by int() alone
+    and comes back as written, not reduced ("2/4" is (2, 4)).
     Every other spelling, and an int() that refuses (past the digit limit),
     takes Fraction(str) and comes back in lowest terms.
 
@@ -51,6 +53,8 @@ def rational_pair(text, what: str) -> tuple:
             f"{what} must be an integer or a string, got the float {text!r}"
             " (quote it: a float is already rounded to a binary double)"
         )
+    if type(text) is int:
+        return text, 1
     literal = str(text)
     if _CANONICAL.fullmatch(literal):
         n, _, d = literal.partition("/")
@@ -113,7 +117,7 @@ class NotStrictlyIncreasing(BettiConeError):
 
 
 class NegativeEntry(BettiConeError):
-    """An entry is below zero: in the input, or after a strict subtraction."""
+    """An entry is below zero: in the input, or after a subtraction."""
 
     def __init__(self, p, q, value):
         super().__init__(f"negative entry at ({p},{q}): {value}")

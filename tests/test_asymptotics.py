@@ -9,10 +9,13 @@ Claims pinned here:
       every jump tuple, and M = L*(g-1)/g holds on the same grid
     - (k+1)! * degree = W * (r + 1 + A + eps(r)) exactly, with eps >= 0 and
       never increasing, so the default bound never decreases in d
-    - the g=2, k=1 calibration constants match the checked-in fixture
+    - the g=2, k=1 calibration constants match the checked-in fixture, and
+      calibrate_purity's first crossing equals a scan for the last failure
     - purity_lower_bound's leading coefficient and calibrate_purity's
       threshold are read by require_rational: "3/200" is 3/200, and a
       float, a bool or 1/0 is refused
+    - at d = 2g + 2k + 1 no column is dominant, and the distribution
+      quantities say so
     - dominant_binomial_ratio approaches 1 from below, deviation shrinking
     - normal_dist_point satisfies the collapse identity at float precision
     - its deviation from exp(-a^2) is the first-order shift of the strand's
@@ -22,10 +25,10 @@ Claims pinned here:
 """
 
 import csv
-import io
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +57,24 @@ def test_realized_column_centering():
     for a in (math.inf, -math.inf, math.nan):
         with pytest.raises(OutOfRange):
             asymptotics.realized_column(tiny, a)
+
+
+def test_smallest_d_has_no_dominant_column():
+    # at d = 2g + 2k + 1 the window [1, r - g - 2k - 1] is empty
+    for g, k in ((1, 1), (2, 0), (3, 2)):
+        first = secant.SecantParams(g, k, 2 * g + 2 * k + 1)
+        message = f"no dominant column at d={first.d}; the first is at d={first.d + 1}"
+        for quantity in (
+            asymptotics.realized_column,
+            asymptotics.normal_dist_point,
+            asymptotics.dominant_binomial_ratio,
+            asymptotics.collapse_identity,
+        ):
+            with pytest.raises(OutOfRange, match=f"^{message}$"):
+                quantity(first, 0.0)
+        second = secant.SecantParams(g, k, first.d + 1)
+        assert asymptotics.realized_column(second, 0.0) == 1
+        assert asymptotics.normal_dist_point(second, 0.0).p == 1
 
 
 def test_stirling_ratio_exact_matches_log():
@@ -351,11 +372,47 @@ def test_calibrate_purity_reads_threshold_as_a_rational():
         asymptotics.calibrate_purity(2, 1, 3, 0.99)
 
 
-def test_purity_csv_format():
+def _calibrate_by_last_failure(g, k, d_max, threshold):
+    """(d*, max r*gap) by the scan that assumes nothing of the bound's
+    monotonicity: d* is one past the last d below the threshold."""
+    d_min = 2 * g + 2 * k + 1
+    last_below = None
+    max_r_gap = F(0)
+    for row in asymptotics.purity_sweep(g, k, d_min, d_max):
+        if row.lower_bound < threshold:
+            last_below = row.d
+        max_r_gap = max(max_r_gap, row.r_gap)
+    d_star = d_min if last_below is None else last_below + 1
+    if d_star > d_max:
+        raise InvalidRange(f"bound never holds through d_max={d_max}; last failure at {last_below}")
+    return d_star, max_r_gap
+
+
+def test_calibrate_purity_matches_the_last_failure_scan():
+    at_start = set()
+    for g in range(1, 5):
+        for k in range(4):
+            d_min = 2 * g + 2 * k + 1
+            for threshold in (F(0), F(1, 2), F(9, 10), F(99, 100), F(1)):
+                try:
+                    d_star, max_r_gap = _calibrate_by_last_failure(g, k, d_min + 60, threshold)
+                except InvalidRange as exc:
+                    with pytest.raises(InvalidRange, match=f"^{re.escape(str(exc))}$"):
+                        asymptotics.calibrate_purity(g, k, d_min + 60, threshold)
+                    continue
+                got = asymptotics.calibrate_purity(g, k, d_min + 60, threshold)
+                assert got["purity_d_star"] == d_star
+                assert got["max_r_gap"] == f"{max_r_gap.numerator}/{max_r_gap.denominator}"
+                at_start.add(d_star == d_min)
+    # the grid reaches both a d* at the range start and one past it
+    assert at_start == {True, False}
+
+
+def test_purity_csv_format(tmp_path):
     rows = asymptotics.purity_sweep(2, 1, 7, 8)
-    buf = io.StringIO()
-    asymptotics.write_purity_csv(2, 1, rows, buf)
-    lines = buf.getvalue().splitlines()
+    out = tmp_path / "purity.csv"
+    asymptotics.write_purity_csv(2, 1, rows, str(out))
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "g,k,d,r,quantity,value_num,value_den"
     assert lines[1] == "2,1,7,5,lower_bound,5,13"
     assert lines[2] == "2,1,7,5,gap,8,13"

@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_pure_json_payload(capsys):
     code, out, err = run(capsys, "pure", "--degseq", "0,1,2")
     assert code == 0
@@ -134,8 +144,18 @@ def test_secant_pure_dominant_flag(capsys):
 
 
 def test_secant_pure_needs_a_tuple(capsys):
-    code, out, err = run(capsys, "secant-pure", "-g", "3", "-k", "1", "-d", "11")
+    code, out, err = _call(capsys, ["secant-pure", "-g", "3", "-k", "1", "-d", "11"])
     assert code == 2
+
+
+def test_secant_pure_refuses_tuple_with_dominant(capsys):
+    # --tuple 9,9 is not a jump tuple: it is refused too, not dropped
+    for tup in ("1,3", "9,9"):
+        argv = ["secant-pure", "-g", "3", "-k", "1", "-d", "11", "--tuple", tup, "--dominant"]
+        code, out, err = _call(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
 
 
 def test_secant_pure_rejects_small_d(capsys):
@@ -311,6 +331,18 @@ def test_sweep_distribution_non_finite_a(tmp_path, capsys, a):
     assert code == 2
     assert err.startswith("bad input:")
     assert not out_file.exists()
+
+
+def test_sweep_distribution_smallest_d(tmp_path, capsys):
+    out_file = tmp_path / "dist.csv"
+    argv = ["sweep", "distribution", "-g", "1", "-k", "1", "--a", "0", "--out", str(out_file)]
+    code, out, err = run(capsys, *argv, "--d", "5")
+    assert code == 2
+    assert err == "bad input: no dominant column at d=5; the first is at d=6\n"
+    assert not out_file.exists()
+    code, out, err = run(capsys, *argv, "--d", "6")
+    assert code == 0
+    assert out_file.read_text().splitlines()[1].startswith("1,1,6,5,0.0,1,")
 
 
 def test_sweep_purity_needs_range(capsys):
@@ -493,16 +525,6 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
-
-
-def _call(capsys, argv):
-    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_parser_reuse_leaks_nothing_between_calls(capsys):

@@ -4,9 +4,10 @@ Each digest covers the exit code, stdout, stderr and the bytes of any file
 the command wrote, with the temporary directory's path replaced by a fixed
 token. The cases are the README's commands (shrunk where the full command
 would take a large share of the suite's time; each shrink is named below),
-seeded `decompose` inputs that end in exit codes 0, 2 and 3, and edge cases
-of the JSON boundary: value spellings around the canonical "n/d", the digit
-limit, the comment rule, and a long `pure --format json`.
+seeded `decompose` inputs that end in exit codes 0, 2 and 3, and edge cases:
+of the JSON boundary (value spellings around the canonical "n/d", the digit
+limit, the comment rule), a long `pure --format json`, and `sweep
+distribution` at the smallest d.
 
 The digests in tests/fixtures/cli_digests.json were written by this module
 run as a script, from a checkout whose CLI output was known good:
@@ -239,6 +240,10 @@ SECANT_LONG = {
     for d in (300, 1000)
 }
 
+# sweep distribution at d = 2g + 2k + 1, where no column is dominant: exit 2
+SWEEP_MIN_D = ["sweep", "distribution", "-g", "1", "-k", "1", "--d", "5", "--a", "0",
+               "--out", "{tmp}/dist.csv"]
+
 
 def decompose_inputs(seed=DECOMPOSE_SEED, count=DECOMPOSE_COUNT):
     """count seeded diagram files as text: two in five built in the cone, two
@@ -312,6 +317,7 @@ def all_results(tmp):
     results["edge/pure-gapped-json"] = run_case(PURE_GAPPED, tmp)
     for d, argv in SECANT_LONG.items():
         results[f"edge/secant-pure-json-{d}"] = run_case(argv, tmp)
+    results["edge/sweep-distribution-min-d"] = run_case(SWEEP_MIN_D, tmp)
     return results
 
 

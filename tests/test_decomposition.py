@@ -253,7 +253,7 @@ def test_decomposition_json_reads_only_absent_or_null_as_no_residual():
 
 def _peel_oracle(b):
     """The copy-per-step peel: each step builds a new residual with the
-    public subtract(strict=True), so the integer peel is checked against
+    public subtract, so the integer peel is checked against
     an independent rebuild of every intermediate diagram."""
     summands = []
     residual = b
@@ -270,7 +270,7 @@ def _peel_oracle(b):
         ratios = [(residual.get(p, ep - p) / pure.get(p, ep - p), p) for p, ep in enumerate(e)]
         c = min(r for r, _ in ratios)
         tight = tuple(p for r, p in ratios if r == c)
-        residual = diagrams.subtract(residual, diagrams.scale(pure, c), strict=True)
+        residual = diagrams.subtract(residual, diagrams.scale(pure, c))
         summands.append(decomposition.PureSummand(c, e, tight))
     return decomposition.Decomposition(tuple(summands), diagrams.BettiDiagram())
 

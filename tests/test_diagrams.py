@@ -504,7 +504,7 @@ def test_subtract_strict_names_the_entry():
     assert (exc.value.p, exc.value.q) == (0, 0)
     assert exc.value.value == -1
 
-    formal = diagrams.subtract(a, b, strict=False)
+    formal = diagrams.add(a, diagrams.scale(b, -1))
     assert formal.get(1, 0) == -2
 
 
@@ -667,6 +667,18 @@ def test_json_reader_refuses_a_float_value(v):
     cell = {"p": 0, "q": 0, "v": "1.00000000000000001"}
     b = diagrams.BettiDiagram.from_json_obj({"entries": [cell]})
     assert b.get(0, 0) == F(100000000000000001, 10**17)
+
+
+def test_rational_pair_reads_an_int_without_str():
+    # past the int-to-str digit limit, as require_rational already reads it
+    huge = 10**5000
+    assert rational_pair(huge, "c") == (huge, 1)
+    assert parse_rational(huge, "c") == F(huge)
+    b = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": huge}]})
+    assert b.get(0, 0) == huge
+    # a bool is not read as an int
+    with pytest.raises(ValueError, match=re.escape("v: Invalid literal for Fraction: 'True'")):
+        rational_pair(True, "v")
 
 
 @pytest.mark.parametrize(
