@@ -598,13 +598,29 @@ def _short_quotient_pays(m: int, s: int) -> bool:
     return m * (s + 225) + 400 < 72 * s
 
 
+def _moments_pay(m: int, s: int, terms: int) -> bool:
+    """Whether multiplicity's moment kernel costs less than _quotient on a
+    polynomial of m + s coefficients, terms of them nonzero, divided by
+    (1-t)^s: (m - 3(terms - s - 1) - 25) * 1600 > s(s + 1600), fitted in
+    multiplicity's docstring. On a polynomial that can divide (terms > s)
+    it needs m > s + 25, which no shape _short_quotient_pays passes has."""
+    return (m - 3 * (terms - s - 1) - 25) * 1600 > s * (s + 1600)
+
+
 def _divided_numerator(b: BettiDiagram):
     """Integer coefficients of den * HN(t), as (coeffs, offset, den), den the
-    diagram's denominator.
+    diagram's denominator: coeffs[j] is the coefficient of t^(j + offset),
+    the quotient _quotient finds for the alternating polynomial."""
+    coeffs, offset, s = _alternating(b)
+    return _quotient(coeffs, s), offset, b._den
 
-    coeffs[j] is the coefficient of t^(j + offset). The alternating
-    polynomial has m + s coefficients (s = pd(b)) and is divided by (1-t)^s
-    in whichever of two ways _short_quotient_pays picks for its shape:
+
+def _quotient(coeffs: list, s: int) -> list:
+    """The quotient of sum coeffs[j] t^j by (1-t)^s, as a list of integer
+    coefficients; coeffs is consumed.
+
+    The polynomial has m + s coefficients and is divided in whichever of
+    two ways _short_quotient_pays picks for its shape:
 
     - s prefix sums (a C-level running sum each), each of which leaves
       one remainder value that must be zero;
@@ -614,13 +630,13 @@ def _divided_numerator(b: BettiDiagram):
 
     Every secant-family diagram has m = 2k + 3 while s = r - 2k - 1 grows
     with d, so past s of about 50 it takes the long division; a gapped
-    sequence has m about 2.5 * s and takes the prefix sums. A nonzero
+    sequence has m about 2.5 * s and takes the prefix sums (its
+    multiplicity comes from the moments instead). A nonzero
     remainder on either path means the diagram does not have the
     Cohen-Macaulay shape this quantity assumes, and the error reads the
     same. A polynomial with at most s coefficients divides only if it is
     zero, and then the quotient is the empty list.
     """
-    coeffs, offset, s = _alternating(b)
     m = max(len(coeffs) - s, 0)
     if _short_quotient_pays(m, s):
         row = []  # t^1 .. t^s of (1-t)^s, built in 71 us at s = 250 (math.comb: 720 us)
@@ -633,18 +649,19 @@ def _divided_numerator(b: BettiDiagram):
                 coeffs[i + 1 : i + s + 1] = map(
                     sub, coeffs[i + 1 : i + s + 1], map(mul, row, repeat(q))
                 )
-        exact = not any(coeffs[m:])
+        if any(coeffs[m:]):
+            raise _indivisible(s)
         del coeffs[m:]
     else:
-        exact = True
         for _ in range(s):
             coeffs = list(accumulate(coeffs))
             if coeffs and coeffs.pop() != 0:
-                exact = False
-                break
-    if not exact:
-        raise NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
-    return coeffs, offset, b._den
+                raise _indivisible(s)
+    return coeffs
+
+
+def _indivisible(s: int) -> NotCohenMacaulayShape:
+    return NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
 
 
 def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
@@ -673,8 +690,63 @@ def multiplicity(b: BettiDiagram) -> Fraction:
 
     >>> multiplicity(pure_diagram((0, 3, 4, 6, 7, 9)))
     Fraction(1, 1)
+
+    Write den times the alternating polynomial as K(t) = sum_p a_p t^(x_p)
+    over its N + 1 nonzero terms, x_0 < ... < x_N, exponents counted from
+    the lowest (a power of t changes neither the division nor HN(1)), and
+    let P_i(x) = prod_{j<i} (x - x_j), a Newton basis. Then (1-t)^s divides K
+    exactly when sum_p a_p Q(x_p) = 0 for every Q of degree below s (the
+    derivatives of K at 1 are such sums, and the falling factorials span
+    those Q), that is when M_i = sum_{p>=i} a_p P_i(x_p) is 0 for i < s, as
+    P_i vanishes on x_0 .. x_{i-1}. Once it does, K = (1-t)^s * den * HN
+    and the s-th derivative at 1 gives (-1)^s s! den HN(1) =
+    sum_p a_p s! C(x_p, s) = M_s, since s! C(x, s) - P_s(x) has degree
+    below s. So HN(1) = (-1)^s M_s / (s! den).
+
+    The moment kernel keeps w_p = a_p P_i(x_p) for p >= i and steps it to
+    i + 1 by one product per term, after checking that the w_p sum to 0.
+    It costs about s(N - s/2) products, against s(m + s) additions for the
+    prefix sums, where the polynomial has m + s coefficients; _moments_pay
+    picks it for shapes with long quotients, and every other shape is
+    divided by _quotient. It never calls pure_diagram or a closed form, so
+    multiplicity(pure_diagram(e)) == 1 checks the diagram kernels. A
+    sequence with every gap 5 has m about 4s and takes it:
+
+    >>> b = pure_diagram(range(0, 50, 5))
+    >>> coeffs, _, s = _alternating(b)
+    >>> len(coeffs) - s, s, _moments_pay(len(coeffs) - s, s, s + 1)
+    (37, 9, True)
+    >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
+    (Fraction(1, 1), Fraction(-2, 3))
+
+    The test _moments_pay is fitted to the crossover m* at which both
+    kernels take the same time on pure diagrams (N = s) with the degrees
+    placed at random in the span (Python 3.11.7, x86_64; two seeded sets
+    of 4 to 150 diagrams, median ratio of 9 interleaved timings each):
+
+        s       4    8   16   30   60   90  150  250  400
+        m*     45   34   37   49   81  120  184  327  518
+        test   29   33   41   56   87  120  189  314  525
+
+    Below m* the prefix sums win, by 1.8-2.6x at m = s/2; above it the
+    moments win, by 1.7x at m = 2.5s (a gapped sequence) and 2.0-2.4x at
+    m = 3.5s (s = 60-150). On a sum of two such diagrams, N about 1.8s,
+    m* is 133, 238, 358 and 561 at s = 30, 60, 90 and 150: 3.2-3.3 more
+    per term past s + 1, and the test takes 3(N - s) off m. Family shapes
+    (m <= 11) never pass it; at s = 112-298 the moments would take 8-50x
+    the long division's time.
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
-    coeffs, _, den = _divided_numerator(b)
-    return Fraction(sum(coeffs), den)
+    coeffs, _, s = _alternating(b)
+    if not _moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0)):
+        return Fraction(sum(_quotient(coeffs, s)), b._den)
+    xs = [j for j, c in enumerate(coeffs) if c]
+    w = [coeffs[j] for j in xs]
+    # xs runs out before round s only when K is 0: a last nonzero term
+    # left alone in w fails the check
+    for i, x in zip(range(s), xs):
+        if sum(w):
+            raise _indivisible(s)
+        w = list(map(mul, w[1:], map(sub, xs[i + 1 :], repeat(x))))
+    return Fraction((-1) ** s * sum(w), math.factorial(s) * b._den)

@@ -18,6 +18,11 @@ Claims pinned here:
     - the (1-t)^s division gives what s prefix sums give, on both sides of
       its shape test and at its exact boundary, and fails with one message
       on both paths
+    - multiplicity's Herzog-Kuhl moment kernel gives the prefix sums'
+      HN(1), or their one message, on both sides of its shape test and at
+      its exact boundary; family shapes take the long division,
+      (0,3,4,6,7,9) the prefix sums, gapped sequences of 30 or more
+      degrees the moments
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
     - both pure_diagram kernels (integer numerators over S!/n!, and reduced
@@ -384,6 +389,8 @@ def _assert_division_matches_prefix_sums(b, short):
             diagrams._divided_numerator(b)
         with pytest.raises(NotCohenMacaulayShape, match=message):
             diagrams.hilbert_numerator(b)
+        with pytest.raises(NotCohenMacaulayShape, match=message):
+            diagrams.multiplicity(b)
     else:
         assert diagrams._divided_numerator(b) == (expected, offset, lcm)
         assert diagrams.multiplicity(b) == F(sum(expected), lcm)
@@ -395,7 +402,24 @@ def _run_sequence(n, extra):
     return tuple(range(4)) + tuple(range(4 + extra, n + 1 + extra))
 
 
-def test_division_shape_test_sides():
+def _multiplicity_path(b, monkeypatch):
+    """The kernel multiplicity(b) runs: the moments, or whichever division
+    _quotient picks."""
+    taken = []
+    quotient = diagrams._quotient
+
+    def spy(coeffs, s):
+        short = diagrams._short_quotient_pays(max(len(coeffs) - s, 0), s)
+        taken.append("long division" if short else "prefix sums")
+        return quotient(coeffs, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_quotient", spy)
+        diagrams.multiplicity(b)
+    return taken[0] if taken else "moments"
+
+
+def test_division_shape_test_sides(monkeypatch):
     family = [
         secant.degree_sequence(secant.SecantParams(g, k, d), t)
         for g, k, d in ((1, 0, 61), (3, 2, 120), (6, 4, 300), (2, 1, 60))
@@ -404,9 +428,14 @@ def test_division_shape_test_sides():
     rng = random.Random(9)
     gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
     for e in family + [_run_sequence(10, 0)]:
-        assert _assert_division_matches_prefix_sums(diagrams.pure_diagram(e), True)
+        b = diagrams.pure_diagram(e)
+        assert _assert_division_matches_prefix_sums(b, True)
+        assert _multiplicity_path(b, monkeypatch) == "long division", e
     for e in gapped + [(0, 1, 2), (0, 3, 4, 6, 7, 9)]:
-        assert _assert_division_matches_prefix_sums(diagrams.pure_diagram(e), False)
+        b = diagrams.pure_diagram(e)
+        assert _assert_division_matches_prefix_sums(b, False)
+        path = "moments" if len(e) >= 30 else "prefix sums"
+        assert _multiplicity_path(b, monkeypatch) == path, e
 
 
 def test_division_shape_test_exact_boundary():
@@ -455,6 +484,106 @@ def test_division_rejects_non_cm_on_both_paths():
         cases.append((_diagram_with_polynomial(poly, s), short))
     for b, short in cases:
         assert _assert_division_matches_prefix_sums(b, short) is None
+
+
+def _takes_moments(b):
+    coeffs, _, s = diagrams._alternating(b)
+    return diagrams._moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0))
+
+
+def _assert_moments_match_prefix_sums(b, moments=None):
+    """multiplicity(b) is the sum of the prefix-sum oracle's quotient over
+    the denominator, or raises its one message; _moments_pay is on the
+    side that moments names, when it names one."""
+    assert moments is None or _takes_moments(b) is moments
+    coeffs, _, s = diagrams._alternating(b)
+    expected = _prefix_sum_quotient(coeffs, s)
+    if expected is None:
+        message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
+        with pytest.raises(NotCohenMacaulayShape, match=message):
+            diagrams.multiplicity(b)
+    else:
+        assert diagrams.multiplicity(b) == F(sum(expected), b._den)
+    return expected
+
+
+def test_moment_kernel_matches_prefix_sums():
+    # seeded pure diagrams (many starting at negative degrees), positive
+    # combinations of two on one span, and one unit more in one cell
+    rng = random.Random(59)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        e = _spread(rng, rng.randint(-60, 20), n, rng.randint(0, 3 * n + 40))
+        pure = diagrams.pure_diagram(e)
+        other = diagrams.pure_diagram(_spread(rng, e[0], n, e[-1] - e[0] - n))
+        p = rng.randint(0, n)
+        bump = diagrams.BettiDiagram({(p, e[p] - p + rng.randint(0, 1)): F(1)})
+        weight = F(rng.randint(1, 5), rng.randint(1, 5))
+        cases += [pure, diagrams.add(diagrams.scale(pure, weight), other), diagrams.add(pure, bump)]
+    sides = {True: 0, False: 0}
+    divides = {True: 0, False: 0}
+    for b in cases:
+        sides[_takes_moments(b)] += 1
+        divides[_assert_moments_match_prefix_sums(b) is not None] += 1
+    assert min(sides.values()) > 20 and min(divides.values()) > 20, (sides, divides)
+
+
+def test_moment_kernel_edge_shapes():
+    for s, moments in ((40, True), (5, False)):
+        # K = 0 (multiplicity 0), and a nonzero K of one term
+        cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
+        assert _assert_moments_match_prefix_sums(cancels, moments) == []
+        assert diagrams.multiplicity(cancels) == 0
+        single = diagrams.BettiDiagram({(0, s): F(1), (s, 0): F(1 + s % 2)})
+        assert _assert_moments_match_prefix_sums(single, moments) is None
+    # s nonzero terms spread over 200 exponents: never divisible by (1-t)^s
+    rng = random.Random(61)
+    poly = [0] * 200
+    for j in rng.sample(range(200), 40):
+        poly[j] = rng.choice((-3, -1, 2))
+    assert _assert_moments_match_prefix_sums(_diagram_with_polynomial(poly, 40), True) is None
+    # s = 0: HN is the alternating polynomial itself, here at negative degrees
+    for cells, moments in (
+        ({(0, -4): F(1, 3), (0, 3): F(2)}, False),
+        ({(0, -9): F(1), (0, 40): F(5, 2)}, True),
+    ):
+        b = diagrams.BettiDiagram(cells)
+        assert _assert_moments_match_prefix_sums(b, moments)
+        assert diagrams.multiplicity(b) == sum(cells.values())
+
+
+def test_moment_shape_test_exact_boundary():
+    # (m - 3(terms - s - 1) - 25) 1600 = s (s + 1600) at (m, s) = (66, 40)
+    # with one term per column: the boundary takes the prefix sums, one
+    # coefficient more the moments
+    assert (66 - 25) * 1600 == 40 * (40 + 1600)
+    on = diagrams.pure_diagram(_run_sequence(40, 65))
+    above = diagrams.pure_diagram(_run_sequence(40, 66))
+    assert (_shape(on), _shape(above)) == ((66, 40), (67, 40))
+    assert _assert_moments_match_prefix_sums(on, False)
+    assert _assert_moments_match_prefix_sums(above, True)
+    # each nonzero term past s + 1 moves the boundary up by 3: two pure
+    # diagrams of pd 40 on s + 2 exponents, at m = 69 and 70
+    for extra, moments in ((68, False), (69, True)):
+        a = _run_sequence(40, extra)
+        b = a[:3] + (a[4] - 1,) + a[4:]  # degree 3 moved up next to the run
+        pair = diagrams.add(diagrams.pure_diagram(a), diagrams.pure_diagram(b))
+        assert _shape(pair) == (extra + 1, 40)
+        assert _assert_moments_match_prefix_sums(pair, moments)
+        assert diagrams.multiplicity(pair) == 2
+
+
+def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
+    # the gapped benchmark's shapes: multiplicity by the moments, and
+    # hilbert_numerator's coefficients by the prefix sums, both 1
+    rng = random.Random(67)
+    for n in (30, 90, 150):
+        b = diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), n))
+        assert _multiplicity_path(b, monkeypatch) == "moments"
+        assert not diagrams._short_quotient_pays(*_shape(b))
+        hn = diagrams.hilbert_numerator(b)
+        assert sum(c for _, c in hn.items()) == diagrams.multiplicity(b) == 1
 
 
 def test_power_sum_relations_random_pure():
