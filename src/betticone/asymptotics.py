@@ -230,23 +230,28 @@ def distribution_sweep(g: int, k: int, a_list, d_list):
     return [normal_dist_point(SecantParams(g, k, d), a) for d in d_list for a in a_list]
 
 
+def _write_csv(out, header: list, lines) -> None:
+    """The CSV at the path out: the header, then each line of lines."""
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(lines)
+
+
 def write_purity_csv(g: int, k: int, rows, out) -> None:
     """Exact CSV at the path out: one row per (d, quantity), quantities as
     num/den columns."""
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["g", "k", "d", "r", "quantity", "value_num", "value_den"])
-        for row in rows:
-            for name, v in (("lower_bound", row.lower_bound), ("gap", row.gap), ("r_gap", row.r_gap)):
-                w.writerow([g, k, row.d, row.r, name, v.numerator, v.denominator])
+    _write_csv(out, ["g", "k", "d", "r", "quantity", "value_num", "value_den"], (
+        [g, k, row.d, row.r, name, v.numerator, v.denominator]
+        for row in rows
+        for name, v in (("lower_bound", row.lower_bound), ("gap", row.gap), ("r_gap", row.r_gap))
+    ))
 
 
 def write_distribution_csv(g: int, k: int, rows, out) -> None:
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["g", "k", "d", "r", "a", "p", "value", "limit"])
-        for row in rows:
-            w.writerow([g, k, row.d, row.r, row.a_target, row.p, repr(row.value), repr(row.limit)])
+    _write_csv(out, ["g", "k", "d", "r", "a", "p", "value", "limit"], (
+        [g, k, row.d, row.r, row.a_target, row.p, repr(row.value), repr(row.limit)] for row in rows
+    ))
 
 
 def calibrate_purity(g: int, k: int, d_max: int, threshold: Fraction = Fraction(99, 100)) -> dict:

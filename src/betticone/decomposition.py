@@ -34,7 +34,6 @@ from .errors import (
     MissingColumn,
     NotInCone,
     NotStrictlyIncreasing,
-    parse_rational,
     require_rational,
 )
 
@@ -90,7 +89,7 @@ class Decomposition(NamedTuple):
         for item in obj["summands"]:
             if not isinstance(item, dict) or not {"c", "e"} <= set(item):
                 raise ValueError(f"malformed summand: {item!r}")
-            coefficient = parse_rational(item["c"], "coefficient")
+            coefficient = require_rational(item["c"], "coefficient")
             try:  # a JSON number or null for e is not iterable: TypeError
                 degrees = DegreeSequence(item["e"])
             except (MalformedDegreeSequence, TypeError) as exc:

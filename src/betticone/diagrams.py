@@ -225,11 +225,10 @@ def _key(p, q) -> tuple:
 def _checked(triples):
     """((p, q), numerator, denominator) triples from (p, q, value) triples
     given from outside: each index is checked, then its value goes through
-    require_rational, once."""
+    rational_pair, once."""
     for p, q, val in triples:
         key = _key(p, q)
-        v = require_rational(val, "diagram value")
-        yield key, v.numerator, v.denominator
+        yield key, *rational_pair(val, "diagram value")
 
 
 def _summed(terms) -> BettiDiagram:
@@ -518,7 +517,7 @@ def top_strand(b: BettiDiagram) -> DegreeSequence:
         if p not in mins:
             raise MissingColumn(p)
         strand.append(mins[p])
-    if any(a >= c for a, c in zip(strand, strand[1:])):
+    if not all(map(lt, strand, strand[1:])):
         raise NotStrictlyIncreasing(f"top strand {tuple(strand)} is not strictly increasing")
     return DegreeSequence._trusted(strand)
 
@@ -607,14 +606,6 @@ def _moments_pay(m: int, s: int, terms: int) -> bool:
     return (m - 3 * (terms - s - 1) - 25) * 1600 > s * (s + 1600)
 
 
-def _divided_numerator(b: BettiDiagram):
-    """Integer coefficients of den * HN(t), as (coeffs, offset, den), den the
-    diagram's denominator: coeffs[j] is the coefficient of t^(j + offset),
-    the quotient _quotient finds for the alternating polynomial."""
-    coeffs, offset, s = _alternating(b)
-    return _quotient(coeffs, s), offset, b._den
-
-
 def _quotient(coeffs: list, s: int) -> list:
     """The quotient of sum coeffs[j] t^j by (1-t)^s, as a list of integer
     coefficients; coeffs is consumed.
@@ -679,9 +670,10 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     """
     if not b:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
-    coeffs, offset, den = _divided_numerator(b)
+    coeffs, offset, s = _alternating(b)
+    den = b._den
     return RationalPolynomial(
-        {offset + j: Fraction(c, den) for j, c in enumerate(coeffs) if c != 0}
+        {offset + j: Fraction(c, den) for j, c in enumerate(_quotient(coeffs, s)) if c != 0}
     )
 
 

@@ -21,75 +21,69 @@ def require_int(value, what: str, error: type) -> int:
     return value
 
 
-def parse_rational(text, what: str) -> Fraction:
-    """The Fraction that text (an int, or a str such as "-5/2", "0.25" or
-    "1e-3") spells; anything else, a float included, raises ValueError
-    naming what. It is the pair rational_pair reads, in lowest terms."""
-    return Fraction(*rational_pair(text, what))
+def rational_pair(value, what: str) -> tuple:
+    """(n, d) with d > 0 and n/d the rational that value gives, the one
+    reader of rational input: require_rational is this pair as a Fraction,
+    and the diagram readers sum the pairs as integers.
 
-
-def rational_pair(text, what: str) -> tuple:
-    """(n, d) with d > 0 and n/d the value text spells, the one reader of
-    rational text: parse_rational is this pair as a Fraction, and the
-    diagram reader sums the pairs as integers.
-
-    An int (a JSON integer; not a bool) comes back as (n, 1) without a trip
-    through str(), so the digit limit does not apply to it. The canonical
-    "n/d" that to_json_obj writes, with a nonzero d, is read by int() alone
-    and comes back as written, not reduced ("2/4" is (2, 4)).
-    Every other spelling, and an int() that refuses (past the digit limit),
-    takes Fraction(str) and comes back in lowest terms.
-
+    A str is read as text. The canonical "n/d" that to_json_obj writes,
+    with a nonzero d, is read by int() alone and comes back as written,
+    not reduced. Every other spelling, and an int() that refuses (past
+    the digit limit), takes Fraction(str) and comes back in lowest terms.
     The exponent form is how a short text reaches a huge integer, so an
     exponent whose power of ten would have more digits than
     sys.get_int_max_str_digits() is refused before Fraction builds it.
 
-    A float (a JSON number with a point or an exponent) is refused: it has
+    An int (a JSON integer; not a bool) comes back as (n, 1) and a
+    Fraction as its own pair, without a trip through str(), so the digit
+    limit does not apply to them. Every other type raises one ValueError
+    naming what: a float (a JSON number with a point or an exponent) has
     already been rounded to a binary double, so 1.00000000000000001 would
-    read as 1.
+    read as 1 and 0.1 is not 1/10.
+
+    >>> rational_pair(Fraction(-5, 2), "v"), rational_pair(7, "v"), rational_pair("2/4", "v")
+    ((-5, 2), (7, 1), (2, 4))
+    >>> rational_pair(0.1, "v")
+    Traceback (most recent call last):
+        ...
+    ValueError: v must be a Fraction, an int or a str, got 0.1 (quote it: a float is already rounded to a binary double)
     """
-    if isinstance(text, float):
-        raise ValueError(
-            f"{what} must be an integer or a string, got the float {text!r}"
-            " (quote it: a float is already rounded to a binary double)"
-        )
-    if type(text) is int:
-        return text, 1
-    literal = str(text)
-    if _CANONICAL.fullmatch(literal):
-        n, _, d = literal.partition("/")
+    if not isinstance(value, str):
+        if type(value) is int:
+            return value, 1
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
+        message = f"{what} must be a Fraction, an int or a str, got {value!r}"
+        if isinstance(value, float):
+            message += " (quote it: a float is already rounded to a binary double)"
+        raise ValueError(message)
+    if _CANONICAL.fullmatch(value):
+        n, _, d = value.partition("/")
         try:
             n, d = int(n), int(d)
         except ValueError:
-            pass  # Fraction(literal) below says the same, naming what
+            pass  # Fraction(value) below says the same, naming what
         else:
             if d:
                 return n, d
     limit = sys.get_int_max_str_digits()
-    if limit and (exp := _EXPONENT.search(literal)):
+    if limit and (exp := _EXPONENT.search(value)):
         n = exp[1].replace("_", "").lstrip("0")
         if len(n) > len(str(limit)) or int(n or 0) >= limit:
-            raise ValueError(f"{what} {text!r}: |exponent| must be below the digit limit {limit}")
+            raise ValueError(f"{what} {value!r}: |exponent| must be below the digit limit {limit}")
     try:
-        value = Fraction(literal)
+        read = Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"{what} {literal} has a zero denominator") from None
+        raise ValueError(f"{what} {value} has a zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
-    return value.numerator, value.denominator
+    return read.numerator, read.denominator
 
 
 def require_rational(value, what: str) -> Fraction:
-    """value as a Fraction: a Fraction as it is, an int (not a bool) made
-    one, a str read by parse_rational; a float, a bool or anything else
-    raises ValueError naming what (0.1 is not 1/10)."""
-    if isinstance(value, Fraction):
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value, what)
-    raise ValueError(f"{what} must be a Fraction, an int or a str, got {value!r}")
+    """value as a Fraction: a Fraction as it is, anything else read by
+    rational_pair, which refuses every type but an int and a str."""
+    return value if isinstance(value, Fraction) else Fraction(*rational_pair(value, what))
 
 
 class BettiConeError(Exception):

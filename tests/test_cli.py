@@ -222,7 +222,7 @@ def test_decompose_refuses_a_float_value(tmp_path, capsys, v, shown):
     code, out, err = run(capsys, "decompose", "--input", str(src))
     assert (code, out) == (2, "")
     assert err == (
-        f"bad input: diagram value must be an integer or a string, got the float {shown}"
+        f"bad input: diagram value must be a Fraction, an int or a str, got {shown}"
         " (quote it: a float is already rounded to a binary double)\n"
     )
 

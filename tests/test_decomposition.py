@@ -228,7 +228,7 @@ def test_decomposition_json_rejects_a_summand_that_is_not_an_object(item):
 @pytest.mark.parametrize("v", [0.5, 1.00000000000000001, 123456789012345678901234567890.0])
 def test_decomposition_json_refuses_float_values(v):
     # a JSON float is already a binary double, in "c" as in the residual's "v"
-    expected = f"must be an integer or a string, got the float {v!r}"
+    expected = f"must be a Fraction, an int or a str, got {v!r}"
     with pytest.raises(ValueError) as exc:
         decomposition.Decomposition.from_json_obj({"summands": [{"c": v, "e": [0, 1]}]})
     assert str(exc.value).startswith(f"coefficient {expected}")

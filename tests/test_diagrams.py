@@ -56,8 +56,8 @@ from betticone.errors import (
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
-    parse_rational,
     rational_pair,
+    require_rational,
 )
 
 F = Fraction
@@ -376,8 +376,10 @@ def _shape(b):
 
 
 def _assert_division_matches_prefix_sums(b, short):
-    """_divided_numerator(b) equals the prefix-sum oracle, on the path that
-    short names; where the oracle finds a remainder, the one message."""
+    """_quotient of b's alternating polynomial equals the prefix-sum oracle,
+    on the path that short names, and hilbert_numerator and multiplicity
+    read it over b's denominator; where the oracle finds a remainder, all
+    three raise the one message."""
     coeffs, offset, _ = diagrams._alternating(b)
     lcm = b._den
     m, s = _shape(b)
@@ -386,13 +388,15 @@ def _assert_division_matches_prefix_sums(b, short):
     if expected is None:
         message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
         with pytest.raises(NotCohenMacaulayShape, match=message):
-            diagrams._divided_numerator(b)
+            diagrams._quotient(list(coeffs), s)
         with pytest.raises(NotCohenMacaulayShape, match=message):
             diagrams.hilbert_numerator(b)
         with pytest.raises(NotCohenMacaulayShape, match=message):
             diagrams.multiplicity(b)
     else:
-        assert diagrams._divided_numerator(b) == (expected, offset, lcm)
+        assert diagrams._quotient(list(coeffs), s) == expected
+        numerator = {offset + j: F(c, lcm) for j, c in enumerate(expected)}
+        assert diagrams.hilbert_numerator(b) == diagrams.RationalPolynomial(numerator)
         assert diagrams.multiplicity(b) == F(sum(expected), lcm)
     return expected
 
@@ -745,7 +749,7 @@ def test_json_unreduced_value_reads_as_reduced():
     assert unreduced == half
     assert (unreduced._n, unreduced._den) == ({(0, 0): 1}, 2)
     assert rational_pair("2/4", "v") == (2, 4)
-    assert parse_rational("2/4", "v") == F(1, 2)
+    assert require_rational("2/4", "v") == F(1, 2)
 
 
 def _spelled(rng, v):
@@ -785,13 +789,13 @@ def test_json_reader_matches_fraction_sums():
 )
 def test_json_reader_refuses_a_float_value(v):
     # a JSON float is already a binary double: 1.00000000000000001 is 1.0
-    message = f"diagram value must be an integer or a string, got the float {v!r}"
+    message = f"diagram value must be a Fraction, an int or a str, got {v!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": v}]})
     with pytest.raises(ValueError, match=re.escape(message)):
         rational_pair(v, "diagram value")
     with pytest.raises(ValueError, match=re.escape(message)):
-        parse_rational(v, "diagram value")
+        require_rational(v, "diagram value")
     # the same digits as a string are read exactly
     cell = {"p": 0, "q": 0, "v": "1.00000000000000001"}
     b = diagrams.BettiDiagram.from_json_obj({"entries": [cell]})
@@ -802,11 +806,11 @@ def test_rational_pair_reads_an_int_without_str():
     # past the int-to-str digit limit, as require_rational already reads it
     huge = 10**5000
     assert rational_pair(huge, "c") == (huge, 1)
-    assert parse_rational(huge, "c") == F(huge)
+    assert require_rational(huge, "c") == F(huge)
     b = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": huge}]})
     assert b.get(0, 0) == huge
     # a bool is not read as an int
-    with pytest.raises(ValueError, match=re.escape("v: Invalid literal for Fraction: 'True'")):
+    with pytest.raises(ValueError, match=re.escape("v must be a Fraction, an int or a str, got True")):
         rational_pair(True, "v")
 
 

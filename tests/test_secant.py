@@ -14,15 +14,18 @@ Claims pinned here:
     - for g = 1, degree times the dominant diagram is integral and symmetric
     - every entry point taking an outside integer refuses 1.0, True and "1"
       with its own error type
-    - every entry point taking an outside rational value reads it through
-      one check: a Fraction, an int or a str, never a float or a bool, and
-      a str's exponent past the digit limit is refused before it is built
+    - every entry point taking an outside rational value, the two JSON
+      readers included, reads it through one check: a Fraction, an int or
+      a str, never a float, a bool, None, a Decimal or an object whose str
+      spells a rational, and a str's exponent past the digit limit is
+      refused before it is built
     - the reader's fast path for the canonical "n/d" gives the value, or
       the message, that Fraction(str) gives on every spelling around it
 """
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,7 +38,7 @@ from betticone.errors import (
     MalformedDegreeSequence,
     OutOfRange,
     TupleNotMaximalRegularity,
-    parse_rational,
+    require_rational,
 )
 
 F = Fraction
@@ -315,7 +318,21 @@ _RATIONAL_ENTRY_POINTS = {
     "reconstruct": lambda x: decomposition.Decomposition(
         (decomposition.PureSummand(x, diagrams.DegreeSequence((0,))),)
     ).reconstruct().get(0, 0),
+    "BettiDiagram.from_json_obj": lambda x: diagrams.BettiDiagram.from_json_obj(
+        {"entries": [{"p": 0, "q": 0, "v": x}]}
+    ).get(0, 0),
+    "Decomposition.from_json_obj": lambda x: decomposition.Decomposition.from_json_obj(
+        {"summands": [{"c": x, "e": [0]}]}
+    ).summands[0].coefficient,
 }
+
+
+class _SpellsAHalf:
+    """An object whose str() is "1/2": a reader that goes through str()
+    would take it for 1/2."""
+
+    def __str__(self):
+        return "1/2"
 
 
 @pytest.fixture
@@ -347,8 +364,10 @@ def test_outside_rationals_read_by_one_check(entry, x, read):
         (0.1, "must be a Fraction, an int or a str"),
         (True, "must be a Fraction, an int or a str"),
         (None, "must be a Fraction, an int or a str"),
+        (Decimal("0.1"), "must be a Fraction, an int or a str"),
+        (_SpellsAHalf(), "must be a Fraction, an int or a str"),
     ],
-    ids=["zero-denominator", "malformed", "inf", "float", "bool", "none"],
+    ids=["zero-denominator", "malformed", "inf", "float", "bool", "none", "Decimal", "str-1/2"],
 )
 def test_outside_rationals_refused_everywhere(entry, x, message):
     with pytest.raises(ValueError, match=message):
@@ -363,7 +382,7 @@ def test_outside_rational_exponent_past_digit_limit_refused(entry, digit_limit):
 
 
 def _fraction_str_reader(text, what):
-    """parse_rational's Fraction(str) path, without its exponent refusal:
+    """require_rational's Fraction(str) path, without its exponent refusal:
     the oracle for its fast path, as a value or the ValueError's text."""
     try:
         return Fraction(text)
@@ -387,7 +406,7 @@ _DIGITS = "7" * 4300  # the default digit limit
 )
 def test_canonical_fast_path_agrees_with_fraction_str(text, digit_limit):
     try:
-        got = parse_rational(text, "diagram value")
+        got = require_rational(text, "diagram value")
     except ValueError as exc:
         got = str(exc)
     assert got == _fraction_str_reader(text, "diagram value")
