@@ -3,7 +3,8 @@
 A diagram is a finite sparse table of rationals indexed by (p, q) where p is
 the column (homological degree) and q the weight. It is held as nonzero
 integer numerators over one positive denominator, in lowest terms, and is
-never changed once built; Fractions are made only where a value leaves
+never changed once built, so pure_diagram's memo hands one object to every
+caller of a sequence; Fractions are made only where a value leaves
 (get, items, the JSON form). One loop, _total, sums integer numerators
 into a table over a common denominator its caller picked as an lcm: the
 linear combinations of diagrams (add, scale, subtract, the greedy peel's
@@ -18,6 +19,7 @@ Everything in this module is exact; no floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -318,8 +320,37 @@ def pure_diagram(e) -> BettiDiagram:
     few dozen) take the first; sequences with all gaps in [2, 5] (H of
     about 2.5 n) take the second, as does a short sequence over a long span
     such as (0, 10^8), whose S!/n! the first would never finish.
+
+    The sequence is checked first; only then is the diagram looked up in a
+    memo of the last _PURE_MEMO_SIZE sequences (_pure_checked), so an
+    input the check refuses, such as (0, 1.0), never reaches it. A diagram
+    never changes once built, so a hit hands out the one shared object.
+    decompose builds each summand's diagram and verify, through
+    Decomposition.reconstruct, asks for the same ones again: that round
+    trip builds each once.
     """
-    e = DegreeSequence(e)
+    return _pure_checked(DegreeSequence(e))
+
+
+# The memo's bound. A decompose -> verify round trip asks for each summand's
+# sequence twice, once per pass in the same order, and an LRU memo serves
+# the second pass only when every summand fits. On the 1,800 decompositions
+# of the decompose_cli benchmark's seeds 1-2 (2-13 summands), 96% have at
+# most 8, and 6,782 of verify's 7,447 pure_diagram calls (91%) hit with 8
+# entries. A decomposition with more summands than the bound gets no hit
+# (the sequential re-scan evicts each entry just before it is asked for
+# again), which costs only speed. Callers that never repeat a sequence
+# within 8 calls, such as the family_oracle and gapped_degseq ops (0 hits
+# in 1,800 and 1,200 calls), only pay the lookup. Eight diagrams of those
+# ops' median size hold 88-117 KB, the eight largest 217-266 KB
+# (tracemalloc, seed 1).
+_PURE_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_PURE_MEMO_SIZE)
+def _pure_checked(e: DegreeSequence) -> BettiDiagram:
+    """pure_diagram of a DegreeSequence, from the kernel _few_holes_pay
+    picks."""
     runs = _runs(e)
     if _few_holes_pay(e[-1] - e[0], len(e) - 1):
         return _pure_over_holes(e, *runs)
@@ -552,12 +583,14 @@ def _peel(residual: BettiDiagram, pure: BettiDiagram):
 
 
 def _alternating(b: BettiDiagram):
-    """Integer coefficient list of _den * sum (-1)^p kappa_{p,q} t^{p+q}, and
+    """The integer polynomial _den * sum (-1)^p kappa_{p,q} t^{p+q}, and
     s = pd(b), from one pass over the cells of a nonempty diagram.
 
-    Returns (coeffs, offset, s): coeffs[j] is the coefficient of
-    t^(j + offset). Its integer numerators keep the repeated division below
-    in plain bigint arithmetic.
+    Returns (terms, lo, hi, s): terms maps each exponent whose coefficient
+    is nonzero to that coefficient, and lo and hi are the least and greatest
+    p + q over the cells, cancelled or not. No list over the span hi - lo
+    is made here: only a caller of _quotient lists the span's coefficients.
+    Integer numerators keep the division in plain bigint arithmetic.
     """
     degs = {}
     s = 0
@@ -566,9 +599,7 @@ def _alternating(b: BettiDiagram):
             s = p
         t = p + q
         degs[t] = degs.get(t, 0) + (-c if p & 1 else c)
-    lo = min(degs)
-    hi = max(degs)
-    return [degs.get(t, 0) for t in range(lo, hi + 1)], lo, s
+    return {t: c for t, c in degs.items() if c}, min(degs), max(degs), s
 
 
 def _short_quotient_pays(m: int, s: int) -> bool:
@@ -670,11 +701,10 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     """
     if not b:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
-    coeffs, offset, s = _alternating(b)
+    terms, lo, hi, s = _alternating(b)
+    quotient = _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
     den = b._den
-    return RationalPolynomial(
-        {offset + j: Fraction(c, den) for j, c in enumerate(_quotient(coeffs, s)) if c != 0}
-    )
+    return RationalPolynomial({lo + j: Fraction(c, den) for j, c in enumerate(quotient) if c != 0})
 
 
 def multiplicity(b: BettiDiagram) -> Fraction:
@@ -700,14 +730,17 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     It costs about s(N - s/2) products, against s(m + s) additions for the
     prefix sums, where the polynomial has m + s coefficients; _moments_pay
     picks it for shapes with long quotients, and every other shape is
-    divided by _quotient. It never calls pure_diagram or a closed form, so
-    multiplicity(pure_diagram(e)) == 1 checks the diagram kernels. A
-    sequence with every gap 5 has m about 4s and takes it:
+    divided by _quotient. The moments read the nonzero terms alone, so
+    their memory does not grow with the span: (0, 10^8) has two terms and
+    no list of 10^8 coefficients is made. The kernel never calls
+    pure_diagram or a closed form, so multiplicity(pure_diagram(e)) == 1
+    checks the diagram kernels. A sequence with every gap 5 has m about 4s
+    and takes it:
 
     >>> b = pure_diagram(range(0, 50, 5))
-    >>> coeffs, _, s = _alternating(b)
-    >>> len(coeffs) - s, s, _moments_pay(len(coeffs) - s, s, s + 1)
-    (37, 9, True)
+    >>> terms, lo, hi, s = _alternating(b)
+    >>> hi - lo + 1 - s, s, len(terms), _moments_pay(hi - lo + 1 - s, s, len(terms))
+    (37, 9, 10, True)
     >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
     (Fraction(1, 1), Fraction(-2, 3))
 
@@ -730,11 +763,12 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
-    coeffs, _, s = _alternating(b)
-    if not _moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0)):
+    terms, lo, hi, s = _alternating(b)
+    if not _moments_pay(max(hi - lo + 1 - s, 0), s, len(terms)):
+        coeffs = [terms.get(t, 0) for t in range(lo, hi + 1)]
         return Fraction(sum(_quotient(coeffs, s)), b._den)
-    xs = [j for j, c in enumerate(coeffs) if c]
-    w = [coeffs[j] for j in xs]
+    xs = sorted(terms)
+    w = [terms[x] for x in xs]
     # xs runs out before round s only when K is 0: a last nonzero term
     # left alone in w fails the check
     for i, x in zip(range(s), xs):

@@ -6,6 +6,8 @@ Claims pinned here:
     - seeded random convex combinations of pure diagrams reconstruct exactly
     - diagrams outside the cone raise NotInCone carrying the partial state
     - verify rejects tampered decompositions and says why
+    - a decompose -> verify round trip with at most 8 summands builds each
+      summand's pure diagram once: verify's come from pure_diagram's memo
     - decomposition JSON with a degree that is not an integer, degrees
       that are not strictly increasing, a zero denominator, a 'summands'
       that is not a list, a summand that is not an object or a float
@@ -181,6 +183,33 @@ def test_verify_rejects_tampering():
     res = decomposition.verify(b, leftover)
     assert not res
     assert "residual" in res.reason
+
+
+def test_verify_after_decompose_builds_each_pure_diagram_once(monkeypatch):
+    # verify asks reconstruct for the pure diagrams the peel has just built;
+    # the memo behind pure_diagram serves them, so a round trip runs a
+    # diagram kernel once per summand (twice without it). These six
+    # combinations have 3 to 8 summands, the memo's bound among them.
+    built = []
+    for name in ("_pure_over_holes", "_pure_over_runs"):
+        kernel = getattr(diagrams, name)
+
+        def spy(e, *runs, kernel=kernel):
+            built.append(e)
+            return kernel(e, *runs)
+
+        monkeypatch.setattr(diagrams, name, spy)
+    rng = random.Random(11)
+    sizes = []
+    for _ in range(6):
+        combo = _family_combination(rng)
+        diagrams._pure_checked.cache_clear()
+        built.clear()
+        dec = decomposition.decompose(combo)
+        assert decomposition.verify(combo, dec)
+        assert sorted(built) == sorted(s.degrees for s in dec.summands)
+        sizes.append(len(dec.summands))
+    assert sizes == [7, 5, 8, 3, 3, 4]
 
 
 def test_decomposition_json_round_trip():

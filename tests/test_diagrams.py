@@ -35,7 +35,14 @@ Claims pinned here:
       index; a JSON float is refused, since it arrives rounded to a double
     - quantities of an empty diagram are refused with a message naming the
       quantity; reprs, len and comparison with another type are pinned
-    - no module but diagrams.py reads a table's numerators or denominator
+    - no module but diagrams.py reads a table's numerators or denominator,
+      and none changes a built table: _n and _den are set in
+      BettiDiagram.__init__ and _reduced alone
+    - pure_diagram checks its sequence before its memo: (0, 1.0),
+      (0, True) and (0, 0, 1) are refused with (0, 1) in the memo, and a
+      list, a tuple and a DegreeSequence of one sequence give one diagram
+    - multiplicity's moments list no coefficient of the degree span: two
+      terms 10^7 apart take under 1 MB
 """
 
 import ast
@@ -43,6 +50,7 @@ import math
 import pathlib
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -290,6 +298,27 @@ def test_pure_diagram_over_a_wide_span_takes_the_run_kernel():
         assert diagrams.pure_diagram(e).items() == _naive_pure_entries(e)
 
 
+def test_pure_diagram_checks_before_its_memo():
+    # with (0, 1) in the memo, inputs that are == to it and hash alike, or
+    # that are no degree sequence at all, still get the check's refusal
+    warm = diagrams.pure_diagram((0, 1))
+    assert (0, 1.0) == (0, True) == (0, 1) and hash((0, 1.0)) == hash((0, True)) == hash((0, 1))
+    for e, message in (
+        ((0, 1.0), "degree must be an integer, got 1.0"),
+        ((0, True), "degree must be an integer, got True"),
+        ([0, 0, 1], "not strictly increasing: (0, 0, 1)"),
+    ):
+        with pytest.raises(MalformedDegreeSequence, match=f"^{re.escape(message)}$"):
+            diagrams.pure_diagram(e)
+    assert diagrams.pure_diagram([0, 1]) is warm
+    # a list, a tuple and a DegreeSequence of one sequence give one diagram
+    same = [
+        diagrams.pure_diagram(e)
+        for e in ([0, 3, 4], (0, 3, 4), diagrams.DegreeSequence((0, 3, 4)))
+    ]
+    assert same[0] == same[1] == same[2]
+
+
 def test_pure_diagram_one_entry_per_column():
     rng = random.Random(11)
     for _ in range(25):
@@ -369,8 +398,15 @@ def _diagram_with_polynomial(coeffs, s):
     return diagrams.BettiDiagram.from_entries(triples)
 
 
+def _dense_alternating(b):
+    """(coeffs, offset, s): b's alternating polynomial as the list of every
+    coefficient from t^offset up, from _alternating's nonzero terms."""
+    terms, lo, hi, s = diagrams._alternating(b)
+    return [terms.get(t, 0) for t in range(lo, hi + 1)], lo, s
+
+
 def _shape(b):
-    coeffs, _, s = diagrams._alternating(b)
+    coeffs, _, s = _dense_alternating(b)
     assert s == diagrams.projective_dimension(b)
     return max(len(coeffs) - s, 0), s
 
@@ -380,7 +416,7 @@ def _assert_division_matches_prefix_sums(b, short):
     on the path that short names, and hilbert_numerator and multiplicity
     read it over b's denominator; where the oracle finds a remainder, all
     three raise the one message."""
-    coeffs, offset, _ = diagrams._alternating(b)
+    coeffs, offset, _ = _dense_alternating(b)
     lcm = b._den
     m, s = _shape(b)
     assert diagrams._short_quotient_pays(m, s) is short, (m, s)
@@ -491,7 +527,7 @@ def test_division_rejects_non_cm_on_both_paths():
 
 
 def _takes_moments(b):
-    coeffs, _, s = diagrams._alternating(b)
+    coeffs, _, s = _dense_alternating(b)
     return diagrams._moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0))
 
 
@@ -500,7 +536,7 @@ def _assert_moments_match_prefix_sums(b, moments=None):
     the denominator, or raises its one message; _moments_pay is on the
     side that moments names, when it names one."""
     assert moments is None or _takes_moments(b) is moments
-    coeffs, _, s = diagrams._alternating(b)
+    coeffs, _, s = _dense_alternating(b)
     expected = _prefix_sum_quotient(coeffs, s)
     if expected is None:
         message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
@@ -588,6 +624,19 @@ def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
         assert not diagrams._short_quotient_pays(*_shape(b))
         hn = diagrams.hilbert_numerator(b)
         assert sum(c for _, c in hn.items()) == diagrams.multiplicity(b) == 1
+
+
+def test_multiplicity_lists_no_coefficient_of_a_wide_span():
+    # two terms 10^7 apart take the moments, which read the two terms; a
+    # list of the span's coefficients would hold about 80 MB
+    b = diagrams.pure_diagram((0, 10**7))
+    tracemalloc.start()
+    try:
+        assert diagrams.multiplicity(b) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_power_sum_relations_random_pure():
@@ -898,3 +947,90 @@ def test_only_diagrams_reads_the_table_format():
         if names:
             readers[path.name] = names
     assert readers == {"diagrams.py": {"_n", "_den"}}
+
+
+# the calls that change a dict in place
+_DICT_MUTATORS = {
+    "clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__", "__ior__"
+}
+# the only functions that may set a table's _n and _den
+_TABLE_BUILDERS = {"BettiDiagram.__init__", "_reduced"}
+
+
+def _table_writes(source):
+    """(enclosing function, line, kind) for every write to a table in
+    source: kind "set" for an assignment or del of *._n or *._den
+    themselves, "in place" for any other change (_changes_in_place)."""
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if isinstance(node, ast.Attribute) and node.attr in ("_n", "_den") and stored:
+            writes.append((scope, node.lineno, "set"))
+        elif _changes_in_place(node, stored):
+            writes.append((scope, node.lineno, "in place"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return writes
+
+
+def _changes_in_place(node, stored):
+    """A store or del on *._n[...], a mutating dict call on *._n, or a
+    setattr, delattr, __setattr__ or __delattr__ call naming _n or _den."""
+    if isinstance(node, ast.Subscript):
+        return stored and _is_numerators(node.value)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in _DICT_MUTATORS and _is_numerators(getattr(func, "value", None)):
+        return True
+    return name in ("setattr", "delattr", "__setattr__", "__delattr__") and any(
+        isinstance(arg, ast.Constant) and arg.value in ("_n", "_den") for arg in node.args
+    )
+
+
+def _is_numerators(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_n"
+
+
+def _forbidden_writes(source):
+    return [
+        (scope, line)
+        for scope, line, kind in _table_writes(source)
+        if kind == "in place" or scope not in _TABLE_BUILDERS
+    ]
+
+
+def test_no_diagram_changes_once_built():
+    # pure_diagram's memo hands one object to every caller, so a change to
+    # a built diagram would corrupt every later call for its sequence: no
+    # module writes a table's numerators in place, and _n and _den are set
+    # in BettiDiagram.__init__ and _reduced alone
+    setters = set()
+    for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert _forbidden_writes(source) == [], path.name
+        setters |= {(path.name, scope) for scope, _, _ in _table_writes(source)}
+    assert setters == {("diagrams.py", scope) for scope in _TABLE_BUILDERS}
+    # and the guard finds each kind of change it is for
+    for source in (
+        "def f(b):\n    b._n[(0, 0)] = 1",
+        "def f(b):\n    b._n[(0, 0)] += 1",
+        "def f(b):\n    del b._n[(0, 0)]",
+        "def f(b):\n    b._n.update({})",
+        "def f(b):\n    b._n.pop((0, 0))",
+        "def f(b):\n    b._n.__setitem__((0, 0), 1)",
+        "def f(b):\n    b._n |= {}",
+        "def f(b):\n    b._den = 2",
+        "def f(b):\n    del b._den",
+        "def f(b):\n    setattr(b, '_n', {})",
+        "def _reduced(n, den):\n    n._n.clear()",
+        "class BettiDiagram:\n    def scale(self):\n        self._den *= 2",
+    ):
+        assert _forbidden_writes(source), source
+    assert not _forbidden_writes("def _reduced(b, n, den):\n    b._n, b._den = n, den")
