@@ -5,12 +5,12 @@ minimal degrees, subtract the largest multiple of that pure diagram that
 keeps every entry nonnegative, repeat. Each step zeroes at least one entry,
 so the loop runs at most as many times as the input has entries.
 
-Each step is diagrams._peel, which compares the integer numerators of
-the residual and the pure diagram directly and builds one Fraction, the
+The loop is diagrams._greedy_peel, which keeps the residual as a private
+dict of integer numerators, updated in place on each step, compares them
+with the pure diagram's directly and builds one Fraction per step, the
 coefficient; Decomposition.reconstruct is one linear combination
 (diagrams._combination). So the table format is read in diagrams alone.
-No diagram changes once built, so a failure hands out the residual it
-stopped at as it is.
+A failure hands out the residual it stopped at as a table of its own.
 """
 
 from __future__ import annotations
@@ -23,19 +23,11 @@ from .diagrams import (
     DegreeSequence,
     _combination,
     _diagram_json,
+    _greedy_peel,
     _nonnegative,
-    _peel,
     pure_diagram,
-    top_strand,
 )
-from .errors import (
-    EmptyDiagram,
-    MalformedDegreeSequence,
-    MissingColumn,
-    NotInCone,
-    NotStrictlyIncreasing,
-    require_rational,
-)
+from .errors import EmptyDiagram, MalformedDegreeSequence, NotInCone, require_rational
 
 
 class PureSummand(NamedTuple):
@@ -125,26 +117,25 @@ def decompose(b: BettiDiagram) -> Decomposition:
     decomposition and the residual at the point of failure. b, like every
     diagram, is never modified.
 
-    Each step peels the pure diagram of the residual's top strand by
-    diagrams._peel, which takes the least entry ratio over its cells as the
-    coefficient, so no entry goes negative.
+    Each step peels the pure diagram of the residual's top strand
+    (diagrams._greedy_peel), with the least entry ratio over its cells as
+    the coefficient, so no entry goes negative. The steps' coefficients,
+    strands and tight columns become the summands.
     """
     if not b:
         raise EmptyDiagram("cannot decompose an empty diagram")
-    summands = []
-    residual = _nonnegative(b)
-    while residual:
-        try:
-            e = top_strand(residual)
-        except (MissingColumn, NotStrictlyIncreasing) as exc:
-            raise NotInCone(
-                f"top strand failed: {exc}",
-                partial=Decomposition(tuple(summands), residual),
-                residual=residual,
-            ) from exc
-        c, residual, tight = _peel(residual, pure_diagram(e))
-        summands.append(PureSummand(coefficient=c, degrees=e, tight_columns=tight))
-    return Decomposition(tuple(summands), BettiDiagram())
+    steps, failure = _greedy_peel(_nonnegative(b))
+    summands = tuple(
+        PureSummand(coefficient=c, degrees=e, tight_columns=tight) for c, e, tight in steps
+    )
+    if failure:
+        exc, residual = failure
+        raise NotInCone(
+            f"top strand failed: {exc}",
+            partial=Decomposition(summands, residual),
+            residual=residual,
+        ) from exc
+    return Decomposition(summands, BettiDiagram())
 
 
 class VerifyResult(NamedTuple):

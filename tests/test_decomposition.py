@@ -17,8 +17,8 @@ Claims pinned here:
     - the integer peel agrees with a copy-per-step Fraction peel (the
       oracle) on results, tight columns and NotInCone diagnostics, also
       when weights over large coprime denominators make its common
-      denominator grow and shrink, and never aliases its input or its
-      diagnostics with its working state
+      denominator grow and shrink, and over a peel of many steps, and
+      never aliases its input or its diagnostics with its working state
     - reconstruct agrees with the Fraction sum it replaced (the oracle) on
       residuals, zero and negative coefficients and cells that cancel, and
       verify gives the same answers and reasons on either
@@ -392,6 +392,21 @@ def test_peel_matches_oracle_over_large_coprime_denominators():
     assert 8 <= outside < 40, "the perturbations should land on both sides of the cone"
 
 
+def test_long_peel_matches_oracle():
+    # thirty family diagrams at one (g, k, d) over three primes: a peel of
+    # many steps, over which the working numerators are never reduced
+    rng = random.Random(4040)
+    params = secant.SecantParams(5, 3, 40)
+    combo = diagrams.BettiDiagram()
+    for tup in rng.sample(secant.jump_tuples(5, 3), 30):
+        w = F(rng.randint(1, 20), rng.choice((101, 103, 107)))
+        combo = diagrams.add(combo, diagrams.scale(secant.secant_pure_diagram(params, tup), w))
+    dec = decomposition.decompose(combo)
+    assert len(dec.summands) >= 12
+    assert dec == _peel_oracle(combo)
+    assert decomposition.verify(combo, dec)
+
+
 def _reconstruct_oracle(dec):
     """Decomposition.reconstruct as a Fraction sum: c times each pure
     diagram's entries added cell by cell into a copy of the residual."""
@@ -452,7 +467,7 @@ def test_reconstruct_matches_fraction_oracle(monkeypatch):
     assert reasons == {None, "summand", "residual", "reconstruction"}
 
 
-def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
+def test_decompose_leaves_its_input_and_diagnostics_alone():
     rng = random.Random(7)
     combo = _family_combination(rng)
     before = dict(combo.items())
@@ -465,23 +480,28 @@ def test_decompose_leaves_its_input_and_diagnostics_alone(monkeypatch):
         diagrams.BettiDiagram({(1, 1): F(1), (2, 0): F(1)}),
     )
     bad_before = dict(bad.items())
-    seen = []
-
-    def spying_top_strand(table):  # each residual the peel reads, and its entries then
-        seen.append((table, dict(table.items())))
-        return diagrams.top_strand(table)
-
-    monkeypatch.setattr(decomposition, "top_strand", spying_top_strand)
     with pytest.raises(NotInCone) as exc:
         decomposition.decompose(bad)
     assert dict(bad.items()) == bad_before
     residual = exc.value.residual
     assert exc.value.partial.residual == residual
     assert exc.value.partial.reconstruct() == bad
-    # the raised residual is what the failing step read, and no table the
-    # peel read has changed since
-    assert dict(residual.items()) == seen[-1][1]
-    assert all(dict(table.items()) == entries for table, entries in seen)
+    # the raised residual is the one the copy-per-step peel fails at, and
+    # the peel's later work has not changed it
+    with pytest.raises(NotInCone) as want:
+        _peel_oracle(bad)
+    assert residual == want.value.residual
+    entries = dict(residual.items())
+    with pytest.raises(NotInCone):
+        decomposition.decompose(bad)
+    assert dict(residual.items()) == entries
+    # nor has the memo's pure diagram the first step read
+    assert diagrams.pure_diagram((0, 1, 2)).items() == [((0, 0), F(1)), ((1, 0), F(2)), ((2, 0), F(1))]
+    # a failure before any step hands out a table of its own, equal to b
+    gap = diagrams.BettiDiagram({(0, 0): F(1), (2, 2): F(1)})
+    with pytest.raises(NotInCone) as exc:
+        decomposition.decompose(gap)
+    assert exc.value.residual == gap and exc.value.residual._n is not gap._n
 
 
 def _assert_canonical(b):

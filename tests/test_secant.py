@@ -5,7 +5,10 @@ Claims pinned here:
       yields length r-2k, so the whole family shares pd = r-2k-1
     - the all-zero tuple gives (0, k+2, ..., r-k) and the dominant tuple
       (g,...,g) gives (0, k+2, ..., r-k-g, r-g+2, ..., r+1)
-    - every family diagram fits inside shape_mask and has multiplicity 1
+    - every family diagram has multiplicity 1, and shape_mask is exactly
+      the union of the family's supports
+    - nonvanishing_range is the least and greatest column holding weight
+      2k+2 in the family, also at k >= 2
     - regularity is 2k+2 exactly when i_0 >= 1, else smaller
     - kappa_dominant and hn_leading_coefficient agree with the generic
       pure-diagram computation (the closed forms are never self-certified)
@@ -117,12 +120,17 @@ def test_family_shares_projective_dimension():
 
 
 def test_family_fits_shape_mask():
-    for (g, k, d) in [(1, 0, 6), (2, 1, 10), (3, 1, 11), (3, 2, 14), (4, 2, 15)]:
-        params = secant.SecantParams(g, k, d)
-        mask = secant.shape_mask(params)
-        for i in secant.jump_tuples(g, k):
-            b = secant.secant_pure_diagram(params, i)
-            assert b.support() <= mask, (g, k, d, i)
+    # the mask is exactly the union of the family's supports: containment
+    # alone would let a block bound of the mask grow or shift unnoticed
+    for g in range(1, 6):
+        for k in range(0, 4):
+            lo = 2 * g + 2 * k + 1
+            for d in (lo, lo + 1, lo + 2, lo + 5, lo + 13, lo + 34):
+                params = secant.SecantParams(g, k, d)
+                union = set()
+                for i in secant.jump_tuples(g, k):
+                    union |= secant.secant_pure_diagram(params, i).support()
+                assert secant.shape_mask(params) == union, (g, k, d)
 
 
 def test_family_multiplicity_one_small_sweep():
@@ -253,12 +261,35 @@ def test_normalized_hn_leading_values():
     assert secant.normalized_hn_leading(params) == F(20, 242)
 
 
+def _weight_2k2_columns(params):
+    """The least and greatest column holding weight 2k+2 in any family
+    diagram of params."""
+    top = 2 * params.k + 2
+    cols = [
+        p
+        for i in secant.jump_tuples(params.g, params.k)
+        for p, q in secant.secant_pure_diagram(params, i).support()
+        if q == top
+    ]
+    return min(cols), max(cols)
+
+
 def test_nonvanishing_range():
     params = secant.SecantParams(3, 1, 11)
     assert secant.nonvanishing_range(params) == (3, 5)
     lo, hi = secant.nonvanishing_range(params)
     assert hi == params.r - 2 * params.k - 1
     assert hi - lo + 1 == params.g
+    # at k = 1, 2 * k and 2 // k agree; from k = 2 on they do not
+    assert secant.nonvanishing_range(secant.SecantParams(2, 2, 40)) == (32, 33)
+    assert secant.nonvanishing_range(secant.SecantParams(3, 3, 60)) == (48, 50)
+    assert secant.nonvanishing_range(secant.SecantParams(1, 2, 30)) == (24, 24)
+    for g in range(1, 5):
+        for k in (2, 3):
+            lo = 2 * g + 2 * k + 1
+            for d in (lo, lo + 3, lo + 20):
+                params = secant.SecantParams(g, k, d)
+                assert secant.nonvanishing_range(params) == _weight_2k2_columns(params), (g, k, d)
 
 
 def test_genus_one_dominant_diagram_is_gorenstein_symmetric():
