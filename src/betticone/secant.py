@@ -150,9 +150,19 @@ class Factors(NamedTuple):
 
     def ratio(self) -> tuple:
         """(numerator, denominator) as integers, not reduced."""
-        num = math.prod(self.num) * math.prod(math.comb(n, p) for n, p, s in self.binoms if s > 0)
-        den = math.prod(self.den) * math.prod(math.comb(n, p) for n, p, s in self.binoms if s < 0)
-        return num << max(self.two, 0), den << max(-self.two, 0)
+        num, den, binoms, two = self
+        num = math.prod(num)
+        den = math.prod(den)
+        for n, p, sign in binoms:
+            if sign > 0:
+                num *= math.comb(n, p)
+            elif sign < 0:
+                den *= math.comb(n, p)
+        if two >= 0:
+            num <<= two
+        else:
+            den <<= -two
+        return num, den
 
 
 def kappa_dominant_factors(params: SecantParams, p: int) -> Factors:
@@ -162,13 +172,14 @@ def kappa_dominant_factors(params: SecantParams, p: int) -> Factors:
     / ((r-2k) * prod_{i=k}^{2k-1} (r-p-i)), each product a run of
     consecutive integers.
     """
-    g, k, r = params.g, params.k, params.r
+    g, k, d = params
+    r = d - g
     if require_int(p, "p", OutOfRange) < 1 or p > r - g - 2 * k - 1:
         raise OutOfRange(f"p={p} outside [1, {r - g - 2 * k - 1}]")
     return Factors(
-        num=(p, *range(r - p - g - 2 * k, r - p - g - k + 1)),
-        den=(p + k + 1, r - 2 * k, *range(r - p - 2 * k + 1, r - p - k + 1)),
-        binoms=((r - 2 * k, p, 1),),
+        (p, *range(r - p - g - 2 * k, r - p - g - k + 1)),
+        (p + k + 1, r - 2 * k, *range(r - p - 2 * k + 1, r - p - k + 1)),
+        ((r - 2 * k, p, 1),),
     )
 
 

@@ -8,7 +8,9 @@ Claims pinned here:
     - hilbert_numerator divides out (1-t)^pd exactly and flags shapes where
       it cannot
     - power sums sum((-1)^p kappa_p e_p^j) vanish for j < n on pure diagrams
-    - subtract in strict mode names the first negative entry in (p, q) order
+    - subtract in strict mode names the first negative entry in (p, q) order,
+      as does the cone check decompose runs, which hands a nonnegative
+      diagram back as it is
     - sums that cancel leave no entry behind, and duplicate cells are summed
     - JSON round-trips preserve diagrams exactly
     - indices and exponents that are not ints are rejected, never truncated,
@@ -17,7 +19,8 @@ Claims pinned here:
       sequence built valid (a top strand, a family sequence) is not checked
     - the (1-t)^s division gives what s prefix sums give, on both sides of
       its shape test and at its exact boundary, and fails with one message
-      on both paths
+      on both paths; the long division's memoized row is (-1)^i C(s, i),
+      and a cold memo and a warm one give the same quotient or message
     - multiplicity's Herzog-Kuhl moment kernel gives the prefix sums'
       HN(1), or their one message, on both sides of its shape test and at
       its exact boundary; family shapes take the long division,
@@ -526,6 +529,59 @@ def test_division_rejects_non_cm_on_both_paths():
         assert _assert_division_matches_prefix_sums(b, short) is None
 
 
+def test_binomial_row_is_the_expanded_power():
+    for s in range(1, 401):
+        expected = tuple((-1) ** i * math.comb(s, i) for i in range(1, s + 1))
+        assert diagrams._binomial_row(s) == expected, s
+
+
+def _times_power(q, s):
+    """The coefficients of q(t) * (1-t)^s."""
+    power = [(-1) ** j * math.comb(s, j) for j in range(s + 1)]
+    out = [0] * (len(q) + s)
+    for i, c in enumerate(q):
+        for j, b in enumerate(power):
+            out[i + j] += c * b
+    return out
+
+
+def test_long_division_same_with_cold_and_warm_row_memo(monkeypatch):
+    # divisible and indivisible polynomials at odd and even s, forced onto
+    # the long division: each is divided once with its row just evicted
+    # and once with the row in the memo, and both match the prefix sums
+    monkeypatch.setattr(diagrams, "_short_quotient_pays", lambda m, s: True)
+    rng = random.Random(22)
+    cases = []
+    for s in (1, 2, 7, 8, 59, 60, 251, 252):
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-1, 1))]
+        product = _times_power(q, s)
+        cases.append((product, s))
+        for j in (len(q), len(product) - 1):  # the lowest and the top remainder coefficient
+            off = list(product)
+            off[j] += rng.choice((-2, 1))
+            cases.append((off, s))
+        cases.append((_times_power(q, s - 1) + [0], s))  # divisible by (1-t)^(s-1) only
+    row = diagrams._binomial_row
+    for coeffs, s in cases:
+        outcomes = []
+        for warm in (False, True):
+            if not warm:
+                row.cache_clear()
+            before = row.cache_info()
+            try:
+                outcomes.append(diagrams._quotient(list(coeffs), s))
+            except NotCohenMacaulayShape as exc:
+                outcomes.append(str(exc))
+            after = row.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (warm, not warm)
+        expected = _prefix_sum_quotient(list(coeffs), s)
+        if expected is None:
+            expected = f"(1-t)^{s} does not divide the alternating polynomial"
+        else:
+            assert expected
+        assert outcomes == [expected, expected], (s, coeffs)
+
+
 def _takes_moments(b):
     coeffs, _, s = _dense_alternating(b)
     return diagrams._moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0))
@@ -704,6 +760,20 @@ def test_subtract_strict_names_first_negative_in_index_order():
     with pytest.raises(NegativeEntry) as exc:
         diagrams.subtract(a, b)
     assert (exc.value.p, exc.value.q, exc.value.value) == (0, 0, -1)
+
+
+def test_nonnegative_names_the_first_negative_and_keeps_a_cone_input():
+    # two negatives held out of (p, q) order: the (p, q)-first is named
+    b = diagrams.BettiDiagram({(2, 0): F(-3), (0, 1): F(1), (1, 4): F(-1, 2), (0, 0): F(2)})
+    assert [key for key, n in b._n.items() if n < 0] == [(2, 0), (1, 4)]
+    with pytest.raises(NegativeEntry) as exc:
+        diagrams._nonnegative(b)
+    assert (exc.value.p, exc.value.q, exc.value.value) == (1, 4, F(-1, 2))
+    with pytest.raises(NegativeEntry) as exc:  # the least numerator is -1
+        diagrams._nonnegative(diagrams.BettiDiagram({(0, 0): F(2), (1, 1): F(-1, 3)}))
+    assert (exc.value.p, exc.value.q, exc.value.value) == (1, 1, F(-1, 3))
+    for cone in (diagrams.pure_diagram((0, 3, 4, 6, 7, 9)), diagrams.BettiDiagram()):
+        assert diagrams._nonnegative(cone) is cone
 
 
 def test_cancelling_sums_leave_the_empty_diagram():

@@ -12,6 +12,9 @@ Claims pinned here:
     - regularity is 2k+2 exactly when i_0 >= 1, else smaller
     - kappa_dominant and hn_leading_coefficient agree with the generic
       pure-diagram computation (the closed forms are never self-certified)
+    - Factors.ratio is the product its docstring defines, for every mix of
+      binomial signs and powers of two; kappa_dominant_factors gives the
+      lists its docstring spells and names its range in every refusal
     - the alt_denominator variant disagrees with the oracle, on purpose
     - secant_degree frozen values and the k = 0 collapse to d
     - for g = 1, degree times the dominant diagram is integral and symmetric
@@ -199,6 +202,61 @@ def test_kappa_dominant_range_check():
         secant.kappa_dominant(params, 0)
     with pytest.raises(OutOfRange):
         secant.kappa_dominant(params, 3)
+
+
+def _factors_oracle(f):
+    """prod(num) / prod(den) * prod binomial(n, p)**sign * 2**two, term by
+    term as Factors' docstring defines it."""
+    value = F(math.prod(f.num), math.prod(f.den))
+    for n, p, sign in f.binoms:
+        value *= F(math.comb(n, p)) ** sign
+    return value * F(2) ** f.two
+
+
+def test_factors_ratio_matches_its_definition():
+    binoms = {
+        "none": (),
+        "positive": ((10, 3, 1), (7, 7, 1)),
+        "negative": ((12, 5, -1), (9, 0, -1)),
+        "mixed": ((30, 11, 1), (8, 3, -1), (15, 6, 1), (6, 2, -1)),
+    }
+    for name, signed in binoms.items():
+        for two in (-7, 0, 5):
+            for num, den in (((), ()), ((3, 4, 5), (2, 9)), ((-6,), (7, 11))):
+                f = secant.Factors(num, den, signed, two)
+                n, d = f.ratio()
+                assert type(n) is int and type(d) is int and d > 0
+                assert F(n, d) == _factors_oracle(f), (name, two, num, den)
+
+
+def _kappa_factors_spelled_by_field(params, p):
+    """kappa_dominant_factors' lists, written from the params' fields."""
+    g, k, r = params.g, params.k, params.r
+    return secant.Factors(
+        num=(p, *range(r - p - g - 2 * k, r - p - g - k + 1)),
+        den=(p + k + 1, r - 2 * k, *range(r - p - 2 * k + 1, r - p - k + 1)),
+        binoms=((r - 2 * k, p, 1),),
+    )
+
+
+def test_kappa_dominant_factors_lists_and_range_messages():
+    for g in range(1, 5):
+        for k in range(4):
+            for d in (2 * g + 2 * k + 2, 2 * g + 2 * k + 7, 120):
+                params = secant.SecantParams(g, k, d)
+                hi = params.r - g - 2 * k - 1
+                for p in {1, (1 + hi) // 2, hi}:
+                    f = secant.kappa_dominant_factors(params, p)
+                    assert type(f) is secant.Factors
+                    assert f == _kappa_factors_spelled_by_field(params, p), (g, k, d, p)
+                for p, message in (
+                    (0, f"p=0 outside [1, {hi}]"),
+                    (hi + 1, f"p={hi + 1} outside [1, {hi}]"),
+                    (True, "p must be an integer, got True"),
+                ):
+                    with pytest.raises(OutOfRange) as exc:
+                        secant.kappa_dominant_factors(params, p)
+                    assert str(exc.value) == message
 
 
 def test_hn_leading_matches_hilbert_numerator():
