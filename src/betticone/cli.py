@@ -175,9 +175,7 @@ def _suite_hn_leading(args):
         for tup in secant.jump_tuples(params.g, params.k):
             if tup[0] < 1:
                 continue
-            claimed = secant.hn_leading_coefficient(
-                params, tup, alt_denominator=args.alt_denominator
-            )
+            claimed = secant.hn_leading_coefficient(params, tup)
             hn = diagrams.hilbert_numerator(secant.secant_pure_diagram(params, tup))
             yield _case(params, f"tuple={tup}"), claimed == hn.coefficient(2 * params.k + 2)
 
@@ -273,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=int, default=3)
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--d-max", type=int, default=40)
-    p.add_argument(
-        "--alt-denominator",
-        action="store_true",
-        help="hn-leading only: use the wider denominator range to show it fails",
-    )
     p.add_argument("--seed", type=int, default=0, help="herzog-kuhl only")
     p.add_argument("--count", type=int, default=500, help="herzog-kuhl only")
     p.set_defaults(fn=cmd_verify)

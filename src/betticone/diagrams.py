@@ -11,10 +11,12 @@ linear combinations of diagrams (add, scale, subtract and
 Decomposition.reconstruct), the values given from outside, and the run
 kernel's columns of a pure diagram. The greedy peel, _greedy_peel, keeps
 its residual as a private dict of numerators that it updates in place and
-hands out as a table only where it fails. No other module reads the
-numerators or the denominator. Pure diagrams carry one entry per
-column at weight e_p - p for a strictly increasing degree sequence e,
-normalized so the multiplicity comes out to exactly 1.
+hands out as a table only where it fails; each step reads its top strand
+by _strand, the one scan of the column minima, which top_strand also
+uses. No other module reads the numerators or the denominator. Pure
+diagrams carry one entry per column at weight e_p - p for a strictly
+increasing degree sequence e, normalized so the multiplicity comes out
+to exactly 1.
 
 Everything in this module is exact; no floats.
 """
@@ -541,18 +543,20 @@ def top_strand(b: BettiDiagram) -> DegreeSequence:
     """
     if not b:
         raise EmptyDiagram("top strand of an empty diagram")
+    return _strand(b._n)
+
+
+def _strand(cells) -> DegreeSequence:
+    """The top strand of a nonempty table from its cell keys (p, q), in one
+    pass that keeps each column's least p + q: MissingColumn at the first
+    empty column below the last, NotStrictlyIncreasing unless the minima
+    strictly increase. top_strand and each step of _greedy_peel read it
+    here."""
     mins = {}
-    for p, q in b._n:
+    for p, q in cells:
         t = p + q
-        if p not in mins or t < mins[p]:
+        if mins.setdefault(p, t) > t:
             mins[p] = t
-    return _strand(mins)
-
-
-def _strand(mins: dict) -> DegreeSequence:
-    """The top strand of a nonempty table from its column minima (column p
-    -> least p + q): MissingColumn at the first empty column below the last,
-    NotStrictlyIncreasing unless the minima strictly increase."""
     top = len(mins)
     if max(mins) >= top:  # top columns, one of them past column top - 1
         raise MissingColumn(next(p for p in range(top) if p not in mins))
@@ -586,20 +590,14 @@ def _greedy_peel(b: BettiDiagram):
     d <= 120) it leaves U* = 1, and then no other cell is touched; the
     largest numerator stays within a few bits of the reduced one (medians
     51-59 against 46-55 bits over steps 1-4). Only a failure hands out a
-    table, brought to lowest terms by _reduced.
-    Each column's weights are kept sorted, so a deleted strand cell's
-    column minimum is the next weight up, and the next strand needs no
-    scan of the residual.
+    table, brought to lowest terms by _reduced. Each step reads its strand
+    from the residual's cells by _strand, the scan top_strand makes.
     """
     n, den = dict(b._n), b._den
-    weights = {}  # column p -> its weights, greatest first
-    for p, q in sorted(n, reverse=True):
-        weights.setdefault(p, []).append(q)
-    mins = {p: p + qs[-1] for p, qs in weights.items()}
     steps = []
     while n:
         try:
-            e = _strand(mins)
+            e = _strand(n)
         except (MissingColumn, NotStrictlyIncreasing) as exc:
             # without its traceback, whose frames would hold the caller's
             # frame and, through it, exc again: a cycle only the GC frees
@@ -623,14 +621,7 @@ def _greedy_peel(b: BettiDiagram):
                 n[key] = v
             else:
                 del n[key]
-                p = key[0]
-                tight.append(p)
-                qs = weights[p]
-                qs.pop()
-                if qs:
-                    mins[p] = p + qs[-1]
-                else:
-                    del mins[p]
+                tight.append(key[0])
         den *= u_star
         steps.append((c, e, tuple(tight)))
     return steps, None
@@ -787,7 +778,12 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     terms, lo, hi, s = _alternating(b)
     quotient = _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
     den = b._den
-    return RationalPolynomial({lo + j: Fraction(c, den) for j, c in enumerate(quotient) if c != 0})
+    # built as _reduced builds a table: these exponents and Fractions come
+    # from integers here, so the constructor's checks of outside values
+    # would only repeat
+    hn = RationalPolynomial.__new__(RationalPolynomial)
+    hn._c = {lo + j: Fraction(c, den) for j, c in enumerate(quotient) if c}
+    return hn
 
 
 def multiplicity(b: BettiDiagram) -> Fraction:

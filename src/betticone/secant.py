@@ -192,16 +192,12 @@ def kappa_dominant(params: SecantParams, p: int) -> Fraction:
     return Fraction(*kappa_dominant_factors(params, p).ratio())
 
 
-def hn_leading_coefficient(params: SecantParams, i, alt_denominator: bool = False) -> Fraction:
+def hn_leading_coefficient(params: SecantParams, i) -> Fraction:
     """Leading (degree 2k+2) coefficient of the Hilbert numerator.
 
     prod_j (i_j + j) over (r+1) * prod_{i=k+1}^{2k} (r-i). Defined only for
     tuples with i_0 >= 1; with any i_j = 0 the numerator degree drops below
     2k+2 and there is no such coefficient.
-
-    alt_denominator widens the denominator product to i = k-1 .. 2k. That
-    variant is wrong (its degree in r is too high by two) and exists so the
-    oracle comparison can demonstrate rejecting it; see the verify CLI.
     """
     i = _checked_tuple(params, i)
     if i[0] < 1:
@@ -212,9 +208,8 @@ def hn_leading_coefficient(params: SecantParams, i, alt_denominator: bool = Fals
     num = 1
     for j, ij in enumerate(i):
         num *= ij + j
-    lo = k - 1 if alt_denominator else k + 1
     den = r + 1
-    for t in range(lo, 2 * k + 1):
+    for t in range(k + 1, 2 * k + 1):
         den *= r - t
     return Fraction(num, den)
 

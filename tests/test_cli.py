@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from betticone import cli, decomposition, diagrams
+from betticone import cli, decomposition, diagrams, secant
 
 
 def run(capsys, *argv):
@@ -380,14 +380,48 @@ def test_verify_suites_pass(capsys):
     assert "(ok)" in out
 
 
-def test_verify_alt_denominator_fails(capsys):
+def _wide_hn_leading(params, i, right=secant.hn_leading_coefficient):
+    """hn_leading_coefficient with its denominator product widened to
+    i = k-1 .. 2k: too high in r by a degree of two."""
+    r, k = params.r, params.k
+    return right(params, i) / ((r - k + 1) * (r - k))
+
+
+def _kappa_wrong_at_column_1(params, p, right=secant.kappa_dominant):
+    return right(params, p) + (p == 1)
+
+
+def _pure_doubled_at_0_1(params, i, right=secant.secant_pure_diagram):
+    b = right(params, i)
+    return diagrams.scale(b, 2) if tuple(i) == (0, 1) else b
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, first",
+    [
+        ("hn-leading", "hn_leading_coefficient", _wide_hn_leading, "g=1 k=0 d=3 tuple=(1,)"),
+        ("dominant-kappa", "kappa_dominant", _kappa_wrong_at_column_1, "g=1 k=0 d=4 p=1"),
+        ("multiplicity", "secant_pure_diagram", _pure_doubled_at_0_1, "g=1 k=1 d=5 tuple=(0, 1)"),
+    ],
+    ids=["hn-leading", "dominant-kappa", "multiplicity"],
+)
+def test_verify_rejects_a_planted_wrong_quantity(capsys, monkeypatch, suite, name, wrong, first):
+    # each grid suite compares a closed form (or the family's diagram) with
+    # the generic machinery; a wrong one fails and its first case is named
+    monkeypatch.setattr(secant, name, wrong)
     code, out, err = run(
-        capsys, "verify", "--suite", "hn-leading",
-        "--g-max", "1", "--k-max", "1", "--d-max", "12", "--alt-denominator",
+        capsys, "verify", "--suite", suite, "--g-max", "1", "--k-max", "1", "--d-max", "12",
     )
     assert code == 1
     assert "(FAIL)" in out
-    assert err == "hn-leading: first failure at g=1 k=0 d=3 tuple=(1,)\n"
+    assert err == f"{suite}: first failure at {first}\n"
+
+
+def test_verify_alt_denominator_flag_is_gone(capsys):
+    code, out, err = _call(capsys, ["verify", "--suite", "hn-leading", "--alt-denominator"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --alt-denominator" in err
 
 
 @pytest.mark.parametrize(
@@ -528,10 +562,10 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_parser_reuse_leaks_nothing_between_calls(capsys):
-    verify = ["verify", "--suite", "hn-leading", "--g-max", "1", "--k-max", "1", "--d-max", "12"]
+    verify = ["verify", "--suite", "herzog-kuhl", "--count", "3"]
     secant_pure = ["secant-pure", "-g", "3", "-k", "1", "-d", "11"]
     sequence = [
-        (verify + ["--alt-denominator"], 1),
+        (verify + ["--seed", "5"], 0),
         (verify, 0),
         (secant_pure + ["--dominant"], 0),
         (secant_pure + ["--tuple", "1,3"], 0),
@@ -550,5 +584,6 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
         alone.append(_call(capsys, argv))
     assert together == alone
     assert [code for code, _, _ in together] == [code for _, code in sequence]
+    assert together[0][1] != together[1][1]  # --seed 5 did not stick
     assert together[2][1] != together[3][1]  # --dominant did not stick
     assert together[6][1].startswith("usage: betticone")

@@ -15,9 +15,15 @@ run as a script, from a checkout whose CLI output was known good:
     PYTHONPATH=src python tests/test_cli_frozen.py
 
 Regenerate them only for a change that is meant to alter the CLI's bytes,
-and say so with the change. The `sweep distribution` CSVs hold floats from
-math.lgamma and math.exp, so their digests also pin the platform's libm
-(written on x86_64 Linux, Python 3.11).
+and say so with the change. The same script with --check writes nothing:
+it compares every case with the fixture and exits 1 naming the cases that
+differ, so an interpreter without pytest can run the check too:
+
+    PYTHONPATH=src python tests/test_cli_frozen.py --check
+
+The `sweep distribution` CSVs hold floats from math.lgamma and math.exp,
+so their digests also pin the platform's libm (written on x86_64 Linux,
+Python 3.11).
 """
 
 import contextlib
@@ -65,11 +71,8 @@ README_CASES = {
     ],
     # shrunk: the default --d-max 40 -> 24 (0.10 s -> about 0.04 s)
     "verify-dominant-kappa": ["verify", "--suite", "dominant-kappa", "--d-max", "24"],
-    # shrunk: the default --d-max 40 -> 20 (0.21 s -> about 0.05 s), both variants
+    # shrunk: the default --d-max 40 -> 20 (0.21 s -> about 0.05 s)
     "verify-hn-leading": ["verify", "--suite", "hn-leading", "--d-max", "20"],
-    "verify-hn-leading-alt": [
-        "verify", "--suite", "hn-leading", "--d-max", "20", "--alt-denominator",
-    ],
     # shrunk: --count 500 -> 100 (0.41 s -> 0.08 s)
     "verify-herzog-kuhl": ["verify", "--suite", "herzog-kuhl", "--count", "100", "--seed", "0"],
     # shrunk: --d-max 5000 -> 450 (0.21 s -> 0.02 s); the crossing at d = 401 stays inside
@@ -321,18 +324,60 @@ def all_results(tmp):
     return results
 
 
+def differing(digests, frozen) -> list:
+    """The case ids, sorted, whose digest is not the frozen one, a case
+    that only one side has included."""
+    return sorted(case for case in digests.keys() | frozen.keys()
+                  if digests.get(case) != frozen.get(case))
+
+
 def test_cli_bytes_match_frozen_digests(tmp_path):
     frozen = json.loads(FIXTURE.read_text(encoding="utf-8"))
     results = all_results(str(tmp_path))
     assert sorted(results) == sorted(frozen)
-    changed = [case for case, result in results.items() if _digest(result) != frozen[case]]
-    assert changed == []
+    assert differing({case: _digest(result) for case, result in results.items()}, frozen) == []
     codes = {results[case][0] for case in results if case.startswith("decompose/")}
     assert {0, 2, 3} <= codes
 
 
-if __name__ == "__main__":
+def test_check_mode_names_the_cases_that_differ(tmp_path, monkeypatch, capsys):
+    module = sys.modules[__name__]
+    fixture = tmp_path / "digests.json"
+    monkeypatch.setattr(module, "FIXTURE", fixture)
+    monkeypatch.setattr(module, "all_results", lambda tmp: {"a": "a", "b": "b2", "new": "new"})
+    fixture.write_text(json.dumps({"a": _digest("a"), "b": _digest("b"), "gone": "0"}))
+    before = fixture.read_bytes()
+    assert main(["--check"]) == 1
+    assert fixture.read_bytes() == before  # --check writes nothing
+    err = capsys.readouterr().err
+    assert err == "differs: b\ndiffers: gone\ndiffers: new\n3 of 4 cases differ\n"
+    fixture.write_text(json.dumps({"a": _digest("a"), "b": _digest("b2"), "new": _digest("new")}))
+    assert main(["--check"]) == 0
+    assert capsys.readouterr().err == "all 3 cases match\n"
+    assert main(["--chek"]) == 2
+
+
+def main(argv) -> int:
+    """Rewrite the fixture from this checkout's output, or with --check
+    compare the two and return 1 when a case differs."""
+    if argv not in ([], ["--check"]):
+        print("usage: test_cli_frozen.py [--check]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         digests = {case: _digest(result) for case, result in all_results(tmp).items()}
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {FIXTURE}", file=sys.stderr)
+    if not argv:
+        FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(digests)} digests to {FIXTURE}", file=sys.stderr)
+        return 0
+    frozen = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    changed = differing(digests, frozen)
+    for case in changed:
+        print(f"differs: {case}", file=sys.stderr)
+    total = len(digests.keys() | frozen.keys())
+    print(f"{len(changed)} of {total} cases differ" if changed else f"all {total} cases match",
+          file=sys.stderr)
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,8 @@ Claims pinned here:
       formula on family, gapped and mixed-gap sequences
     - multiplicity is exactly 1 on every pure_diagram output and is linear
     - hilbert_numerator divides out (1-t)^pd exactly and flags shapes where
-      it cannot
+      it cannot, and builds its polynomial without running the checks of
+      outside values, to the value the public constructor builds
     - power sums sum((-1)^p kappa_p e_p^j) vanish for j < n on pure diagrams
     - subtract in strict mode names the first negative entry in (p, q) order,
       as does the cone check decompose runs, which hands a nonnegative
@@ -1001,6 +1002,33 @@ def test_polynomial_rejects_non_integer_exponents():
             diagrams.RationalPolynomial({exp: F(1)})
     with pytest.raises(ValueError):
         diagrams.RationalPolynomial({1.5: F(0)})
+
+
+def test_hilbert_numerator_runs_no_outside_value_check(monkeypatch):
+    # its exponents and Fractions are made here from integers, so neither
+    # require_int nor require_rational runs; the polynomial equals the one
+    # the public constructor builds from the same coefficients
+    tables = [
+        diagrams.pure_diagram((0, *range(2, 60), 61)),  # the long division
+        diagrams.pure_diagram((0, 3, 4, 6, 7, 9)),  # the prefix sums
+        diagrams.add(diagrams.pure_diagram((0, 2, 3)), diagrams.pure_diagram((0, 1, 3))),
+    ]
+    expected = [diagrams.RationalPolynomial(dict(diagrams.hilbert_numerator(b).items()))
+                for b in tables]
+    calls = []
+
+    def spy(check):
+        def counted(*args):
+            calls.append(check.__name__)
+            return check(*args)
+        return counted
+
+    monkeypatch.setattr(diagrams, "require_int", spy(diagrams.require_int))
+    monkeypatch.setattr(diagrams, "require_rational", spy(diagrams.require_rational))
+    assert [diagrams.hilbert_numerator(b) for b in tables] == expected
+    assert calls == []
+    diagrams.RationalPolynomial({0: 1})  # the spies see the public constructor
+    assert calls == ["require_int", "require_rational"]
 
 
 def test_only_diagrams_reads_the_table_format():

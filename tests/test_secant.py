@@ -15,7 +15,6 @@ Claims pinned here:
     - Factors.ratio is the product its docstring defines, for every mix of
       binomial signs and powers of two; kappa_dominant_factors gives the
       lists its docstring spells and names its range in every refusal
-    - the alt_denominator variant disagrees with the oracle, on purpose
     - secant_degree frozen values and the k = 0 collapse to d
     - for g = 1, degree times the dominant diagram is integral and symmetric
     - every entry point taking an outside integer refuses 1.0, True and "1"
@@ -285,16 +284,6 @@ def test_hn_leading_requires_first_jump():
     params = secant.SecantParams(3, 1, 11)
     with pytest.raises(TupleNotMaximalRegularity):
         secant.hn_leading_coefficient(params, (0, 3))
-
-
-def test_alt_denominator_disagrees_with_oracle():
-    # the wider denominator range is a recorded wrong variant; the oracle
-    # comparison must reject it everywhere it changes the value
-    params = secant.SecantParams(3, 1, 11)
-    hn = diagrams.hilbert_numerator(secant.secant_pure_diagram(params, (1, 3)))
-    alt = secant.hn_leading_coefficient(params, (1, 3), alt_denominator=True)
-    assert alt == F(4, 3024)
-    assert alt != hn.coefficient(4)
 
 
 def test_degree_against_numerator_total():
