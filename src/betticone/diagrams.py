@@ -725,13 +725,14 @@ def _quotient(coeffs: list, s: int) -> list:
 
 
 # The row memo's bound. The long division's traffic asks for one s many
-# times in a row: hilbert_numerator after multiplicity on one diagram (one
-# seed-1 pass of the family_oracle benchmark, 900 ops: 466 hits, 819
-# misses), and every jump tuple of one (g, k, d), whose diagrams share
-# s = r - 2k - 1 (verify --suite multiplicity and hn-leading at g <= 4,
-# k <= 3, d <= 120: 18,351 and 8,309 hits, 1,544 and 1,396 misses). One
-# row already takes all but 6 of those hits, and 8 rows add 19. Four rows
-# near s = 300 hold 59 KB (tracemalloc).
+# times in a row when it runs over every jump tuple of one (g, k, d), whose
+# diagrams share s = r - 2k - 1: verify --suite multiplicity and hn-leading
+# at g <= 4, k <= 3, d <= 120 hit it 18,351 and 8,309 times against 1,544
+# and 1,396 misses, and one row already takes all of those hits. A second
+# division of one diagram does not reach it (_last_division answers), so
+# one seed-1 pass of the family_oracle benchmark (900 ops) gets 8 hits
+# against 819 misses; one row would get 2 and eight 27. Four rows near
+# s = 300 hold 59 KB (tracemalloc).
 _ROW_MEMO_SIZE = 4
 
 
@@ -760,6 +761,30 @@ def _indivisible(s: int) -> NotCohenMacaulayShape:
     return NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
 
 
+# The division memo: the last diagram divided, its least exponent lo and its
+# quotient, (b, lo, quotient). One entry is its bound. Its traffic is
+# multiplicity and hilbert_numerator asked of one diagram, in either order:
+# 498, 497 and 469 of the 900 ops of the family_oracle benchmark (seeds 1-3)
+# ask for both, and each such op divides once (hilbert_numerator hits on
+# every one of them). Callers that ask one quantity per diagram, such as
+# the verify suites and the gapped_degseq ops, get no hit and pay one
+# identity check. The diagram is held, so its id cannot be reused while it
+# is matched by identity, and it never changes once built. The entry is one
+# tuple, replaced whole, so no reader pairs a diagram with another's
+# quotient. A division that raises is never held.
+_last_division = (None, 0, ())
+
+
+def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
+    """The quotient of b's alternating polynomial (_alternating's terms, lo,
+    hi and s) by (1-t)^s, as a tuple, held in _last_division for the next
+    multiplicity or hilbert_numerator of b."""
+    global _last_division
+    quotient = tuple(_quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s))
+    _last_division = (b, lo, quotient)
+    return quotient
+
+
 def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     """HN(t) = (sum of (-1)^p kappa_{p,q} t^{p+q}) / (1-t)^s, s = pd(b).
 
@@ -772,11 +797,23 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
 
     >>> hilbert_numerator(pure_diagram((0, *range(2, 60), 61))).items()
     [(0, Fraction(1, 61)), (1, Fraction(59, 61)), (2, Fraction(1, 61))]
+
+    The last quotient is held in _last_division, so multiplicity and then
+    hilbert_numerator of one diagram (or the reverse) divide once:
+
+    >>> from betticone import diagrams
+    >>> b = pure_diagram((0, *range(2, 62), 63))
+    >>> multiplicity(b), diagrams._last_division[0] is b, diagrams._last_division[1:]
+    (Fraction(1, 1), True, (0, (1, 61, 1)))
+    >>> hilbert_numerator(b).items()
+    [(0, Fraction(1, 63)), (1, Fraction(61, 63)), (2, Fraction(1, 63))]
     """
     if not b:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
-    terms, lo, hi, s = _alternating(b)
-    quotient = _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
+    held, lo, quotient = _last_division
+    if held is not b:
+        terms, lo, hi, s = _alternating(b)
+        quotient = _divide(b, terms, lo, hi, s)
     den = b._den
     # built as _reduced builds a table: these exponents and Fractions come
     # from integers here, so the constructor's checks of outside values
@@ -809,7 +846,8 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     It costs about s(N - s/2) products, against s(m + s) additions for the
     prefix sums, where the polynomial has m + s coefficients; _moments_pay
     picks it for shapes with long quotients, and every other shape is
-    divided by _quotient. The moments read the nonzero terms alone, so
+    divided by _quotient, or read from _last_division when b is the diagram
+    held there. The moments read the nonzero terms alone, so
     their memory does not grow with the span: (0, 10^8) has two terms and
     no list of 10^8 coefficients is made. The kernel never calls
     pure_diagram or a closed form, so multiplicity(pure_diagram(e)) == 1
@@ -842,10 +880,12 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
+    held, _, quotient = _last_division
+    if held is b:
+        return Fraction(sum(quotient), b._den)
     terms, lo, hi, s = _alternating(b)
     if not _moments_pay(max(hi - lo + 1 - s, 0), s, len(terms)):
-        coeffs = [terms.get(t, 0) for t in range(lo, hi + 1)]
-        return Fraction(sum(_quotient(coeffs, s)), b._den)
+        return Fraction(sum(_divide(b, terms, lo, hi, s)), b._den)
     xs = sorted(terms)
     w = [terms[x] for x in xs]
     # xs runs out before round s only when K is 0: a last nonzero term

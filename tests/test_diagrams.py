@@ -47,6 +47,11 @@ Claims pinned here:
       list, a tuple and a DegreeSequence of one sequence give one diagram
     - multiplicity's moments list no coefficient of the degree span: two
       terms 10^7 apart take under 1 MB
+    - multiplicity and hilbert_numerator of one diagram, in either order,
+      build its alternating polynomial once and divide once; the held
+      diagram is matched by identity, is the last one divided, and is never
+      one whose division failed; held and fresh results agree on all three
+      of multiplicity's paths
 """
 
 import ast
@@ -448,7 +453,8 @@ def _run_sequence(n, extra):
 
 def _multiplicity_path(b, monkeypatch):
     """The kernel multiplicity(b) runs: the moments, or whichever division
-    _quotient picks."""
+    _quotient picks. The division memo is emptied first, since a caller may
+    just have divided b and a held quotient would answer without a kernel."""
     taken = []
     quotient = diagrams._quotient
 
@@ -458,6 +464,7 @@ def _multiplicity_path(b, monkeypatch):
         return quotient(coeffs, s)
 
     with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_last_division", (None, 0, ()))
         patch.setattr(diagrams, "_quotient", spy)
         diagrams.multiplicity(b)
     return taken[0] if taken else "moments"
@@ -681,6 +688,141 @@ def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
         assert not diagrams._short_quotient_pays(*_shape(b))
         hn = diagrams.hilbert_numerator(b)
         assert sum(c for _, c in hn.items()) == diagrams.multiplicity(b) == 1
+
+
+def _counting(patch, *names):
+    """Spies on the named diagrams functions through patch; returns the
+    dict of their call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _original=getattr(diagrams, name)):
+            calls[_name] += 1
+            return _original(*args)
+        patch.setattr(diagrams, name, spy)
+    return calls
+
+
+def _outcome(quantity, b):
+    """quantity(b), or the message of the NotCohenMacaulayShape it raises."""
+    try:
+        return quantity(b)
+    except NotCohenMacaulayShape as exc:
+        return str(exc)
+
+
+_BOTH_ORDERS = (
+    (diagrams.multiplicity, diagrams.hilbert_numerator),
+    (diagrams.hilbert_numerator, diagrams.multiplicity),
+)
+
+
+def test_multiplicity_and_hilbert_numerator_divide_a_diagram_once(monkeypatch):
+    # either order on one family diagram builds the alternating polynomial
+    # once and divides once: the second call reads the held quotient
+    b = secant.secant_pure_diagram(secant.SecantParams(3, 2, 120), (1, 2, 3))
+    assert _multiplicity_path(b, monkeypatch) == "long division"
+    expected = {f: f(b) for f in _BOTH_ORDERS[0]}
+    for order in _BOTH_ORDERS:
+        with monkeypatch.context() as patch:
+            patch.setattr(diagrams, "_last_division", (None, 0, ()))
+            calls = _counting(patch, "_alternating", "_quotient")
+            assert [f(b) for f in order] == [expected[f] for f in order]
+            assert calls == {"_alternating": 1, "_quotient": 1}
+            assert diagrams._last_division[0] is b
+    assert expected[diagrams.multiplicity] == 1
+
+
+def test_division_memo_matches_by_identity(monkeypatch):
+    # an equal diagram that is another object is divided again, and then
+    # becomes the held one
+    b = diagrams.pure_diagram(secant.degree_sequence(secant.SecantParams(2, 1, 90), (0, 2)))
+    twin = diagrams.BettiDiagram(dict(b.items()))
+    assert twin == b and twin is not b
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_last_division", (None, 0, ()))
+        calls = _counting(patch, "_alternating", "_quotient")
+        assert diagrams.multiplicity(b) == diagrams.multiplicity(twin) == 1
+        assert diagrams._last_division[0] is twin
+        assert diagrams.hilbert_numerator(b) == diagrams.hilbert_numerator(twin)
+        assert diagrams._last_division[0] is twin
+        assert calls == {"_alternating": 4, "_quotient": 4}
+
+
+def test_division_memo_never_holds_a_failed_division(monkeypatch):
+    # one unit more in the last column, on each of multiplicity's three
+    # paths: four calls in either order each raise the same message
+    # afresh, and the diagram held before stays held
+    rng = random.Random(24)
+    sequences = [
+        (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), "long division"),
+        (_random_sequence(rng, 0, (2, 3, 5), 8), "prefix sums"),
+        (_random_sequence(rng, 0, (2, 3, 5), 40), "moments"),
+    ]
+    held = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
+    for e, path in sequences:
+        n = len(e) - 1
+        bad = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
+        if _takes_moments(bad):
+            assert path == "moments"
+        else:
+            assert diagrams._short_quotient_pays(*_shape(bad)) is (path == "long division")
+        message = f"(1-t)^{n} does not divide the alternating polynomial"
+        for order in _BOTH_ORDERS:
+            with monkeypatch.context() as patch:
+                diagrams.hilbert_numerator(held)
+                calls = _counting(patch, "_alternating")
+                for i, f in enumerate(order * 2):
+                    assert _outcome(f, bad) == message, (path, f)
+                    assert diagrams._last_division[0] is held
+                    assert calls["_alternating"] == i + 1
+
+
+def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
+    # seeded diagrams on each of multiplicity's three paths, pure and
+    # combinations of two: HN(1) from hilbert_numerator is multiplicity,
+    # and both read the same held or not, in either order
+    rng = random.Random(2424)
+    paths = {"long division": 0, "prefix sums": 0, "moments": 0}
+    cases = []
+    for _ in range(6):
+        g, k = rng.randint(1, 4), rng.randint(0, 3)
+        params = secant.SecantParams(g, k, rng.randint(2 * g + 2 * k + 60, 200))
+        tuples = rng.sample(secant.jump_tuples(g, k), min(2, len(secant.jump_tuples(g, k))))
+        tables = [secant.secant_pure_diagram(params, t) for t in tuples]
+        cases.append((tables[0], "long division"))
+        cases.append((diagrams.add(tables[0], diagrams.scale(tables[-1], F(2, 3))), "long division"))
+        short = diagrams.pure_diagram(_random_sequence(rng, rng.randint(-5, 5), (1, 2, 3), 6))
+        cases.append((short, "prefix sums"))
+        cases.append((diagrams.scale(short, F(5, 7)), "prefix sums"))
+        cases.append((diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), 40)), "moments"))
+    for b, path in cases:
+        assert _multiplicity_path(b, monkeypatch) == path
+        paths[path] += 1
+        cold = {}
+        for f in _BOTH_ORDERS[0]:
+            monkeypatch.setattr(diagrams, "_last_division", (None, 0, ()))
+            cold[f] = f(b)
+        hn = cold[diagrams.hilbert_numerator]
+        assert sum(c for _, c in hn.items()) == cold[diagrams.multiplicity]
+        for order in _BOTH_ORDERS:
+            monkeypatch.setattr(diagrams, "_last_division", (None, 0, ()))
+            assert [f(b) for f in order * 2] == [cold[f] for f in order * 2], path
+    assert min(paths.values()) >= 6, paths
+
+
+def test_division_memo_holds_only_the_last_diagram(monkeypatch):
+    # after a run of distinct diagrams the memo is the one entry of the
+    # last; every earlier one is divided again when asked for
+    params = secant.SecantParams(3, 2, 150)
+    tables = [secant.secant_pure_diagram(params, t) for t in secant.jump_tuples(3, 2)]
+    for b in tables:
+        diagrams.multiplicity(b)
+    assert len(diagrams._last_division) == 3 and diagrams._last_division[0] is tables[-1]
+    with monkeypatch.context() as patch:
+        calls = _counting(patch, "_quotient")
+        assert all(diagrams.multiplicity(b) == 1 for b in tables[:-1])
+        assert calls["_quotient"] == len(tables) - 1
+        assert diagrams._last_division[0] is tables[-2]
 
 
 def test_multiplicity_lists_no_coefficient_of_a_wide_span():
