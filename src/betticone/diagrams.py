@@ -771,16 +771,21 @@ def _indivisible(s: int) -> NotCohenMacaulayShape:
 # identity check. The diagram is held, so its id cannot be reused while it
 # is matched by identity, and it never changes once built. The entry is one
 # tuple, replaced whole, so no reader pairs a diagram with another's
-# quotient. A division that raises is never held.
+# quotient. A division that raises is never held. The quotient is the list
+# _quotient returns, held without a copy: no reader changes it
+# (hilbert_numerator reads it, multiplicity sums it), so no second list is
+# made. It lives until the next division; its m integers are fewer than
+# the m Fractions of a hilbert_numerator result, and multiplicity leaves
+# the long quotients to the moments (_moments_pay).
 _last_division = (None, 0, ())
 
 
-def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
+def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> list:
     """The quotient of b's alternating polynomial (_alternating's terms, lo,
-    hi and s) by (1-t)^s, as a tuple, held in _last_division for the next
-    multiplicity or hilbert_numerator of b."""
+    hi and s) by (1-t)^s, held in _last_division for the next multiplicity
+    or hilbert_numerator of b; no caller may change the list."""
     global _last_division
-    quotient = tuple(_quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s))
+    quotient = _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
     _last_division = (b, lo, quotient)
     return quotient
 
@@ -798,13 +803,12 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     >>> hilbert_numerator(pure_diagram((0, *range(2, 60), 61))).items()
     [(0, Fraction(1, 61)), (1, Fraction(59, 61)), (2, Fraction(1, 61))]
 
-    The last quotient is held in _last_division, so multiplicity and then
-    hilbert_numerator of one diagram (or the reverse) divide once:
+    The last quotient is held, so multiplicity and then hilbert_numerator
+    of one diagram (or the reverse) divide it once:
 
-    >>> from betticone import diagrams
     >>> b = pure_diagram((0, *range(2, 62), 63))
-    >>> multiplicity(b), diagrams._last_division[0] is b, diagrams._last_division[1:]
-    (Fraction(1, 1), True, (0, (1, 61, 1)))
+    >>> multiplicity(b)
+    Fraction(1, 1)
     >>> hilbert_numerator(b).items()
     [(0, Fraction(1, 63)), (1, Fraction(61, 63)), (2, Fraction(1, 63))]
     """
