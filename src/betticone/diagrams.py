@@ -27,7 +27,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import lt, mul, neg, sub
+from operator import add as _add, lt, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -416,7 +416,10 @@ def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
     (y+1-a)/(y-b) for a run below, (a-y-1)/(b-y) for a run above. So each
     later column is the previous numerator times one product of O(hole
     runs) small integers, floor-divided exactly by another. No gcd is
-    taken until the one in _reduced at the end.
+    taken until the end, where one gcd g of S!/n! and the numerators
+    divides the list before the table is made: _reduced then finds the gcd
+    1 and keeps that table, so no key is hashed into a second one. On
+    family sequences g is not 1 about nine times in ten.
     """
     e0 = e[0]
     span = e[-1] - e0
@@ -448,8 +451,13 @@ def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
         for num, div in zip(rise, fall):
             u = u * num // div
             numerators.append(u)
+    den = math.perm(span, span - n)
+    g = math.gcd(den, *numerators)
+    if g != 1:
+        numerators = [u // g for u in numerators]
+        den //= g
     keys = zip(range(n + 1), map(sub, e, range(n + 1)))
-    return _reduced(dict(zip(keys, numerators)), math.perm(span, span - n))
+    return _reduced(dict(zip(keys, numerators)), den)
 
 
 def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
@@ -653,24 +661,30 @@ def _short_quotient_pays(m: int, s: int) -> bool:
     s prefix sums.
 
     The prefix sums cost s * (m + s) additions. The long division costs
-    m * s products by binomials of up to s bits, which grow dearer with s,
-    and a fixed cost to build the row. The test is fitted to the crossover
-    m* at which both take the same time, measured on pure diagrams (Python
-    3.11.7, x86_64, best of 7 timings; the first five points are family
-    shapes, m = 2k + 3):
+    m * s / 2 products by binomials of up to s bits, which grow dearer with
+    s, m * s subtractions, and a fixed cost to build the row. The test is
+    fitted to the crossover m* at which both take the same time, measured
+    on pure diagrams of n = s with the m - 1 holes placed at random (Python
+    3.11.7, x86_64; median of 6 seeded diagrams, best of 7 timings each,
+    the row built afresh for every long division):
 
         s       14   22   30   40   48   64   96  128  192  256  384  512
-        m*       3    5    7    9   11   15   21   26   33   37   43   50
-        test   2.5  4.8  6.9  9.4 11.2 14.6 20.3 25.0 32.2 37.5 44.7 49.5
+        m*     2.1  4.2  6.5  9.9   14   19   30   38   50   54   66   72
+        test   1.9  4.8  7.6 10.9 13.4 18.1 26.6 33.9 46.0 55.5 69.5 79.4
 
-    Away from m* the side taken wins by more: at m/s = 0.03 the long
-    division is 3.6-6.4x faster for s >= 96, at m/s = 0.06 1.7-2.8x, and at
-    m/s = 0.5 the prefix sums are 1.6-4.3x faster. No fixed ratio fits:
-    m*/s falls from 0.25 near s = 50 to 0.1 at s = 512, and the test m < s
-    would take the long division where the prefix sums are up to 8x faster
-    (s = 512, m = s).
+    Multiplying the whole row, as the division did before it used the
+    mirror, the same measurement gave m* = 3.3, 5.0, 8.5, 10.5, 12, 16, 22,
+    26, 33, 36, 44 and 47 at these s: halving the products moves m* up by
+    a third to a half from s = 96 on, and down by up to a third below
+    s = 40, where a step's three slice updates cost more than the products
+    they save. Away from m* the side taken wins by more: at m/s = 0.03 the
+    long division is 5.6-6.3x faster for s = 96-512, at m/s = 0.06
+    2.4-3.4x, and at m/s = 0.5 the prefix sums are 1.3-2.6x faster. No
+    fixed ratio fits: m*/s falls from 0.3 near s = 100 to 0.14 at s = 512,
+    and the test m < s would take the long division where the prefix sums
+    are 4.3x faster (s = 512, m = s).
     """
-    return m * (s + 225) + 400 < 72 * s
+    return m * (s + 350) + 1200 < 136 * s
 
 
 def _moments_pay(m: int, s: int, terms: int) -> bool:
@@ -694,12 +708,16 @@ def _quotient(coeffs: list, s: int) -> list:
     - one long division by the expanded (1-t)^s from the constant term up:
       m steps, each subtracting q times the binomial row (_binomial_row's,
       memoized per s) from the next s coefficients, after which the top s
-      coefficients must all be zero.
+      coefficients must all be zero. The coefficient of t^(s-i) in (1-t)^s
+      is (-1)^s times that of t^i, so a step multiplies q by the first s//2
+      entries of the row alone and applies each product at both mirror
+      positions (once at the middle one of an even s); the t^s term takes
+      (-1)^s q off.
 
     Every secant-family diagram has m = 2k + 3 while s = r - 2k - 1 grows
-    with d, so past s of about 50 it takes the long division; a gapped
-    sequence has m about 2.5 * s and takes the prefix sums (its
-    multiplicity comes from the moments instead). A nonzero
+    with d, so once s reaches 17 (k = 0) to 41 (k = 4) it takes the long
+    division; a gapped sequence has m about 2.5 * s and takes the prefix
+    sums (its multiplicity comes from the moments instead). A nonzero
     remainder on either path means the diagram does not have the
     Cohen-Macaulay shape this quantity assumes, and the error reads the
     same. A polynomial with at most s coefficients divides only if it is
@@ -707,12 +725,19 @@ def _quotient(coeffs: list, s: int) -> list:
     """
     m = max(len(coeffs) - s, 0)
     if _short_quotient_pays(m, s):
-        row = _binomial_row(s)
+        h = s // 2
+        half = _binomial_row(s)[:h]  # t^1 .. t^h
+        w = (s - 1) // 2  # t^(s-1) .. t^(s-w) mirror t^1 .. t^w
+        mirror = _add if s & 1 else sub  # t^(s-j) is (-1)^s times t^j
         for i in range(m):
             if q := coeffs[i]:
-                coeffs[i + 1 : i + s + 1] = map(
-                    sub, coeffs[i + 1 : i + s + 1], map(mul, row, repeat(q))
+                products = list(map(mul, half, repeat(q)))
+                coeffs[i + 1 : i + h + 1] = map(sub, coeffs[i + 1 : i + h + 1], products)
+                top = i + s
+                coeffs[top - 1 : top - w - 1 : -1] = map(
+                    mirror, coeffs[top - 1 : top - w - 1 : -1], products
                 )
+                coeffs[top] = mirror(coeffs[top], q)
         if any(coeffs[m:]):
             raise _indivisible(s)
         del coeffs[m:]

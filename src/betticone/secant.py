@@ -87,11 +87,18 @@ def degree_sequence(params: SecantParams, i) -> DegreeSequence:
     the standing hypothesis d >= 2g + 2k + 1 keeps them all at or above
     k + 2, so the result always has exactly r - 2k terms. It is strictly
     increasing by construction, so DegreeSequence does not check it again.
+    The dropped positions fall as j rises, so the sequence is built from
+    the ranges between them, taken in reverse order.
     """
     i = _checked_tuple(params, i)
     r = params.r
-    dropped = {r + 1 - (ij + j) for j, ij in enumerate(i)}
-    seq = [0] + [m for m in range(params.k + 2, r + 2) if m not in dropped]
+    seq = [0]
+    start = params.k + 2
+    for j in range(params.k, -1, -1):
+        stop = r + 1 - (i[j] + j)
+        seq += range(start, stop)
+        start = stop + 1
+    seq += range(start, r + 2)
     return DegreeSequence._trusted(seq)
 
 

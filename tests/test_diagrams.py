@@ -485,7 +485,7 @@ def test_division_shape_test_sides(monkeypatch):
     ]
     rng = random.Random(9)
     gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
-    for e in family + [_run_sequence(10, 0)]:
+    for e in family + [_run_sequence(12, 0)]:
         b = diagrams.pure_diagram(e)
         assert _assert_division_matches_prefix_sums(b, True)
         assert _multiplicity_path(b, monkeypatch) == "long division", e
@@ -497,22 +497,22 @@ def test_division_shape_test_sides(monkeypatch):
 
 
 def test_division_shape_test_exact_boundary():
-    # m (s + 225) + 400 = 72 s at (m, s) = (22, 107): the boundary takes
+    # m (s + 350) + 1200 = 136 s at (m, s) = (36, 138): the boundary takes
     # prefix sums, one coefficient less takes the long division
-    assert 22 * (107 + 225) + 400 == 72 * 107
-    on = diagrams.pure_diagram(_run_sequence(107, 21))
-    below = diagrams.pure_diagram(_run_sequence(107, 20))
-    assert (_shape(on), _shape(below)) == ((22, 107), (21, 107))
+    assert 36 * (138 + 350) + 1200 == 136 * 138
+    on = diagrams.pure_diagram(_run_sequence(138, 35))
+    below = diagrams.pure_diagram(_run_sequence(138, 34))
+    assert (_shape(on), _shape(below)) == ((36, 138), (35, 138))
     assert _assert_division_matches_prefix_sums(on, False)
     assert _assert_division_matches_prefix_sums(below, True)
-    assert not diagrams._short_quotient_pays(23, 107)
-    assert diagrams._short_quotient_pays(22, 108)
+    assert not diagrams._short_quotient_pays(37, 138)
+    assert diagrams._short_quotient_pays(36, 139)
 
 
 def test_division_with_no_quotient_coefficient():
     # m = 0 on both paths: a polynomial with at most s coefficients divides
     # only when it cancels to nothing
-    for s, short in ((6, True), (40, True), (1, False), (5, False)):
+    for s, short in ((9, True), (40, True), (1, False), (5, False)):
         cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
         assert _shape(cancels) == (0, s)
         assert _assert_division_matches_prefix_sums(cancels, short) == []
@@ -563,11 +563,13 @@ def _times_power(q, s):
 def test_long_division_same_with_cold_and_warm_row_memo(monkeypatch):
     # divisible and indivisible polynomials at odd and even s, forced onto
     # the long division: each is divided once with its row just evicted
-    # and once with the row in the memo, and both match the prefix sums
+    # and once with the row in the memo, and both match the prefix sums.
+    # s = 3..6 are the least odd and even s whose products are applied at
+    # mirror positions too (s = 1 has no first half, s = 2 no mirror)
     monkeypatch.setattr(diagrams, "_short_quotient_pays", lambda m, s: True)
     rng = random.Random(22)
     cases = []
-    for s in (1, 2, 7, 8, 59, 60, 251, 252):
+    for s in (1, 2, 3, 4, 5, 6, 7, 8, 59, 60, 251, 252):
         q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-1, 1))]
         product = _times_power(q, s)
         cases.append((product, s))

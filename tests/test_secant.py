@@ -1,7 +1,8 @@
 """The (g, k, d) family of degree sequences and its closed forms.
 
 Claims pinned here:
-    - degree_sequence drops exactly the positions r+1-(i_j+j) and always
+    - degree_sequence drops exactly the positions r+1-(i_j+j), equals the
+      set filter that defines it on every tuple at g <= 6, k <= 4, and always
       yields length r-2k, so the whole family shares pd = r-2k-1
     - the all-zero tuple gives (0, k+2, ..., r-k) and the dominant tuple
       (g,...,g) gives (0, k+2, ..., r-k-g, r-g+2, ..., r+1)
@@ -111,6 +112,30 @@ def test_dominant_sequence_general_form():
             )
             got = secant.degree_sequence(params, secant.dominant_tuple(params))
             assert list(got) == want, (g, k, d)
+
+
+def _degree_sequence_by_filter(params, i):
+    # the definition itself, as a filter: (0) and every position of
+    # k+2 .. r+1 that no entry of the tuple drops
+    r = params.r
+    dropped = {r + 1 - (ij + j) for j, ij in enumerate(i)}
+    return (0, *(m for m in range(params.k + 2, r + 2) if m not in dropped))
+
+
+def test_degree_sequence_equals_set_filter():
+    # every jump tuple at g <= 6 and k <= 4, from the lowest allowed d
+    # (where the dominant tuple drops k+2 itself) 13 past it, and at d = 120
+    # and 300: the dominant tuple drops k+1 adjacent positions, the all-zero
+    # tuple drops r+1 and the k positions below it
+    for g in range(1, 7):
+        for k in range(5):
+            low = 2 * g + 2 * k + 1
+            for d in (*range(low, low + 14), 120, 300):
+                params = secant.SecantParams(g, k, d)
+                for i in secant.jump_tuples(g, k):
+                    got = secant.degree_sequence(params, i)
+                    assert type(got) is diagrams.DegreeSequence
+                    assert got == _degree_sequence_by_filter(params, i), (g, k, d, i)
 
 
 def test_family_shares_projective_dimension():
