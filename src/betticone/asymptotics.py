@@ -5,7 +5,8 @@ arithmetic end to end. The distribution quantities involve 2^r and
 binomial(r, p) at r up to 10^6. Each is written once, as secant.Factors
 lists, and _evaluate turns the lists into a float: as an exact rational up
 to EXACT_CROSSOVER, as a sum of logs above it. The log sum stays within
-1e-10 relative of the exact value for r up to 2*10^4 (tested).
+1e-10 relative of the exact value for r up to 2*10^4, and within 1e-9 at
+r = 10^5 (both tested; measured worst 1.9e-10 there).
 """
 
 from __future__ import annotations

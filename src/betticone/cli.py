@@ -72,12 +72,10 @@ def render_table(b: diagrams.BettiDiagram) -> str:
 
 
 def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
-    if prefix:
-        sys.stdout.write(prefix)
-    if fmt == "table":
-        sys.stdout.write(render_table(b) + "\n")
-    else:
-        sys.stdout.write(diagrams._diagram_json(b) + "\n")
+    """Writes prefix and the diagram in one write once both are formatted,
+    so a diagram that fails to format leaves stdout empty."""
+    body = render_table(b) if fmt == "table" else diagrams._diagram_json(b)
+    sys.stdout.write(prefix + body + "\n")
 
 
 # A comment line: blanks (str.isspace) other than "\n", "#", the rest of

@@ -2,14 +2,18 @@
 
 A diagram is a finite sparse table of rationals indexed by (p, q) where p is
 the column (homological degree) and q the weight. It is held as nonzero
-integer numerators over one positive denominator, in lowest terms, and is
-never changed once built, so pure_diagram's memo hands one object to every
-caller of a sequence; Fractions are made only where a value leaves
-(get, items, the JSON form). One loop, _total, sums integer numerators
-into a table over a common denominator its caller picked as an lcm: the
-linear combinations of diagrams (add, scale, subtract and
-Decomposition.reconstruct), the values given from outside, and the run
-kernel's columns of a pure diagram. The greedy peel, _greedy_peel, keeps
+integer numerators over one positive denominator, in lowest terms.
+A diagram's value never changes once built, and its one late-written slot,
+_division, caches its own quotient by (1-t)^s once a division of it
+succeeds. So pure_diagram's memo hands one object to every caller of a
+sequence, and multiplicity and hilbert_numerator of one diagram divide it
+once. Fractions are made only where a value leaves (get, items, the JSON
+form). One loop, _total, sums integer numerators into a table over a
+common denominator its caller picked as an lcm: the linear combinations
+of diagrams (add, scale, subtract and Decomposition.reconstruct) and the
+values given from outside. Both pure-diagram kernels return a sequence's
+numerators in column order over one denominator, and _pure_checked keys
+them by column into the table. The greedy peel, _greedy_peel, keeps
 its residual as a private dict of numerators that it updates in place and
 hands out as a table only where it fails; each step reads its top strand
 by _strand, the one scan of the column minima, which top_strand also
@@ -27,7 +31,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add as _add, lt, mul, neg, sub
+from operator import add as _add, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -129,17 +133,19 @@ class BettiDiagram:
 
     Held as nonzero integer numerators _n[(p, q)] over one denominator
     _den > 0 with gcd(_den, *_n.values()) == 1, so equal diagrams hold
-    equal pairs. Never changed once built. Entries are allowed to be
+    equal pairs; _division is None until a division of the diagram
+    succeeds, then (lo, quotient) (see the module docstring and _divide).
+    Equality reads _n and _den alone. Entries are allowed to be
     negative so the type can hold intermediate formal differences;
     cone-facing operations check signs themselves.
     """
 
-    __slots__ = ("_n", "_den")
+    __slots__ = ("_n", "_den", "_division")
 
     def __init__(self, entries: Mapping[tuple, object] | None = None):
         triples = ((p, q, v) for (p, q), v in entries.items()) if entries else ()
         b = _summed(_checked(triples))
-        self._n, self._den = b._n, b._den
+        self._n, self._den, self._division = b._n, b._den, None
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
@@ -238,10 +244,9 @@ def _checked(triples):
 
 
 def _summed(terms) -> BettiDiagram:
-    """The diagram of ((p, q), n, d) terms on checked keys (values from
-    outside, or the run kernel's columns), d > 0 and n/d not necessarily
-    reduced: each n cleared over the lcm of every d, and duplicates summed
-    by _total."""
+    """The diagram of ((p, q), n, d) terms given from outside, on checked
+    keys, d > 0 and n/d not necessarily reduced: each n cleared over the
+    lcm of every d, and duplicates summed by _total."""
     terms = list(terms)
     den = math.lcm(*[d for _, _, d in terms])
     return _total(((1, [(key, n * (den // d)) for key, n, d in terms]),), den)
@@ -285,7 +290,7 @@ def _reduced(n: dict, den: int) -> BettiDiagram:
     if g != 1:
         n = {key: v // g for key, v in n.items()}
         den //= g
-    b._n, b._den = n, den
+    b._n, b._den, b._division = n, den, None
     return b
 
 
@@ -317,18 +322,21 @@ def pure_diagram(e) -> BettiDiagram:
     >>> [v * math.perm(S, S - n) for _, v in pure_diagram(e).items()]
     [Fraction(30, 1), Fraction(252, 1), Fraction(420, 1), Fraction(210, 1), Fraction(12, 1)]
 
-    The diagram comes from one of two kernels, picked by _few_holes_pay
-    from S and n alone: _pure_over_holes builds those numerators over the
-    one denominator S!/n!, and _pure_over_runs reduces each entry as it
-    goes. Secant-family sequences (H = 2k + 2, so H << n once d is past a
-    few dozen) take the first; sequences with all gaps in [2, 5] (H of
-    about 2.5 n) take the second, as does a short sequence over a long span
-    such as (0, 10^8), whose S!/n! the first would never finish.
+    The numerators come from one of two kernels, picked by _few_holes_pay
+    from S and n alone: _pure_over_holes builds them over the one
+    denominator S!/n!, and _pure_over_runs reduces each entry as it goes
+    and clears them over one lcm. Both return the list in column order, and
+    _pure_checked keys column p at (p, e_p - p). Secant-family sequences
+    (H = 2k + 2, so H << n once d is past a few dozen) take the first;
+    sequences with all gaps in [2, 5] (H of about 2.5 n) take the second,
+    as does a short sequence over a long span such as (0, 10^8), whose
+    S!/n! the first would never finish.
 
     The sequence is checked first; only then is the diagram looked up in a
     memo of the last _PURE_MEMO_SIZE sequences (_pure_checked), so an
-    input the check refuses, such as (0, 1.0), never reaches it. A diagram
-    never changes once built, so a hit hands out the one shared object.
+    input the check refuses, such as (0, 1.0), never reaches it. A
+    diagram's value never changes, so a hit hands out the one shared
+    object, with any quotient it already holds.
     decompose builds each summand's diagram and verify, through
     Decomposition.reconstruct, asks for the same ones again: that round
     trip builds each once.
@@ -354,11 +362,12 @@ _PURE_MEMO_SIZE = 8
 @functools.lru_cache(maxsize=_PURE_MEMO_SIZE)
 def _pure_checked(e: DegreeSequence) -> BettiDiagram:
     """pure_diagram of a DegreeSequence, from the kernel _few_holes_pay
-    picks."""
-    runs = _runs(e)
-    if _few_holes_pay(e[-1] - e[0], len(e) - 1):
-        return _pure_over_holes(e, *runs)
-    return _pure_over_runs(e, *runs)
+    picks: its numerators, in lowest terms over its den, keyed by column."""
+    n = len(e) - 1
+    kernel = _pure_over_holes if _few_holes_pay(e[-1] - e[0], n) else _pure_over_runs
+    numerators, den = kernel(e, *_runs(e))
+    keys = zip(range(n + 1), map(sub, e, range(n + 1)))
+    return _reduced(dict(zip(keys, numerators)), den)
 
 
 def _runs(e):
@@ -404,10 +413,11 @@ def _few_holes_pay(span: int, n: int) -> bool:
     return 3 * holes * (n + 8) < n * (n + 23)
 
 
-def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
-    """The pure diagram of e as integer numerators
-    N_p = C(S, x_p) * prod_h |h - e_p| over the one denominator S!/n!, a
-    product of the H integers n+1 .. S (see pure_diagram).
+def _pure_over_holes(e, starts, stops, los, his) -> tuple:
+    """The pure diagram of e as (numerators in column order, den): the
+    integers N_p = C(S, x_p) * prod_h |h - e_p| over the one denominator
+    S!/n!, a product of the H integers n+1 .. S (see pure_diagram), in
+    lowest terms.
 
     The first column of each run of consecutive degrees is C(S, x) times
     two products over the holes below and above it. Moving e_p = y to
@@ -456,12 +466,12 @@ def _pure_over_holes(e, starts, stops, los, his) -> BettiDiagram:
     if g != 1:
         numerators = [u // g for u in numerators]
         den //= g
-    keys = zip(range(n + 1), map(sub, e, range(n + 1)))
-    return _reduced(dict(zip(keys, numerators)), den)
+    return numerators, den
 
 
-def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
-    """The pure diagram of e, each entry kept as a reduced pair of ints.
+def _pure_over_runs(e, starts, stops, los, his) -> tuple:
+    """The pure diagram of e as (numerators in column order, den), each
+    entry kept as a reduced pair of ints until the end.
 
     The first column of a run of consecutive degrees is one product over
     all other entries, and one gcd reduces n!/den. Moving e_p = x to x + 1
@@ -472,37 +482,38 @@ def _pure_over_runs(e, starts, stops, los, his) -> BettiDiagram:
     small integers, and one gcd reduces it. The cost is O(n * runs)
     products, and the O(n^2) of the direct formula when no two entries are
     consecutive (every run a singleton, every column a first column). One
-    lcm of the reduced denominators then gives the diagram's denominator.
-    Unlike _pure_over_holes, its integers do not grow with the span.
+    lcm L of the reduced denominators v_p then gives the diagram's
+    denominator, and u_p * (L // v_p) its numerators. Their gcd with L is
+    1: a prime power that divides L exactly divides some v_p exactly, so
+    it leaves L // v_p, and it cannot divide u_p. Unlike _pure_over_holes,
+    its integers do not grow with the span.
     """
-    columns = []  # (key, u, v): the entry u/v in lowest terms, in column order
+    nums, dens = [], []  # the entries u/v in lowest terms, in column order
     n_fact = math.factorial(len(e) - 1)
     for j, (start, stop, lo, hi) in enumerate(zip(starts, stops, los, his)):
-        q = lo - start  # every column of a run sits at the same weight
         den = math.prod(map(sub, repeat(lo), e[:start])) * math.prod(
             map(sub, e[start + 1 :], repeat(lo))
         )
         g = math.gcd(n_fact, den)
         u, v = n_fact // g, den // g
-        columns.append(((start, q), u, v))
+        nums.append(u)
+        dens.append(v)
         if stop - start == 1:  # no later column: skip building O(runs) ranges
             continue
-        # one range per run, stepping x over lo..hi-1; column p's ratio is the
-        # product of the ranges' p-th terms
+        # one range per run, stepping x over lo..hi-1; the i-th later column's
+        # ratio is the product of the ranges' i-th terms
         rises = [range(lo + 1 - a, hi + 1 - a) for a in los[: j + 1]]
         rises += [range(a - lo - 1, a - hi - 1, -1) for a in los[j + 1 :]]
         falls = [range(lo - b, hi - b) for b in his[:j]]
         falls += [range(b - lo, b - hi, -1) for b in his[j:]]
-        for p, num, div in zip(
-            range(start + 1, stop),
-            map(math.prod, zip(*rises)),
-            map(math.prod, zip(*falls)),
-        ):
+        for num, div in zip(map(math.prod, zip(*rises)), map(math.prod, zip(*falls))):
             u, v = u * div, v * num
             g = math.gcd(u, v)
             u, v = u // g, v // g
-            columns.append(((p, q), u, v))
-    return _summed(columns)
+            nums.append(u)
+            dens.append(v)
+    den = math.lcm(*dens)
+    return [u * (den // v) for u, v in zip(nums, dens)], den
 
 
 def scale(b: BettiDiagram, c) -> BettiDiagram:
@@ -706,13 +717,14 @@ def _quotient(coeffs: list, s: int) -> list:
     - s prefix sums (a C-level running sum each), each of which leaves
       one remainder value that must be zero;
     - one long division by the expanded (1-t)^s from the constant term up:
-      m steps, each subtracting q times the binomial row (_binomial_row's,
-      memoized per s) from the next s coefficients, after which the top s
-      coefficients must all be zero. The coefficient of t^(s-i) in (1-t)^s
-      is (-1)^s times that of t^i, so a step multiplies q by the first s//2
-      entries of the row alone and applies each product at both mirror
-      positions (once at the middle one of an even s); the t^s term takes
-      (-1)^s q off.
+      m steps, each subtracting q times the terms t^1 .. t^s of (1-t)^s
+      from the next s coefficients, after which the top s coefficients
+      must all be zero.
+      The coefficient of t^(s-i) in (1-t)^s is (-1)^s times that of t^i,
+      so a step multiplies q by the half row t^1 .. t^(s//2) alone
+      (_binomial_row's, memoized per s) and applies each product at both
+      mirror positions (once at the middle one of an even s); the t^s term
+      takes (-1)^s q off.
 
     Every secant-family diagram has m = 2k + 3 while s = r - 2k - 1 grows
     with d, so once s reaches 17 (k = 0) to 41 (k = 4) it takes the long
@@ -725,8 +737,8 @@ def _quotient(coeffs: list, s: int) -> list:
     """
     m = max(len(coeffs) - s, 0)
     if _short_quotient_pays(m, s):
-        h = s // 2
-        half = _binomial_row(s)[:h]  # t^1 .. t^h
+        half = _binomial_row(s)  # t^1 .. t^h
+        h = len(half)
         w = (s - 1) // 2  # t^(s-1) .. t^(s-w) mirror t^1 .. t^w
         mirror = _add if s & 1 else sub  # t^(s-j) is (-1)^s times t^j
         for i in range(m):
@@ -754,65 +766,48 @@ def _quotient(coeffs: list, s: int) -> list:
 # diagrams share s = r - 2k - 1: verify --suite multiplicity and hn-leading
 # at g <= 4, k <= 3, d <= 120 hit it 18,351 and 8,309 times against 1,544
 # and 1,396 misses, and one row already takes all of those hits. A second
-# division of one diagram does not reach it (_last_division answers), so
-# one seed-1 pass of the family_oracle benchmark (900 ops) gets 8 hits
-# against 819 misses; one row would get 2 and eight 27. Four rows near
-# s = 300 hold 59 KB (tracemalloc).
+# division of one diagram does not reach it (the diagram holds its
+# quotient), so one seed-1 pass of the family_oracle benchmark (900 ops)
+# gets 8 hits against 819 misses; one row would get 2 and eight 27. Four
+# half rows near s = 300 hold 38 KB (tracemalloc).
 _ROW_MEMO_SIZE = 4
 
 
 @functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
 def _binomial_row(s: int) -> tuple:
-    """The coefficients of t^1 .. t^s of (1-t)^s, (-1)^i C(s, i), as a tuple,
-    for s >= 1.
-
-    Only the first half is built, one product and one exact division per
-    term; the coefficient of t^(s-i) is (-1)^s times that of t^i. At
-    s = 250 a miss takes 37 us against 66 us for the whole row stepped the
-    same way, and a hit 0.2 us (Python 3.11.7, x86_64, best of 7).
+    """The coefficients of t^1 .. t^(s//2) of (1-t)^s, (-1)^i C(s, i), as a
+    tuple: the half row _quotient multiplies, one product and one exact
+    division per term. A miss takes 3.5 us at s = 30 and 50 us at s = 301,
+    a hit 0.2 us (Python 3.11.7, x86_64, best of 7).
     """
-    half = [1]  # t^0 .. t^(s//2)
+    row = []
     c = 1
     for i in range(1, s // 2 + 1):
         c = -c * (s + 1 - i) // i
-        half.append(c)
-    rest = half[s - 1 - s // 2 :: -1]  # t^(s//2+1) .. t^s up to the sign (-1)^s
-    if s & 1:
-        rest = map(neg, rest)
-    return (*half[1:], *rest)
+        row.append(c)
+    return tuple(row)
 
 
 def _indivisible(s: int) -> NotCohenMacaulayShape:
     return NotCohenMacaulayShape(f"(1-t)^{s} does not divide the alternating polynomial")
 
 
-# The division memo: the last diagram divided, its least exponent lo and its
-# quotient, (b, lo, quotient). One entry is its bound. Its traffic is
-# multiplicity and hilbert_numerator asked of one diagram, in either order:
-# 498, 497 and 469 of the 900 ops of the family_oracle benchmark (seeds 1-3)
-# ask for both, and each such op divides once (hilbert_numerator hits on
-# every one of them). Callers that ask one quantity per diagram, such as
-# the verify suites and the gapped_degseq ops, get no hit and pay one
-# identity check. The diagram is held, so its id cannot be reused while it
-# is matched by identity, and it never changes once built. The entry is one
-# tuple, replaced whole, so no reader pairs a diagram with another's
-# quotient. A division that raises is never held. The quotient is the list
-# _quotient returns, held without a copy: no reader changes it
-# (hilbert_numerator reads it, multiplicity sums it), so no second list is
-# made. It lives until the next division; its m integers are fewer than
-# the m Fractions of a hilbert_numerator result, and multiplicity leaves
-# the long quotients to the moments (_moments_pay).
-_last_division = (None, 0, ())
+def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
+    """(lo, the quotient of b's alternating polynomial by (1-t)^s), from
+    _alternating's terms, lo, hi and s, stored as b._division: the one
+    place that sets it to a quotient. A division that raises stores
+    nothing. No caller may change the list, which is held without a copy
+    (hilbert_numerator reads it, multiplicity sums it).
 
-
-def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> list:
-    """The quotient of b's alternating polynomial (_alternating's terms, lo,
-    hi and s) by (1-t)^s, held in _last_division for the next multiplicity
-    or hilbert_numerator of b; no caller may change the list."""
-    global _last_division
-    quotient = _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
-    _last_division = (b, lo, quotient)
-    return quotient
+    Its traffic is multiplicity and hilbert_numerator asked of one diagram,
+    in either order: 498, 497 and 469 of the 900 ops of the family_oracle
+    benchmark (seeds 1-3) ask for both, and each such op divides once.
+    The m integers held are fewer than the m Fractions of a
+    hilbert_numerator result, and multiplicity leaves the long quotients to
+    the moments (_moments_pay).
+    """
+    b._division = lo, _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
+    return b._division
 
 
 def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
@@ -828,8 +823,8 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     >>> hilbert_numerator(pure_diagram((0, *range(2, 60), 61))).items()
     [(0, Fraction(1, 61)), (1, Fraction(59, 61)), (2, Fraction(1, 61))]
 
-    The last quotient is held, so multiplicity and then hilbert_numerator
-    of one diagram (or the reverse) divide it once:
+    A diagram keeps its own quotient (_divide), so multiplicity and then
+    hilbert_numerator of one diagram (or the reverse) divide it once:
 
     >>> b = pure_diagram((0, *range(2, 62), 63))
     >>> multiplicity(b)
@@ -839,10 +834,7 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
     """
     if not b:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
-    held, lo, quotient = _last_division
-    if held is not b:
-        terms, lo, hi, s = _alternating(b)
-        quotient = _divide(b, terms, lo, hi, s)
+    lo, quotient = b._division or _divide(b, *_alternating(b))
     den = b._den
     # built as _reduced builds a table: these exponents and Fractions come
     # from integers here, so the constructor's checks of outside values
@@ -875,8 +867,8 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     It costs about s(N - s/2) products, against s(m + s) additions for the
     prefix sums, where the polynomial has m + s coefficients; _moments_pay
     picks it for shapes with long quotients, and every other shape is
-    divided by _quotient, or read from _last_division when b is the diagram
-    held there. The moments read the nonzero terms alone, so
+    divided by _divide, unless b already holds its quotient, which is then
+    summed. The moments store nothing. They read the nonzero terms alone, so
     their memory does not grow with the span: (0, 10^8) has two terms and
     no list of 10^8 coefficients is made. The kernel never calls
     pure_diagram or a closed form, so multiplicity(pure_diagram(e)) == 1
@@ -909,12 +901,11 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
-    held, _, quotient = _last_division
-    if held is b:
-        return Fraction(sum(quotient), b._den)
+    if b._division:
+        return Fraction(sum(b._division[1]), b._den)
     terms, lo, hi, s = _alternating(b)
     if not _moments_pay(max(hi - lo + 1 - s, 0), s, len(terms)):
-        return Fraction(sum(_divide(b, terms, lo, hi, s)), b._den)
+        return Fraction(sum(_divide(b, terms, lo, hi, s)[1]), b._den)
     xs = sorted(terms)
     w = [terms[x] for x in xs]
     # xs runs out before round s only when K is 0: a last nonzero term

@@ -176,6 +176,19 @@ def test_log_path_within_budget_where_it_runs():
                 assert abs(got - want) <= LOG_BUDGET, (g, k, r, p, "kappa_dominant_log")
 
 
+def test_log_path_within_budget_at_r_1e5():
+    # sweep distribution takes the log path up to r = 10^6; its error grows
+    # like r * eps, and at r = 10^5 it stays within 1e-9 relative (measured
+    # 1.9e-10 and 4.8e-11 at these two points). Each exact point takes about
+    # 0.15 s
+    for g, k, a in ((1, 1, 0.0), (3, 2, 1.0)):
+        params = secant.SecantParams(g, k, 10**5 + g)
+        assert params.r == 10**5
+        e = asymptotics.normal_dist_point(params, a, method="exact").value
+        l = asymptotics.normal_dist_point(params, a, method="log").value
+        assert abs(l - e) <= 1e-9 * e, (g, k, a)
+
+
 def test_collapse_identity_holds_everywhere():
     for (g, k) in [(1, 1), (2, 1), (1, 2)]:
         for d in (2 * g + 2 * k + 9, 500 + g, 10**4 + g):

@@ -158,6 +158,23 @@ def test_secant_pure_refuses_tuple_with_dominant(capsys):
         assert "not allowed with argument" in err
 
 
+def test_secant_pure_that_fails_to_format_leaves_stdout_empty(capsys):
+    # entries past the int-to-str digit limit fail while the diagram is
+    # formatted, after its comment line is built: the command exits 2 and
+    # writes no stdout, neither the comment line nor part of the diagram.
+    # The limit is lowered here (640 is the least it takes), never raised
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("json", "table"):
+            argv = ["secant-pure", "-g", "1", "-k", "0", "-d", "2200", "--dominant", "--format", fmt]
+            code, out, err = run(capsys, *argv)
+            assert (code, len(out)) == (2, 0), fmt
+            assert err.startswith("bad input:"), (fmt, err)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_secant_pure_rejects_small_d(capsys):
     code, out, err = run(capsys, "secant-pure", "-g", "3", "-k", "1", "-d", "8", "--tuple", "1,3")
     assert code == 2

@@ -213,17 +213,23 @@ def _takes_holes(e):
     return diagrams._few_holes_pay(e[-1] - e[0], len(e) - 1)
 
 
+def _columns(b, e):
+    """(b's numerators in column order, b's denominator): the pair a pure
+    kernel returns for the sequence e."""
+    return [b._n[p, x - p] for p, x in enumerate(e)], b._den
+
+
 def _assert_kernels_match_naive(e):
     """pure_diagram(e) is the Herzog-Kuhl table in lowest terms, and both
-    kernels return its very pair, whichever side the shape test picks."""
+    kernels return its very numerators and denominator, whichever side the
+    shape test picks."""
     b = diagrams.pure_diagram(e)
     assert b.items() == _naive_pure_entries(e), e
     assert b._den > 0 and math.gcd(b._den, *b._n.values()) == 1, e
     seq = diagrams.DegreeSequence(e)
     runs = diagrams._runs(seq)
     for kernel in (diagrams._pure_over_holes, diagrams._pure_over_runs):
-        other = kernel(seq, *runs)
-        assert (other._n, other._den) == (b._n, b._den), (kernel.__name__, e)
+        assert kernel(seq, *runs) == _columns(b, e), (kernel.__name__, e)
 
 
 def test_pure_kernels_match_naive_formula_on_both_sides():
@@ -295,8 +301,7 @@ def test_pure_hole_kernel_on_long_family_sequences():
             n = len(e) - 1
             for p in {0, 1, n - 1, n, *rng.sample(range(n + 1), 12)}:
                 assert b.get(p, e[p] - p) == _naive_column(e, p), (g, k, d, p)
-            other = diagrams._pure_over_runs(e, *diagrams._runs(e))
-            assert (other._n, other._den) == (b._n, b._den)
+            assert diagrams._pure_over_runs(e, *diagrams._runs(e)) == _columns(b, e)
 
 
 def test_pure_diagram_over_a_wide_span_takes_the_run_kernel():
@@ -349,11 +354,16 @@ def test_multiplicity_is_linear():
     assert diagrams.multiplicity(diagrams.scale(a, F(7, 2))) == F(7, 2)
 
 
+def _fresh(b):
+    """A new diagram equal to b that holds no quotient, built as the
+    library builds its tables, with no check of outside values."""
+    return diagrams._reduced(dict(b._n), b._den)
+
+
 def _cold(quantity, b):
-    """quantity(b) with the division memo emptied first, so that its own
-    kernel computes it and no quotient held from an earlier call answers."""
-    diagrams._last_division = (None, 0, ())
-    return quantity(b)
+    """quantity of a fresh diagram equal to b, so that its own kernel
+    computes it and no quotient b holds from an earlier call answers."""
+    return quantity(_fresh(b))
 
 
 def test_hilbert_numerator_frozen_coefficients():
@@ -460,8 +470,8 @@ def _run_sequence(n, extra):
 
 def _multiplicity_path(b, monkeypatch):
     """The kernel multiplicity(b) runs: the moments, or whichever division
-    _quotient picks. The division memo is emptied first, since a caller may
-    just have divided b and a held quotient would answer without a kernel."""
+    _quotient picks. It asks a fresh diagram equal to b, since b may hold
+    its quotient from an earlier call, which would answer without a kernel."""
     taken = []
     quotient = diagrams._quotient
 
@@ -471,9 +481,8 @@ def _multiplicity_path(b, monkeypatch):
         return quotient(coeffs, s)
 
     with monkeypatch.context() as patch:
-        patch.setattr(diagrams, "_last_division", (None, 0, ()))
         patch.setattr(diagrams, "_quotient", spy)
-        diagrams.multiplicity(b)
+        diagrams.multiplicity(_fresh(b))
     return taken[0] if taken else "moments"
 
 
@@ -545,8 +554,9 @@ def test_division_rejects_non_cm_on_both_paths():
 
 
 def test_binomial_row_is_the_expanded_power():
+    # the half row t^1 .. t^(s//2) of (1-t)^s, the part the long division reads
     for s in range(1, 401):
-        expected = tuple((-1) ** i * math.comb(s, i) for i in range(1, s + 1))
+        expected = tuple((-1) ** i * math.comb(s, i) for i in range(1, s // 2 + 1))
         assert diagrams._binomial_row(s) == expected, s
 
 
@@ -727,40 +737,42 @@ _BOTH_ORDERS = (
 
 def test_multiplicity_and_hilbert_numerator_divide_a_diagram_once(monkeypatch):
     # either order on one family diagram builds the alternating polynomial
-    # once and divides once: the second call reads the held quotient
+    # once and divides once: the second call reads the quotient the
+    # diagram holds
     b = secant.secant_pure_diagram(secant.SecantParams(3, 2, 120), (1, 2, 3))
     assert _multiplicity_path(b, monkeypatch) == "long division"
-    expected = {f: f(b) for f in _BOTH_ORDERS[0]}
+    expected = {f: _cold(f, b) for f in _BOTH_ORDERS[0]}
     for order in _BOTH_ORDERS:
+        fresh = _fresh(b)
+        assert fresh._division is None
         with monkeypatch.context() as patch:
-            patch.setattr(diagrams, "_last_division", (None, 0, ()))
             calls = _counting(patch, "_alternating", "_quotient")
-            assert [f(b) for f in order] == [expected[f] for f in order]
+            assert [f(fresh) for f in order] == [expected[f] for f in order]
             assert calls == {"_alternating": 1, "_quotient": 1}
-            assert diagrams._last_division[0] is b
+        assert fresh._division is not None
     assert expected[diagrams.multiplicity] == 1
 
 
 def test_division_memo_matches_by_identity(monkeypatch):
-    # an equal diagram that is another object is divided again, and then
-    # becomes the held one
-    b = diagrams.pure_diagram(secant.degree_sequence(secant.SecantParams(2, 1, 90), (0, 2)))
+    # an equal diagram that is another object is divided on its own, and
+    # each then answers from its own quotient
+    b = _fresh(diagrams.pure_diagram(secant.degree_sequence(secant.SecantParams(2, 1, 90), (0, 2))))
     twin = diagrams.BettiDiagram(dict(b.items()))
     assert twin == b and twin is not b
     with monkeypatch.context() as patch:
-        patch.setattr(diagrams, "_last_division", (None, 0, ()))
         calls = _counting(patch, "_alternating", "_quotient")
         assert diagrams.multiplicity(b) == diagrams.multiplicity(twin) == 1
-        assert diagrams._last_division[0] is twin
+        assert calls == {"_alternating": 2, "_quotient": 2}
+        assert twin._division == b._division and twin._division is not b._division
         assert diagrams.hilbert_numerator(b) == diagrams.hilbert_numerator(twin)
-        assert diagrams._last_division[0] is twin
-        assert calls == {"_alternating": 4, "_quotient": 4}
+        assert calls == {"_alternating": 2, "_quotient": 2}
 
 
 def test_division_memo_never_holds_a_failed_division(monkeypatch):
     # one unit more in the last column, on each of multiplicity's three
     # paths: four calls in either order each raise the same message
-    # afresh, and the diagram held before stays held
+    # afresh, the failing diagram stores nothing, and a diagram divided
+    # before keeps its quotient
     rng = random.Random(24)
     sequences = [
         (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), "long division"),
@@ -768,6 +780,9 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
         (_random_sequence(rng, 0, (2, 3, 5), 40), "moments"),
     ]
     held = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
+    diagrams.hilbert_numerator(held)
+    quotient = held._division
+    assert quotient is not None
     for e, path in sequences:
         n = len(e) - 1
         bad = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
@@ -778,11 +793,11 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
         message = f"(1-t)^{n} does not divide the alternating polynomial"
         for order in _BOTH_ORDERS:
             with monkeypatch.context() as patch:
-                diagrams.hilbert_numerator(held)
                 calls = _counting(patch, "_alternating")
                 for i, f in enumerate(order * 2):
                     assert _outcome(f, bad) == message, (path, f)
-                    assert diagrams._last_division[0] is held
+                    assert bad._division is None
+                    assert held._division is quotient
                     assert calls["_alternating"] == i + 1
 
 
@@ -807,31 +822,27 @@ def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
     for b, path in cases:
         assert _multiplicity_path(b, monkeypatch) == path
         paths[path] += 1
-        cold = {}
-        for f in _BOTH_ORDERS[0]:
-            monkeypatch.setattr(diagrams, "_last_division", (None, 0, ()))
-            cold[f] = f(b)
+        cold = {f: _cold(f, b) for f in _BOTH_ORDERS[0]}
         hn = cold[diagrams.hilbert_numerator]
         assert sum(c for _, c in hn.items()) == cold[diagrams.multiplicity]
         for order in _BOTH_ORDERS:
-            monkeypatch.setattr(diagrams, "_last_division", (None, 0, ()))
-            assert [f(b) for f in order * 2] == [cold[f] for f in order * 2], path
+            fresh = _fresh(b)
+            assert [f(fresh) for f in order * 2] == [cold[f] for f in order * 2], path
     assert min(paths.values()) >= 6, paths
 
 
-def test_division_memo_holds_only_the_last_diagram(monkeypatch):
-    # after a run of distinct diagrams the memo is the one entry of the
-    # last; every earlier one is divided again when asked for
+def test_each_diagram_keeps_its_own_quotient(monkeypatch):
+    # after one pass over a run of distinct diagrams, each holds its own
+    # quotient: a second pass, in either quantity, divides none of them
     params = secant.SecantParams(3, 2, 150)
-    tables = [secant.secant_pure_diagram(params, t) for t in secant.jump_tuples(3, 2)]
-    for b in tables:
-        diagrams.multiplicity(b)
-    assert len(diagrams._last_division) == 3 and diagrams._last_division[0] is tables[-1]
+    tables = [_fresh(secant.secant_pure_diagram(params, t)) for t in secant.jump_tuples(3, 2)]
     with monkeypatch.context() as patch:
         calls = _counting(patch, "_quotient")
-        assert all(diagrams.multiplicity(b) == 1 for b in tables[:-1])
-        assert calls["_quotient"] == len(tables) - 1
-        assert diagrams._last_division[0] is tables[-2]
+        assert all(diagrams.multiplicity(b) == 1 for b in tables)
+        assert calls["_quotient"] == len(tables)
+        assert all(diagrams.multiplicity(b) == 1 for b in tables)
+        assert all(diagrams.hilbert_numerator(b) for b in tables)
+        assert calls["_quotient"] == len(tables)
 
 
 def test_multiplicity_lists_no_coefficient_of_a_wide_span():
@@ -1183,19 +1194,20 @@ def test_hilbert_numerator_runs_no_outside_value_check(monkeypatch):
 
 
 def test_only_diagrams_reads_the_table_format():
-    # the numerators _n and the denominator _den are read in diagrams.py
-    # alone, so the representation can change in one module
+    # the numerators _n, the denominator _den and the held quotient
+    # _division are read in diagrams.py alone, so the representation can
+    # change in one module
     readers = {}
     for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         names = {
             node.attr
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_den")
+            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_den", "_division")
         }
         if names:
             readers[path.name] = names
-    assert readers == {"diagrams.py": {"_n", "_den"}}
+    assert readers == {"diagrams.py": {"_n", "_den", "_division"}}
 
 
 # the calls that change a dict in place
@@ -1204,6 +1216,9 @@ _DICT_MUTATORS = {
 }
 # the only functions that may set a table's _n and _den
 _TABLE_BUILDERS = {"BettiDiagram.__init__", "_reduced"}
+# the only functions that may set a table's _division, to None with the
+# table and to a quotient by the one division
+_DIVISION_SETTERS = {"none": _TABLE_BUILDERS, "quotient": {"_divide"}}
 
 
 def _table_writes(source):
@@ -1239,7 +1254,8 @@ def _changes_in_place(node, stored):
     if name in _DICT_MUTATORS and _is_numerators(getattr(func, "value", None)):
         return True
     return name in ("setattr", "delattr", "__setattr__", "__delattr__") and any(
-        isinstance(arg, ast.Constant) and arg.value in ("_n", "_den") for arg in node.args
+        isinstance(arg, ast.Constant) and arg.value in ("_n", "_den", "_division")
+        for arg in node.args
     )
 
 
@@ -1255,17 +1271,63 @@ def _forbidden_writes(source):
     ]
 
 
+def _division_writes(source):
+    """(enclosing function, line, kind) for every store or del of
+    *._division in source: kind "none" for an assignment of None (paired
+    element by element in a tuple assignment), "del" for a del, and
+    "quotient" for any other value."""
+    writes = []
+    values = {}  # id of an assignment target -> the value it is given
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    values.update((id(t), v) for t, v in zip(target.elts, node.value.elts))
+                else:
+                    values[id(target)] = node.value
+        if isinstance(node, ast.Attribute) and node.attr == "_division":
+            if isinstance(node.ctx, ast.Del):
+                writes.append((scope, node.lineno, "del"))
+            elif isinstance(node.ctx, ast.Store):
+                value = values.get(id(node))
+                none = isinstance(value, ast.Constant) and value.value is None
+                writes.append((scope, node.lineno, "none" if none else "quotient"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return writes
+
+
+def _forbidden_division_writes(source):
+    return [
+        (scope, line, kind)
+        for scope, line, kind in _division_writes(source)
+        if scope not in _DIVISION_SETTERS.get(kind, ())
+    ]
+
+
 def test_no_diagram_changes_once_built():
     # pure_diagram's memo hands one object to every caller, so a change to
     # a built diagram would corrupt every later call for its sequence: no
     # module writes a table's numerators in place, and _n and _den are set
-    # in BettiDiagram.__init__ and _reduced alone
+    # in BettiDiagram.__init__ and _reduced alone. A table's _division is
+    # set to None there too, and to a quotient in _divide alone
     setters = set()
+    division_setters = set()
     for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         assert _forbidden_writes(source) == [], path.name
+        assert _forbidden_division_writes(source) == [], path.name
         setters |= {(path.name, scope) for scope, _, _ in _table_writes(source)}
+        division_setters |= {(path.name, scope, kind) for scope, _, kind in _division_writes(source)}
     assert setters == {("diagrams.py", scope) for scope in _TABLE_BUILDERS}
+    assert division_setters == {
+        ("diagrams.py", scope, kind) for kind, scopes in _DIVISION_SETTERS.items() for scope in scopes
+    }
     # and the guard finds each kind of change it is for
     for source in (
         "def f(b):\n    b._n[(0, 0)] = 1",
@@ -1280,6 +1342,18 @@ def test_no_diagram_changes_once_built():
         "def f(b):\n    setattr(b, '_n', {})",
         "def _reduced(n, den):\n    n._n.clear()",
         "class BettiDiagram:\n    def scale(self):\n        self._den *= 2",
+        "def _divide(b):\n    setattr(b, '_division', (0, []))",
     ):
         assert _forbidden_writes(source), source
     assert not _forbidden_writes("def _reduced(b, n, den):\n    b._n, b._den = n, den")
+    # and each kind of _division write out of its place
+    for source in (
+        "def _divide(b):\n    b._division = None",  # None outside the table builders
+        "def _reduced(b, q):\n    b._n, b._division = {}, (0, q)",  # a quotient outside _divide
+        "def _divide(b):\n    del b._division",  # a del anywhere
+    ):
+        assert _forbidden_division_writes(source), source
+    assert not _forbidden_division_writes(
+        "def _reduced(b, n, den):\n    b._n, b._den, b._division = n, den, None\n"
+        "def _divide(b, lo, q):\n    b._division = lo, q"
+    )
