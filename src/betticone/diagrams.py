@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add as _add, lt, mul, sub
 from typing import Iterable, Mapping
 
@@ -666,44 +666,14 @@ def _alternating(b: BettiDiagram):
     return {t: c for t, c in degs.items() if c}, min(degs), max(degs), s
 
 
-def _short_quotient_pays(m: int, s: int) -> bool:
-    """Whether dividing a polynomial with m + s coefficients by (1-t)^s
-    costs less as one long division (a quotient of m coefficients) than as
-    s prefix sums.
-
-    The prefix sums cost s * (m + s) additions. The long division costs
-    m * s / 2 products by binomials of up to s bits, which grow dearer with
-    s, m * s subtractions, and a fixed cost to build the row. The test is
-    fitted to the crossover m* at which both take the same time, measured
-    on pure diagrams of n = s with the m - 1 holes placed at random (Python
-    3.11.7, x86_64; median of 6 seeded diagrams, best of 7 timings each,
-    the row built afresh for every long division):
-
-        s       14   22   30   40   48   64   96  128  192  256  384  512
-        m*     2.1  4.2  6.5  9.9   14   19   30   38   50   54   66   72
-        test   1.9  4.8  7.6 10.9 13.4 18.1 26.6 33.9 46.0 55.5 69.5 79.4
-
-    Multiplying the whole row, as the division did before it used the
-    mirror, the same measurement gave m* = 3.3, 5.0, 8.5, 10.5, 12, 16, 22,
-    26, 33, 36, 44 and 47 at these s: halving the products moves m* up by
-    a third to a half from s = 96 on, and down by up to a third below
-    s = 40, where a step's three slice updates cost more than the products
-    they save. Away from m* the side taken wins by more: at m/s = 0.03 the
-    long division is 5.6-6.3x faster for s = 96-512, at m/s = 0.06
-    2.4-3.4x, and at m/s = 0.5 the prefix sums are 1.3-2.6x faster. No
-    fixed ratio fits: m*/s falls from 0.3 near s = 100 to 0.14 at s = 512,
-    and the test m < s would take the long division where the prefix sums
-    are 4.3x faster (s = 512, m = s).
-    """
-    return m * (s + 350) + 1200 < 136 * s
-
-
 def _moments_pay(m: int, s: int, terms: int) -> bool:
-    """Whether multiplicity's moment kernel costs less than _quotient on a
-    polynomial of m + s coefficients, terms of them nonzero, divided by
-    (1-t)^s: (m - 3(terms - s - 1) - 25) * 1600 > s(s + 1600), fitted in
-    multiplicity's docstring. On a polynomial that can divide (terms > s)
-    it needs m > s + 25, which no shape _short_quotient_pays passes has."""
+    """Whether multiplicity's moment kernel costs less than the long
+    division (_quotient) on a polynomial of m + s coefficients, terms of
+    them nonzero, divided by (1-t)^s: (m - 3(terms - s - 1) - 25) * 1600 >
+    s(s + 1600). It was fitted against the s prefix sums that once divided
+    these shapes, and against the long division it is conservative (both
+    tables are in multiplicity's docstring). On a polynomial that can
+    divide (terms > s) it needs m > s + 25."""
     return (m - 3 * (terms - s - 1) - 25) * 1600 > s * (s + 1600)
 
 
@@ -711,65 +681,55 @@ def _quotient(coeffs: list, s: int) -> list:
     """The quotient of sum coeffs[j] t^j by (1-t)^s, as a list of integer
     coefficients; coeffs is consumed.
 
-    The polynomial has m + s coefficients and is divided in whichever of
-    two ways _short_quotient_pays picks for its shape:
+    The polynomial has m + s coefficients and is divided by the expanded
+    (1-t)^s from the constant term up: m steps, each subtracting q times
+    the terms t^1 .. t^s of (1-t)^s from the next s coefficients, after
+    which the top s coefficients must all be zero. The coefficient of
+    t^(s-i) in (1-t)^s is (-1)^s times that of t^i, so a step multiplies
+    q by the half row t^1 .. t^(s//2) alone (_binomial_row's, memoized per
+    s) and applies each product at both mirror positions (once at the
+    middle one of an even s); the t^s term takes (-1)^s q off. At s = 0
+    there is nothing to divide, and coeffs is its own quotient.
 
-    - s prefix sums (a C-level running sum each), each of which leaves
-      one remainder value that must be zero;
-    - one long division by the expanded (1-t)^s from the constant term up:
-      m steps, each subtracting q times the terms t^1 .. t^s of (1-t)^s
-      from the next s coefficients, after which the top s coefficients
-      must all be zero.
-      The coefficient of t^(s-i) in (1-t)^s is (-1)^s times that of t^i,
-      so a step multiplies q by the half row t^1 .. t^(s//2) alone
-      (_binomial_row's, memoized per s) and applies each product at both
-      mirror positions (once at the middle one of an even s); the t^s term
-      takes (-1)^s q off.
-
-    Every secant-family diagram has m = 2k + 3 while s = r - 2k - 1 grows
-    with d, so once s reaches 17 (k = 0) to 41 (k = 4) it takes the long
-    division; a gapped sequence has m about 2.5 * s and takes the prefix
-    sums (its multiplicity comes from the moments instead). A nonzero
-    remainder on either path means the diagram does not have the
-    Cohen-Macaulay shape this quantity assumes, and the error reads the
-    same. A polynomial with at most s coefficients divides only if it is
-    zero, and then the quotient is the empty list.
+    A nonzero remainder means the diagram does not have the Cohen-Macaulay
+    shape this quantity assumes. A polynomial with at most s coefficients
+    divides only if it is zero, and then the quotient is the empty list.
+    The cost is m * s / 2 products by binomials of up to s bits and m * s
+    subtractions, so a long quotient against s is dear: multiplicity
+    leaves those to the moments (_moments_pay), and hilbert_numerator,
+    which needs every coefficient, pays it.
     """
+    if not s:
+        return coeffs
     m = max(len(coeffs) - s, 0)
-    if _short_quotient_pays(m, s):
-        half = _binomial_row(s)  # t^1 .. t^h
-        h = len(half)
-        w = (s - 1) // 2  # t^(s-1) .. t^(s-w) mirror t^1 .. t^w
-        mirror = _add if s & 1 else sub  # t^(s-j) is (-1)^s times t^j
-        for i in range(m):
-            if q := coeffs[i]:
-                products = list(map(mul, half, repeat(q)))
-                coeffs[i + 1 : i + h + 1] = map(sub, coeffs[i + 1 : i + h + 1], products)
-                top = i + s
-                coeffs[top - 1 : top - w - 1 : -1] = map(
-                    mirror, coeffs[top - 1 : top - w - 1 : -1], products
-                )
-                coeffs[top] = mirror(coeffs[top], q)
-        if any(coeffs[m:]):
-            raise _indivisible(s)
-        del coeffs[m:]
-    else:
-        for _ in range(s):
-            coeffs = list(accumulate(coeffs))
-            if coeffs and coeffs.pop() != 0:
-                raise _indivisible(s)
+    half = _binomial_row(s)  # t^1 .. t^h
+    h = len(half)
+    w = (s - 1) // 2  # t^(s-1) .. t^(s-w) mirror t^1 .. t^w
+    mirror = _add if s & 1 else sub  # t^(s-j) is (-1)^s times t^j
+    for i in range(m):
+        if q := coeffs[i]:
+            products = list(map(mul, half, repeat(q)))
+            coeffs[i + 1 : i + h + 1] = map(sub, coeffs[i + 1 : i + h + 1], products)
+            top = i + s
+            coeffs[top - 1 : top - w - 1 : -1] = map(
+                mirror, coeffs[top - 1 : top - w - 1 : -1], products
+            )
+            coeffs[top] = mirror(coeffs[top], q)
+    if any(coeffs[m:]):
+        raise _indivisible(s)
+    del coeffs[m:]
     return coeffs
 
 
 # The row memo's bound. The long division's traffic asks for one s many
 # times in a row when it runs over every jump tuple of one (g, k, d), whose
 # diagrams share s = r - 2k - 1: verify --suite multiplicity and hn-leading
-# at g <= 4, k <= 3, d <= 120 hit it 18,351 and 8,309 times against 1,544
-# and 1,396 misses, and one row already takes all of those hits. A second
-# division of one diagram does not reach it (the diagram holds its
-# quotient), so one seed-1 pass of the family_oracle benchmark (900 ops)
-# gets 8 hits against 819 misses; one row would get 2 and eight 27. Four
-# half rows near s = 300 hold 38 KB (tracemalloc).
+# at g <= 4, k <= 3, d <= 120 hit it 24,576 and 11,392 times against 1,792
+# misses each, one per (g, k, d), and one row already takes all of those
+# hits. A second division of one diagram does not reach it (the diagram
+# holds its quotient), so one seed-1 pass of the family_oracle benchmark
+# (900 ops) gets 8 hits against 892 misses; one row would get 2 and eight
+# 25. Four half rows near s = 300 hold 38 KB (tracemalloc).
 _ROW_MEMO_SIZE = 4
 
 
@@ -804,7 +764,7 @@ def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
     benchmark (seeds 1-3) ask for both, and each such op divides once.
     The m integers held are fewer than the m Fractions of a
     hilbert_numerator result, and multiplicity leaves the long quotients to
-    the moments (_moments_pay).
+    the moments (_moments_pay), so only hilbert_numerator divides those.
     """
     b._division = lo, _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
     return b._division
@@ -864,13 +824,13 @@ def multiplicity(b: BettiDiagram) -> Fraction:
 
     The moment kernel keeps w_p = a_p P_i(x_p) for p >= i and steps it to
     i + 1 by one product per term, after checking that the w_p sum to 0.
-    It costs about s(N - s/2) products, against s(m + s) additions for the
-    prefix sums, where the polynomial has m + s coefficients; _moments_pay
-    picks it for shapes with long quotients, and every other shape is
-    divided by _divide, unless b already holds its quotient, which is then
-    summed. The moments store nothing. They read the nonzero terms alone, so
-    their memory does not grow with the span: (0, 10^8) has two terms and
-    no list of 10^8 coefficients is made. The kernel never calls
+    It costs about s(N - s/2) products, against m s / 2 products and m s
+    subtractions for the long division, where the polynomial has m + s
+    coefficients; _moments_pay picks it for shapes with long quotients,
+    and every other shape is divided by _divide, unless b already holds
+    its quotient, which is then summed. The moments store nothing. They
+    read the nonzero terms alone, so their memory does not grow with the
+    span: (0, 10^8) has two terms and no list of 10^8 coefficients is made. The kernel never calls
     pure_diagram or a closed form, so multiplicity(pure_diagram(e)) == 1
     checks the diagram kernels. A sequence with every gap 5 has m about 4s
     and takes it:
@@ -882,10 +842,11 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
     (Fraction(1, 1), Fraction(-2, 3))
 
-    The test _moments_pay is fitted to the crossover m* at which both
-    kernels take the same time on pure diagrams (N = s) with the degrees
-    placed at random in the span (Python 3.11.7, x86_64; two seeded sets
-    of 4 to 150 diagrams, median ratio of 9 interleaved timings each):
+    The test _moments_pay was fitted to the crossover m* at which the
+    moments and s prefix sums, the division that once took these shapes,
+    take the same time on pure diagrams (N = s) with the degrees placed at
+    random in the span (Python 3.11.7, x86_64; two seeded sets of 4 to 150
+    diagrams, median ratio of 9 interleaved timings each):
 
         s       4    8   16   30   60   90  150  250  400
         m*     45   34   37   49   81  120  184  327  518
@@ -895,9 +856,20 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     moments win, by 1.7x at m = 2.5s (a gapped sequence) and 2.0-2.4x at
     m = 3.5s (s = 60-150). On a sum of two such diagrams, N about 1.8s,
     m* is 133, 238, 358 and 561 at s = 30, 60, 90 and 150: 3.2-3.3 more
-    per term past s + 1, and the test takes 3(N - s) off m. Family shapes
-    (m <= 11) never pass it; at s = 112-298 the moments would take 8-50x
-    the long division's time.
+    per term past s + 1, and the test takes 3(N - s) off m.
+
+    Against the long division, the kernel the test now chooses against,
+    the same measurement (two seeded sets of 6 diagrams per m, row memo cold or
+    warm alike) puts m* lower:
+
+        s       8   30   90  150
+        m*    4.4   20   60   94
+
+    So the test is conservative: at its boundary the moments take 0.24x
+    (s = 8) to 0.5x (s = 90-150) of the long division's time, and shapes
+    between m* and the test are divided where the moments would be
+    faster. Family shapes (m <= 11) never pass it; at s = 112-298 the
+    moments would take 8-50x the long division's time.
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")

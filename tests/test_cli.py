@@ -604,3 +604,59 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
     assert together[0][1] != together[1][1]  # --seed 5 did not stick
     assert together[2][1] != together[3][1]  # --dominant did not stick
     assert together[6][1].startswith("usage: betticone")
+
+
+def test_table_over_the_cell_ceiling_exits_two_before_any_row(capsys):
+    # (0, 10^8) is two cells as JSON but 2 * 10^8 as a table: the count is
+    # taken from the support, so the refusal comes at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pure", "--degseq", "0,100000000", "--format", "table")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    ceiling = cli._TABLE_CELLS_MAX
+    assert err == (
+        f"bad input: the table has 200000000 cells, above the ceiling of {ceiling}; "
+        "use --format json\n"
+    )
+
+
+def test_table_cell_ceiling_boundary():
+    # one column of rows 0..q: q + 1 cells, counted without rendering
+    ceiling = cli._TABLE_CELLS_MAX
+    at = diagrams.BettiDiagram({(0, 0): 1, (0, ceiling - 1): 1})
+    assert cli._table_rectangle(at) == (0, ceiling - 1, 0)
+    past = diagrams.BettiDiagram({(0, 0): 1, (0, ceiling): 1})
+    message = f"has {ceiling + 1} cells, above the ceiling of {ceiling}"
+    with pytest.raises(ValueError, match=message):
+        cli._table_rectangle(past)
+    # a negative least weight widens the rectangle down to it
+    low = diagrams.BettiDiagram({(1, -1): 1, (1, ceiling // 2 - 2): 1})
+    assert cli._table_rectangle(low) == (-1, ceiling // 2 - 2, 1)
+    with pytest.raises(ValueError, match=f"has {ceiling + 2} cells"):
+        cli._table_rectangle(diagrams.add(low, diagrams.BettiDiagram({(0, ceiling // 2 - 1): 1})))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["pure", "--degseq", "0,0"], 2),
+        (["secant-pure", "-g", "1", "-k", "0", "-d", "2", "--dominant"], 2),
+        (["decompose", "--input", "{gap}"], 3),
+        (["decompose", "--input", "{missing}"], 4),
+        (["sweep", "purity", "-g", "1", "-k", "0", "--d-min", "10", "--d-max", "5",
+          "--out", "{csv}"], 2),
+        (["verify", "--suite", "multiplicity", "--g-max", "0"], 2),
+        (["calibrate", "-g", "2", "-k", "1", "--d-max", "50", "--threshold", "1/0"], 2),
+    ],
+)
+def test_every_failing_exit_leaves_stdout_empty(tmp_path, capsys, argv, expected):
+    # exits 2, 3 and 4 report on stderr alone; verify's exit 1 prints its
+    # summary line by design and is not among these
+    gap = tmp_path / "gap.json"  # column 1 is empty
+    gap.write_text(
+        json.dumps({"entries": [{"p": 0, "q": 0, "v": "1/1"}, {"p": 2, "q": 0, "v": "1/1"}]})
+    )
+    paths = {"gap": gap, "missing": tmp_path / "missing.json", "csv": tmp_path / "out.csv"}
+    code, out, err = _call(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (expected, "")
+    assert err

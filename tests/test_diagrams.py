@@ -18,15 +18,17 @@ Claims pinned here:
       even under a zero value
     - a DegreeSequence is checked once: passing one back returns it, and a
       sequence built valid (a top strand, a family sequence) is not checked
-    - the (1-t)^s division gives what s prefix sums give, on both sides of
-      its shape test and at its exact boundary, and fails with one message
-      on both paths; the long division's memoized row is (-1)^i C(s, i),
-      and a cold memo and a warm one give the same quotient or message
+    - the (1-t)^s long division gives what s prefix sums (the test oracle,
+      which the library no longer runs) give, or fails with their one
+      message, on short and long quotients, on the shapes that once took
+      the prefix sums, with no quotient coefficient, and at s = 0, where
+      the alternating polynomial is its own quotient; its memoized row is
+      (-1)^i C(s, i), and a cold memo and a warm one give the same
+      quotient or message
     - multiplicity's Herzog-Kuhl moment kernel gives the prefix sums'
       HN(1), or their one message, on both sides of its shape test and at
-      its exact boundary; family shapes take the long division,
-      (0,3,4,6,7,9) the prefix sums, gapped sequences of 30 or more
-      degrees the moments
+      its exact boundary; family shapes and (0,3,4,6,7,9) take the long
+      division, gapped sequences of 30 or more degrees the moments
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
     - both pure_diagram kernels (integer numerators over S!/n!, and reduced
@@ -48,10 +50,10 @@ Claims pinned here:
     - multiplicity's moments list no coefficient of the degree span: two
       terms 10^7 apart take under 1 MB
     - multiplicity and hilbert_numerator of one diagram, in either order,
-      build its alternating polynomial once and divide once; the held
-      diagram is matched by identity, is the last one divided, and is never
-      one whose division failed; held and fresh results agree on all three
-      of multiplicity's paths
+      build its alternating polynomial once and divide once; each diagram
+      holds its own quotient, an equal diagram that is another object
+      divides on its own, a division that fails stores nothing, and held
+      and fresh results agree on both of multiplicity's paths
 """
 
 import ast
@@ -404,7 +406,7 @@ def test_hilbert_numerator_zero_cancellation():
 
 
 def _prefix_sum_quotient(coeffs, s):
-    """The division the library made before it had a shape test: s prefix
+    """The reference division, which the library no longer runs: s prefix
     sums, each leaving a last value that must be zero. None if (1-t)^s does
     not divide."""
     for _ in range(s):
@@ -437,15 +439,12 @@ def _shape(b):
     return max(len(coeffs) - s, 0), s
 
 
-def _assert_division_matches_prefix_sums(b, short):
+def _assert_division_matches_prefix_sums(b):
     """_quotient of b's alternating polynomial equals the prefix-sum oracle,
-    on the path that short names, and hilbert_numerator and multiplicity
-    read it over b's denominator; where the oracle finds a remainder, all
-    three raise the one message."""
-    coeffs, offset, _ = _dense_alternating(b)
+    and hilbert_numerator and multiplicity read it over b's denominator;
+    where the oracle finds a remainder, all three raise the one message."""
+    coeffs, offset, s = _dense_alternating(b)
     lcm = b._den
-    m, s = _shape(b)
-    assert diagrams._short_quotient_pays(m, s) is short, (m, s)
     expected = _prefix_sum_quotient(coeffs, s)
     if expected is None:
         message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
@@ -469,15 +468,14 @@ def _run_sequence(n, extra):
 
 
 def _multiplicity_path(b, monkeypatch):
-    """The kernel multiplicity(b) runs: the moments, or whichever division
-    _quotient picks. It asks a fresh diagram equal to b, since b may hold
-    its quotient from an earlier call, which would answer without a kernel."""
+    """The kernel multiplicity(b) runs: the moments or the long division.
+    It asks a fresh diagram equal to b, since b may hold its quotient from
+    an earlier call, which would answer without a kernel."""
     taken = []
     quotient = diagrams._quotient
 
     def spy(coeffs, s):
-        short = diagrams._short_quotient_pays(max(len(coeffs) - s, 0), s)
-        taken.append("long division" if short else "prefix sums")
+        taken.append("long division")
         return quotient(coeffs, s)
 
     with monkeypatch.context() as patch:
@@ -487,70 +485,84 @@ def _multiplicity_path(b, monkeypatch):
 
 
 def test_division_shape_test_sides(monkeypatch):
+    # multiplicity's shape test: family diagrams and (0,3,4,6,7,9) take
+    # the long division, gapped sequences of 30 or more degrees the
+    # moments; the family quotients match the prefix sums (the other
+    # shapes are matched in test_one_division_where_the_prefix_sums_ran)
     family = [
         secant.degree_sequence(secant.SecantParams(g, k, d), t)
         for g, k, d in ((1, 0, 61), (3, 2, 120), (6, 4, 300), (2, 1, 60))
         for t in secant.jump_tuples(g, k)[:: 2 * g]
     ]
-    rng = random.Random(9)
-    gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
     for e in family + [_run_sequence(12, 0)]:
         b = diagrams.pure_diagram(e)
-        assert _assert_division_matches_prefix_sums(b, True)
+        assert _assert_division_matches_prefix_sums(b)
         assert _multiplicity_path(b, monkeypatch) == "long division", e
-    for e in gapped + [(0, 1, 2), (0, 3, 4, 6, 7, 9)]:
-        b = diagrams.pure_diagram(e)
-        assert _assert_division_matches_prefix_sums(b, False)
-        path = "moments" if len(e) >= 30 else "prefix sums"
-        assert _multiplicity_path(b, monkeypatch) == path, e
+    rng = random.Random(9)
+    gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
+    for e in gapped + [(0, 3, 4, 6, 7, 9)]:
+        path = "moments" if len(e) >= 30 else "long division"
+        assert _multiplicity_path(diagrams.pure_diagram(e), monkeypatch) == path, e
 
 
-def test_division_shape_test_exact_boundary():
-    # m (s + 350) + 1200 = 136 s at (m, s) = (36, 138): the boundary takes
-    # prefix sums, one coefficient less takes the long division
-    assert 36 * (138 + 350) + 1200 == 136 * 138
-    on = diagrams.pure_diagram(_run_sequence(138, 35))
-    below = diagrams.pure_diagram(_run_sequence(138, 34))
-    assert (_shape(on), _shape(below)) == ((36, 138), (35, 138))
-    assert _assert_division_matches_prefix_sums(on, False)
-    assert _assert_division_matches_prefix_sums(below, True)
-    assert not diagrams._short_quotient_pays(37, 138)
-    assert diagrams._short_quotient_pays(36, 139)
+def test_one_division_where_the_prefix_sums_ran():
+    # shapes the division once took as s prefix sums: gapped sequences,
+    # (0,1,2), (0,3,4,6,7,9), the two shapes either side of the former
+    # boundary (m, s) = (36, 138) and (35, 138), and an s = 1 wide span
+    rng = random.Random(9)
+    sequences = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
+    sequences += [(0, 1, 2), (0, 3, 4, 6, 7, 9), (0, 2000)]
+    sequences += [_run_sequence(138, 35), _run_sequence(138, 34)]
+    for e in sequences:
+        assert _assert_division_matches_prefix_sums(diagrams.pure_diagram(e)), e
+    shapes = [_shape(diagrams.pure_diagram(e)) for e in sequences[-3:]]
+    assert shapes == [(2000, 1), (36, 138), (35, 138)]
+    # s = 0: the alternating polynomial is its own quotient
+    for cells, numerator, total in (
+        ({(0, 0): F(1), (0, 2): F(3)}, {0: F(1), 2: F(3)}, F(4)),
+        ({(0, 5): F(2, 3), (0, 7): F(-1)}, {5: F(2, 3), 7: F(-1)}, F(-1, 3)),
+    ):
+        b = diagrams.BettiDiagram(cells)
+        assert _shape(b) == (3, 0)
+        assert _assert_division_matches_prefix_sums(b)
+        assert _cold(diagrams.hilbert_numerator, b) == diagrams.RationalPolynomial(numerator)
+        assert _cold(diagrams.multiplicity, b) == total
 
 
 def test_division_with_no_quotient_coefficient():
-    # m = 0 on both paths: a polynomial with at most s coefficients divides
-    # only when it cancels to nothing
-    for s, short in ((9, True), (40, True), (1, False), (5, False)):
+    # m = 0: a polynomial with at most s coefficients divides only when it
+    # cancels to nothing
+    for s in (9, 40, 1, 5):
         cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
         assert _shape(cancels) == (0, s)
-        assert _assert_division_matches_prefix_sums(cancels, short) == []
+        assert _assert_division_matches_prefix_sums(cancels) == []
         assert not _cold(diagrams.hilbert_numerator, cancels)
         assert _cold(diagrams.multiplicity, cancels) == 0
         single = diagrams.BettiDiagram({(0, s): F(1), (s, 0): F(1 + s % 2)})
         assert _shape(single) == (0, s)
-        assert _assert_division_matches_prefix_sums(single, short) is None
+        assert _assert_division_matches_prefix_sums(single) is None
 
 
 def test_division_rejects_non_cm_on_both_paths():
     cases = []
     # a nonzero remainder only in the top coefficient: one more unit of
-    # the last column of a pure diagram, on each side of the shape test
-    for e, short in (
-        (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), True),
-        (_random_sequence(random.Random(4), 0, (2, 3, 5), 30), False),
+    # the last column of a pure diagram, a family one (short quotient)
+    # and a gapped one (long quotient)
+    for e in (
+        secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)),
+        _random_sequence(random.Random(4), 0, (2, 3, 5), 30),
     ):
         n = len(e) - 1
         b = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
-        cases.append((b, short))
+        cases.append(b)
     # divisible by (1-t)^(s-1) but not by (1-t)^s: the prefix sums find it
     # only at the last division
-    for s, short in ((60, True), (5, False)):
+    for s in (60, 5):
         row = [(-1) ** j * math.comb(s - 1, j) for j in range(s)]
         poly = list(map(sum, zip(row + [0], [0] + [2 * c for c in row])))  # (1-t)^(s-1) (1+2t)
-        cases.append((_diagram_with_polynomial(poly, s), short))
-    for b, short in cases:
-        assert _assert_division_matches_prefix_sums(b, short) is None
+        cases.append(_diagram_with_polynomial(poly, s))
+    for b in cases:
+        assert _assert_division_matches_prefix_sums(b) is None
 
 
 def test_binomial_row_is_the_expanded_power():
@@ -570,13 +582,12 @@ def _times_power(q, s):
     return out
 
 
-def test_long_division_same_with_cold_and_warm_row_memo(monkeypatch):
-    # divisible and indivisible polynomials at odd and even s, forced onto
-    # the long division: each is divided once with its row just evicted
-    # and once with the row in the memo, and both match the prefix sums.
-    # s = 3..6 are the least odd and even s whose products are applied at
-    # mirror positions too (s = 1 has no first half, s = 2 no mirror)
-    monkeypatch.setattr(diagrams, "_short_quotient_pays", lambda m, s: True)
+def test_long_division_same_with_cold_and_warm_row_memo():
+    # divisible and indivisible polynomials at odd and even s: each is
+    # divided once with its row just evicted and once with the row in the
+    # memo, and both match the prefix sums. s = 3..6 are the least odd and
+    # even s whose products are applied at mirror positions too (s = 1 has
+    # no first half, s = 2 no mirror)
     rng = random.Random(22)
     cases = []
     for s in (1, 2, 3, 4, 5, 6, 7, 8, 59, 60, 251, 252):
@@ -678,7 +689,7 @@ def test_moment_kernel_edge_shapes():
 
 def test_moment_shape_test_exact_boundary():
     # (m - 3(terms - s - 1) - 25) 1600 = s (s + 1600) at (m, s) = (66, 40)
-    # with one term per column: the boundary takes the prefix sums, one
+    # with one term per column: the boundary takes the long division, one
     # coefficient more the moments
     assert (66 - 25) * 1600 == 40 * (40 + 1600)
     on = diagrams.pure_diagram(_run_sequence(40, 65))
@@ -699,12 +710,11 @@ def test_moment_shape_test_exact_boundary():
 
 def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
     # the gapped benchmark's shapes: multiplicity by the moments, and
-    # hilbert_numerator's coefficients by the prefix sums, both 1
+    # hilbert_numerator's coefficients by the long division, both 1
     rng = random.Random(67)
     for n in (30, 90, 150):
         b = diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), n))
         assert _multiplicity_path(b, monkeypatch) == "moments"
-        assert not diagrams._short_quotient_pays(*_shape(b))
         hn = diagrams.hilbert_numerator(b)
         assert sum(c for _, c in hn.items()) == _cold(diagrams.multiplicity, b) == 1
 
@@ -769,14 +779,15 @@ def test_division_memo_matches_by_identity(monkeypatch):
 
 
 def test_division_memo_never_holds_a_failed_division(monkeypatch):
-    # one unit more in the last column, on each of multiplicity's three
-    # paths: four calls in either order each raise the same message
-    # afresh, the failing diagram stores nothing, and a diagram divided
-    # before keeps its quotient
+    # one unit more in the last column, on both of multiplicity's paths
+    # (the long division with a short and with a long quotient): four
+    # calls in either order each raise the same message afresh, the
+    # failing diagram stores nothing, and a diagram divided before keeps
+    # its quotient
     rng = random.Random(24)
     sequences = [
         (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), "long division"),
-        (_random_sequence(rng, 0, (2, 3, 5), 8), "prefix sums"),
+        (_random_sequence(rng, 0, (2, 3, 5), 8), "long division"),
         (_random_sequence(rng, 0, (2, 3, 5), 40), "moments"),
     ]
     held = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
@@ -786,10 +797,7 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
     for e, path in sequences:
         n = len(e) - 1
         bad = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
-        if _takes_moments(bad):
-            assert path == "moments"
-        else:
-            assert diagrams._short_quotient_pays(*_shape(bad)) is (path == "long division")
+        assert _takes_moments(bad) is (path == "moments")
         message = f"(1-t)^{n} does not divide the alternating polynomial"
         for order in _BOTH_ORDERS:
             with monkeypatch.context() as patch:
@@ -802,11 +810,11 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
 
 
 def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
-    # seeded diagrams on each of multiplicity's three paths, pure and
+    # seeded diagrams on both of multiplicity's paths, pure and
     # combinations of two: HN(1) from hilbert_numerator is multiplicity,
     # and both read the same held or not, in either order
     rng = random.Random(2424)
-    paths = {"long division": 0, "prefix sums": 0, "moments": 0}
+    paths = {"long division": 0, "moments": 0}
     cases = []
     for _ in range(6):
         g, k = rng.randint(1, 4), rng.randint(0, 3)
@@ -816,8 +824,8 @@ def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
         cases.append((tables[0], "long division"))
         cases.append((diagrams.add(tables[0], diagrams.scale(tables[-1], F(2, 3))), "long division"))
         short = diagrams.pure_diagram(_random_sequence(rng, rng.randint(-5, 5), (1, 2, 3), 6))
-        cases.append((short, "prefix sums"))
-        cases.append((diagrams.scale(short, F(5, 7)), "prefix sums"))
+        cases.append((short, "long division"))
+        cases.append((diagrams.scale(short, F(5, 7)), "long division"))
         cases.append((diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), 40)), "moments"))
     for b, path in cases:
         assert _multiplicity_path(b, monkeypatch) == path
@@ -1171,8 +1179,8 @@ def test_hilbert_numerator_runs_no_outside_value_check(monkeypatch):
     # require_int nor require_rational runs; the polynomial equals the one
     # the public constructor builds from the same coefficients
     tables = [
-        diagrams.pure_diagram((0, *range(2, 60), 61)),  # the long division
-        diagrams.pure_diagram((0, 3, 4, 6, 7, 9)),  # the prefix sums
+        diagrams.pure_diagram((0, *range(2, 60), 61)),  # a short quotient
+        diagrams.pure_diagram((0, 3, 4, 6, 7, 9)),  # a long one against s
         diagrams.add(diagrams.pure_diagram((0, 2, 3)), diagrams.pure_diagram((0, 1, 3))),
     ]
     expected = [diagrams.RationalPolynomial(dict(diagrams.hilbert_numerator(b).items()))
