@@ -22,6 +22,11 @@ Claims pinned here:
       centre to (r-2k-1)/2, up to O(1/r); about that centre the residual
       from the Gaussian profile is O(1/r)
     - sweep CSV writers emit the documented headers and exact columns
+    - purity rows hold reduced Fractions with gap = 1 - bound and
+      r_gap = r * gap, and a sweep of more rows than the ceiling is refused
+      before any is built
+    - distribution rows equal normal_dist_point float for float, whether
+      _degree_factors' memo holds the d or not
 """
 
 import csv
@@ -314,10 +319,16 @@ def test_best_non_dominant_is_closed_form():
 def test_purity_lower_bound_matches_enumerating_oracle():
     for params in _oracle_grid():
         l_star = secant.hn_leading_coefficient(params, secant.dominant_tuple(params))
-        for a_coeff in (None, F(0), l_star / 7, l_star):
+        # A = L*(g-1)/g is where the unclamped bound is exactly 0
+        zero_at = l_star * F(params.g - 1, params.g)
+        tiny = F(1, 10**12)
+        for a_coeff in (None, F(0), l_star / 7, l_star, zero_at, zero_at - tiny, zero_at + tiny):
             want = _enumerated_purity_bound(params, a_coeff)
             got = asymptotics.purity_lower_bound(params, leading_coefficient=a_coeff)
             assert got == want, (params, a_coeff)
+            assert type(got) is F and math.gcd(got.numerator, got.denominator) == 1
+        assert asymptotics.purity_lower_bound(params, zero_at) == 0
+        assert asymptotics.purity_lower_bound(params, zero_at + tiny) > 0
 
 
 def test_purity_lower_bound_never_decreases_in_d():
@@ -361,6 +372,33 @@ def test_purity_sweep_grid_and_errors():
         asymptotics.purity_sweep(2, 1, 5, 20)
     with pytest.raises(InvalidRange):
         asymptotics.purity_sweep(2, 1, 7, 20, step=0)
+
+
+def test_purity_sweep_rows_are_exact_and_reduced():
+    for g in range(1, 7):
+        for k in range(0, 5):
+            lo = 2 * g + 2 * k + 1
+            for row in asymptotics.purity_sweep(g, k, lo, lo + 40, step=2):
+                assert row.gap == 1 - row.lower_bound, row
+                assert row.r_gap == row.r * row.gap, row
+                for v in (row.lower_bound, row.gap, row.r_gap):
+                    assert type(v) is F and math.gcd(v.numerator, v.denominator) == 1, row
+
+
+def test_purity_sweep_row_ceiling(monkeypatch):
+    # the count comes from the arguments, so no row is built above it
+    ceiling = asymptotics._PURITY_ROWS_MAX
+    assert ceiling == 10**6
+    for d_max, count in ((7 + ceiling, ceiling + 1), (10**30, 10**30 - 6)):
+        message = f"^purity sweep of {count} rows exceeds the ceiling of {ceiling} rows$"
+        with pytest.raises(InvalidRange, match=message):
+            asymptotics.purity_sweep(2, 1, 7, d_max)
+    monkeypatch.setattr(asymptotics, "_PURITY_ROWS_MAX", 5)
+    assert [row.d for row in asymptotics.purity_sweep(2, 1, 7, 11)] == [7, 8, 9, 10, 11]
+    assert len(asymptotics.purity_sweep(2, 1, 7, 21, step=3)) == 5
+    for d_max, step in ((12, 1), (22, 3)):
+        with pytest.raises(InvalidRange, match="^purity sweep of 6 rows exceeds the ceiling of 5 "):
+            asymptotics.purity_sweep(2, 1, 7, d_max, step)
 
 
 def test_calibration_fixture_reproduces():
@@ -448,6 +486,25 @@ def test_distribution_csv_format(tmp_path):
 
 
 def test_distribution_rows_consistent_with_point():
-    rows = asymptotics.distribution_sweep(1, 1, [0.5], [301])
-    point = asymptotics.normal_dist_point(secant.SecantParams(1, 1, 301), 0.5)
-    assert rows == [point]
+    # r on both sides of EXACT_CROSSOVER, up to 10^5; the points are taken
+    # a-major, so each misses _degree_factors' one-entry memo, and the rows
+    # d-major, so they hit it; collapse_identity between the two sweeps
+    # evicts it
+    a_list = [-1.0, 0.0, 0.5, 1.0, 2.0]
+    crossover = asymptotics.EXACT_CROSSOVER
+    for g, k in ((1, 1), (3, 2)):
+        d_list = [g + r for r in (12, crossover - 1, crossover, crossover + 1, 2000, 10**5)]
+        points = {
+            (d, a): asymptotics.normal_dist_point(secant.SecantParams(g, k, d), a)
+            for a in a_list
+            for d in d_list
+        }
+        want = [points[d, a] for d in d_list for a in a_list]
+        assert asymptotics.distribution_sweep(g, k, a_list, d_list) == want
+        asymptotics.collapse_identity(secant.SecantParams(g, k, d_list[0]), 0.5)
+        before = asymptotics._degree_factors.cache_info()
+        assert asymptotics.distribution_sweep(g, k, a_list, d_list) == want
+        after = asymptotics._degree_factors.cache_info()
+        # one miss per d, a hit for every other a
+        assert after.misses - before.misses == len(d_list)
+        assert after.hits - before.hits == (len(a_list) - 1) * len(d_list)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from betticone import cli, decomposition, diagrams, secant
+from betticone import asymptotics, cli, decomposition, diagrams, secant
 
 
 def run(capsys, *argv):
@@ -618,6 +618,24 @@ def test_table_over_the_cell_ceiling_exits_two_before_any_row(capsys):
         f"bad input: the table has 200000000 cells, above the ceiling of {ceiling}; "
         "use --format json\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    ("sweep", "purity", "-g", "2", "-k", "1", "--d-min", "7"),
+    ("calibrate", "-g", "2", "-k", "1"),
+])
+def test_purity_rows_over_the_ceiling_exit_two_at_once(tmp_path, capsys, command):
+    # 10^9 - 6 rows would take hours; the count is taken from the arguments
+    out_file = tmp_path / "out"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--d-max", "1000000000", "--out", str(out_file))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "bad input: purity sweep of 999999994 rows exceeds the ceiling of "
+        f"{asymptotics._PURITY_ROWS_MAX} rows\n"
+    )
+    assert not out_file.exists()
 
 
 def test_table_cell_ceiling_boundary():
