@@ -24,7 +24,7 @@ from .secant import (
     Factors,
     SecantParams,
     dominant_tuple,
-    hn_leading_coefficient,
+    _hn_leading,
     kappa_dominant_factors,
     normalized_hn_leading,
     secant_degree,
@@ -220,7 +220,7 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
         a_coeff = normalized_hn_leading(params)
     else:
         a_coeff = require_rational(leading_coefficient, "leading coefficient")
-    l_star = hn_leading_coefficient(params, dominant_tuple(params))
+    l_star = _hn_leading(params, dominant_tuple(params))
     # g*A/L* - (g-1) = num/den with den > 0
     den = a_coeff.denominator * l_star.numerator
     num = params.g * a_coeff.numerator * l_star.denominator - (params.g - 1) * den

@@ -309,7 +309,11 @@ def main(argv=None) -> int:
     except NotInCone as exc:
         print(f"not in cone: {exc}", file=sys.stderr)
         if exc.partial is not None:
-            print(decomposition._decomposition_json(exc.partial), file=sys.stderr)
+            try:
+                partial = decomposition._decomposition_json(exc.partial)
+            except ValueError as err:  # an int past the digit limit
+                partial = f"partial decomposition not written: {err}"
+            print(partial, file=sys.stderr)
         return EXIT_NOT_IN_CONE
     except (BettiConeError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)

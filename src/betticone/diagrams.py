@@ -11,9 +11,10 @@ once. Fractions are made only where a value leaves (get, items, the JSON
 form). One loop, _total, sums integer numerators into a table over a
 common denominator its caller picked as an lcm: the linear combinations
 of diagrams (add, scale, subtract and Decomposition.reconstruct) and the
-values given from outside. Both pure-diagram kernels return a sequence's
-numerators in column order over one denominator, and _pure_checked keys
-them by column into the table. The greedy peel, _greedy_peel, keeps
+values given from outside, except a JSON list in the writers' own form,
+which _canonical_entries keys in whole-list passes. Both pure-diagram
+kernels return a sequence's numerators in column order over one
+denominator, and _pure_checked keys them by column into the table. The greedy peel, _greedy_peel, keeps
 its residual as a private dict of numerators that it updates in place and
 hands out as a table only where it fails; each step reads its top strand
 by _strand, the one scan of the column minima, which top_strand also
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from itertools import repeat
-from operator import add as _add, lt, mul, sub
+from operator import add as _add, floordiv, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import (
+    _CANONICAL,
     EmptyDiagram,
     MalformedDegreeSequence,
     MissingColumn,
@@ -50,6 +53,13 @@ from .errors import (
 class DegreeSequence(tuple):
     """Strictly increasing tuple of integers (e_0, ..., e_n).
 
+    A sequence given from outside is checked in two whole-tuple passes:
+    one set of its entries' types, which must be int alone, then their
+    order. Only when the types fail does a per-entry loop run, to name the
+    first entry that is not an int (a bool or 1.0 is not). A DegreeSequence
+    is taken as it is, and the library builds its own sequences with
+    _trusted, so neither pays the checks again.
+
     >>> DegreeSequence((0, 3, 4))
     DegreeSequence(0, 3, 4)
     >>> DegreeSequence((0, 0, 1))
@@ -64,8 +74,9 @@ class DegreeSequence(tuple):
         seq = tuple(degrees)
         if not seq:
             raise MalformedDegreeSequence("degree sequence is empty")
-        for e in seq:
-            require_int(e, "degree", MalformedDegreeSequence)
+        if not set(map(type, seq)) <= {int}:  # one scan; the loop names the first bad entry
+            for e in seq:
+                require_int(e, "degree", MalformedDegreeSequence)
         if not all(map(lt, seq, seq[1:])):
             raise MalformedDegreeSequence(f"not strictly increasing: {seq}")
         return super().__new__(cls, seq)
@@ -193,17 +204,30 @@ class BettiDiagram:
     @classmethod
     def from_json_obj(cls, obj) -> "BettiDiagram":
         """The diagram of a JSON object {"entries": [{"p", "q", "v"}, ...]},
-        duplicate cells summed. Every cell's shape and value is checked, in
-        file order, before any index. Each value is read as an int pair by
-        rational_pair and summed as integers, with no Fraction per cell."""
+        duplicate cells summed, with no Fraction per cell.
+
+        A list in the form to_json_obj writes, distinct cells with nonzero
+        canonical "n/d" values, is read in whole-list passes
+        (_canonical_entries). Every other list, and every list that fails,
+        is read cell by cell (_entries_by_cell), so both give one diagram
+        and a refusal is always that loop's: every cell's shape and value
+        is checked, in file order, before any index.
+
+        >>> b = BettiDiagram.from_json_obj({"entries": [
+        ...     {"p": 0, "q": 0, "v": "1/2"}, {"p": 1, "q": 1, "v": "3/4"}]})
+        >>> b.items()
+        [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(3, 4))]
+        >>> BettiDiagram.from_json_obj({"entries": [
+        ...     {"p": -1, "q": 0, "v": "1/2"}, {"p": 0, "q": 0, "v": "1/0"}]})
+        Traceback (most recent call last):
+            ...
+        ValueError: diagram value 1/0 has a zero denominator
+        """
         if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise ValueError("diagram JSON must be an object with an 'entries' list")
-        cells = []
-        for cell in obj["entries"]:
-            if not (isinstance(cell, dict) and "p" in cell and "q" in cell and "v" in cell):
-                raise ValueError(f"malformed diagram cell: {cell!r}")
-            cells.append((cell["p"], cell["q"], *rational_pair(cell["v"], "diagram value")))
-        return _summed((_key(p, q), n, d) for p, q, n, d in cells)
+        entries = obj["entries"]
+        b = _canonical_entries(entries)
+        return _entries_by_cell(entries) if b is None else b
 
 
 def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
@@ -222,6 +246,61 @@ def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
         )
     entries = "[\n" + ",\n".join(cells) + f"\n{pad}  ]" if cells else "[]"
     return f'{{\n{pad}  "entries": {entries}\n{pad}}}'
+
+
+# a run of canonical values joined by single spaces, the grammar written
+# once in errors._CANONICAL; compiled by re's own cache on the first read,
+# so an import that reads no JSON does not pay for it
+_CANONICAL_RUN = rf"{_CANONICAL.pattern}(?: {_CANONICAL.pattern})*"
+
+
+def _canonical_entries(entries: list):
+    """The diagram of a nonempty entries list of exact dicts whose p and q
+    are ints, p >= 0, and whose v are canonical "n/d" strs with n and d
+    nonzero, on distinct cells; None for any other list, which
+    _entries_by_cell then reads. Its checks are whole-list passes: one
+    set of types per field, one min, one fullmatch over the values joined
+    by spaces, map(int) over their digits and one lcm. The fullmatch
+    alone would read "1/2 3/4" as two values, so the text must also hold
+    exactly one "/" per cell. On these lists _entries_by_cell refuses
+    nothing and gives the same diagram.
+    """
+    if not entries or not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        ps = [cell["p"] for cell in entries]
+        qs = [cell["q"] for cell in entries]
+        vs = [cell["v"] for cell in entries]
+    except KeyError:
+        return None
+    if not ({*map(type, ps), *map(type, qs)} <= {int} and set(map(type, vs)) <= {str}):
+        return None
+    text = " ".join(vs)
+    if min(ps) < 0 or text.count("/") != len(vs) or not re.fullmatch(_CANONICAL_RUN, text):
+        return None
+    try:
+        pairs = list(map(int, text.replace("/", " ").split()))
+    except ValueError:  # past the int digit limit: the loop names the cell
+        return None
+    nums, dens = pairs[::2], pairs[1::2]
+    if 0 in nums or 0 in dens:
+        return None
+    den = math.lcm(*dens)
+    n = dict(zip(zip(ps, qs), map(mul, nums, map(floordiv, repeat(den), dens))))
+    return _reduced(n, den) if len(n) == len(vs) else None
+
+
+def _entries_by_cell(entries: list) -> BettiDiagram:
+    """The diagram of any entries list, read cell by cell: each cell's
+    shape, then its value through rational_pair, in file order; then every
+    index through _key, in file order; duplicates summed by _summed. The
+    one reader that names a bad cell."""
+    cells = []
+    for cell in entries:
+        if not (isinstance(cell, dict) and "p" in cell and "q" in cell and "v" in cell):
+            raise ValueError(f"malformed diagram cell: {cell!r}")
+        cells.append((cell["p"], cell["q"], *rational_pair(cell["v"], "diagram value")))
+    return _summed((_key(p, q), n, d) for p, q, n, d in cells)
 
 
 def _key(p, q) -> tuple:
@@ -285,11 +364,17 @@ def _reduced(n: dict, den: int) -> BettiDiagram:
     """The diagram n / den, for nonzero integer numerators n on checked keys
     and den > 0, both divided by their gcd; n becomes its own, and is kept
     as it is when the gcd is 1."""
-    b = BettiDiagram.__new__(BettiDiagram)
     g = math.gcd(den, *n.values())
     if g != 1:
         n = {key: v // g for key, v in n.items()}
         den //= g
+    return _table(n, den)
+
+
+def _table(n: dict, den: int) -> BettiDiagram:
+    """The diagram n / den, for nonzero integer numerators n on checked keys
+    already in lowest terms over den > 0; n becomes its own."""
+    b = BettiDiagram.__new__(BettiDiagram)
     b._n, b._den, b._division = n, den, None
     return b
 
@@ -362,12 +447,13 @@ _PURE_MEMO_SIZE = 8
 @functools.lru_cache(maxsize=_PURE_MEMO_SIZE)
 def _pure_checked(e: DegreeSequence) -> BettiDiagram:
     """pure_diagram of a DegreeSequence, from the kernel _few_holes_pay
-    picks: its numerators, in lowest terms over its den, keyed by column."""
+    picks: its numerators, in lowest terms over its den, keyed by column.
+    Both kernels return lowest terms, so no gcd is taken here."""
     n = len(e) - 1
     kernel = _pure_over_holes if _few_holes_pay(e[-1] - e[0], n) else _pure_over_runs
     numerators, den = kernel(e, *_runs(e))
     keys = zip(range(n + 1), map(sub, e, range(n + 1)))
-    return _reduced(dict(zip(keys, numerators)), den)
+    return _table(dict(zip(keys, numerators)), den)
 
 
 def _runs(e):
@@ -427,9 +513,9 @@ def _pure_over_holes(e, starts, stops, los, his) -> tuple:
     later column is the previous numerator times one product of O(hole
     runs) small integers, floor-divided exactly by another. No gcd is
     taken until the end, where one gcd g of S!/n! and the numerators
-    divides the list before the table is made: _reduced then finds the gcd
-    1 and keeps that table, so no key is hashed into a second one. On
-    family sequences g is not 1 about nine times in ten.
+    divides the list before the table is made, so _pure_checked keys it
+    without a second gcd. On family sequences g is not 1 about nine times
+    in ten.
     """
     e0 = e[0]
     span = e[-1] - e0
@@ -796,7 +882,7 @@ def hilbert_numerator(b: BettiDiagram) -> RationalPolynomial:
         raise EmptyDiagram("Hilbert numerator of an empty diagram")
     lo, quotient = b._division or _divide(b, *_alternating(b))
     den = b._den
-    # built as _reduced builds a table: these exponents and Fractions come
+    # built as _table builds a table: these exponents and Fractions come
     # from integers here, so the constructor's checks of outside values
     # would only repeat
     hn = RationalPolynomial.__new__(RationalPolynomial)

@@ -211,6 +211,12 @@ def hn_leading_coefficient(params: SecantParams, i) -> Fraction:
         raise TupleNotMaximalRegularity(
             f"tuple {i} has i_0 = 0; the numerator has degree below {2 * params.k + 2}"
         )
+    return _hn_leading(params, i)
+
+
+def _hn_leading(params: SecantParams, i: tuple) -> Fraction:
+    """hn_leading_coefficient of a tuple its caller built valid, i_0 >= 1
+    (the dominant tuple of purity_lower_bound), without the checks."""
     r, k = params.r, params.k
     num = 1
     for j, ij in enumerate(i):

@@ -175,6 +175,31 @@ def test_secant_pure_that_fails_to_format_leaves_stdout_empty(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_decompose_partial_past_the_digit_limit_is_still_not_in_cone(tmp_path, capsys):
+    # every input value is below the int-to-str digit limit, but the
+    # residual the peel stops at has a denominator of about twice their
+    # digits, so its JSON cannot be written: the command still exits 3,
+    # names the cause on stderr in place of the partial decomposition, and
+    # no exception escapes main. The limit is lowered here (640 is the
+    # least it takes), never raised
+    d = 10**400 + 1  # d and d + 2 are odd and coprime
+    cells = [{"p": 0, "q": 0, "v": f"1/{d}"}, {"p": 1, "q": 0, "v": f"2/{d + 2}"},
+             {"p": 1, "q": 1, "v": "1/1"}]
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"entries": cells}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "decompose", "--input", str(src))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    first, second, rest = err.split("\n", 2)
+    assert first == "not in cone: top strand failed: column 0 has no entries"
+    assert second.startswith("partial decomposition not written: Exceeds the limit (640 digits)")
+    assert rest == ""
+
+
 def test_secant_pure_rejects_small_d(capsys):
     code, out, err = run(capsys, "secant-pure", "-g", "3", "-k", "1", "-d", "8", "--tuple", "1,3")
     assert code == 2

@@ -43,7 +43,7 @@ Claims pinned here:
       quantity; reprs, len and comparison with another type are pinned
     - no module but diagrams.py reads a table's numerators or denominator,
       and none changes a built table: _n and _den are set in
-      BettiDiagram.__init__ and _reduced alone
+      BettiDiagram.__init__ and _table alone
     - pure_diagram checks its sequence before its memo: (0, 1.0),
       (0, True) and (0, 0, 1) are refused with (0, 1) in the memo, and a
       list, a tuple and a DegreeSequence of one sequence give one diagram
@@ -76,6 +76,7 @@ from betticone.errors import (
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
     rational_pair,
+    require_int,
     require_rational,
 )
 
@@ -100,20 +101,34 @@ def test_degree_sequence_is_checked_once():
 
 
 def test_sequences_valid_by_construction_are_not_rechecked(monkeypatch):
+    # spies on the two checks of an outside sequence: the one type scan (a
+    # set of the entries' types, diagrams' only set() on this path) and the
+    # per-entry require_int that names a bad entry
     checked = []
 
     def counting_require_int(value, what, error):
         checked.append(what)
-        return value
+        return require_int(value, what, error)
+
+    def counting_set(*args):
+        checked.append("type scan")
+        return set(*args)
 
     monkeypatch.setattr(diagrams, "require_int", counting_require_int)
+    monkeypatch.setattr(diagrams, "set", counting_set, raising=False)
     e = secant.degree_sequence(secant.SecantParams(2, 1, 30), (1, 2))
     strand = diagrams.top_strand(diagrams.pure_diagram(e))
     assert type(e) is type(strand) is diagrams.DegreeSequence
     assert strand == e
     assert checked == []
-    diagrams.DegreeSequence(list(e))
-    assert checked == ["degree"] * len(e)
+    # an outside sequence of ints: one scan, no per-entry call
+    assert diagrams.DegreeSequence(list(e)) == e
+    assert checked == ["type scan"]
+    # an outside sequence with a bad entry: the loop names the first one
+    checked.clear()
+    with pytest.raises(MalformedDegreeSequence, match=r"^degree must be an integer, got True$"):
+        diagrams.DegreeSequence([0, True, 2.0])
+    assert checked == ["type scan", "degree", "degree"]
 
 
 def test_degree_sequence_is_a_tuple():
@@ -249,6 +264,31 @@ def test_pure_kernels_match_naive_formula_on_both_sides():
     assert all(_takes_holes(e) for e in intervals)  # H = 0
     assert not any(_takes_holes(e) for e in singles)  # n = 0
     assert min(sides.values()) > 100, sides
+
+
+def test_pure_kernels_return_lowest_terms():
+    # _pure_checked keys a kernel's numerators over its denominator with no
+    # gcd of its own, so each kernel must return lowest terms on its own,
+    # on either side of the shape test
+    rng = random.Random(59)
+    seqs = []
+    for g, k in ((1, 0), (2, 1), (4, 3), (6, 4)):
+        for d in rng.sample(range(2 * g + 2 * k + 1, 160), 4):
+            params = secant.SecantParams(g, k, d)
+            tuples = secant.jump_tuples(g, k)
+            chosen = rng.sample(tuples, min(3, len(tuples)))
+            seqs += [secant.degree_sequence(params, t) for t in chosen]
+    for length in (1, 2, 5, 30, 90):
+        seqs += [_random_sequence(rng, rng.randint(-9, 4), (2, 3, 4, 5), length) for _ in range(6)]
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        seqs.append(_spread(rng, rng.randint(-30, 30), n, rng.randint(0, n + 2)))
+    for e in seqs:
+        seq = diagrams.DegreeSequence(e)
+        runs = diagrams._runs(seq)
+        for kernel in (diagrams._pure_over_holes, diagrams._pure_over_runs):
+            numerators, den = kernel(seq, *runs)
+            assert den > 0 and math.gcd(den, *numerators) == 1, (kernel.__name__, e)
 
 
 def test_pure_kernels_at_the_shape_test_boundary():
@@ -1223,7 +1263,7 @@ _DICT_MUTATORS = {
     "clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__", "__ior__"
 }
 # the only functions that may set a table's _n and _den
-_TABLE_BUILDERS = {"BettiDiagram.__init__", "_reduced"}
+_TABLE_BUILDERS = {"BettiDiagram.__init__", "_table"}
 # the only functions that may set a table's _division, to None with the
 # table and to a quotient by the one division
 _DIVISION_SETTERS = {"none": _TABLE_BUILDERS, "quotient": {"_divide"}}
@@ -1322,7 +1362,7 @@ def test_no_diagram_changes_once_built():
     # pure_diagram's memo hands one object to every caller, so a change to
     # a built diagram would corrupt every later call for its sequence: no
     # module writes a table's numerators in place, and _n and _den are set
-    # in BettiDiagram.__init__ and _reduced alone. A table's _division is
+    # in BettiDiagram.__init__ and _table alone. A table's _division is
     # set to None there too, and to a quotient in _divide alone
     setters = set()
     division_setters = set()
@@ -1348,20 +1388,20 @@ def test_no_diagram_changes_once_built():
         "def f(b):\n    b._den = 2",
         "def f(b):\n    del b._den",
         "def f(b):\n    setattr(b, '_n', {})",
-        "def _reduced(n, den):\n    n._n.clear()",
+        "def _table(n, den):\n    n._n.clear()",
         "class BettiDiagram:\n    def scale(self):\n        self._den *= 2",
         "def _divide(b):\n    setattr(b, '_division', (0, []))",
     ):
         assert _forbidden_writes(source), source
-    assert not _forbidden_writes("def _reduced(b, n, den):\n    b._n, b._den = n, den")
+    assert not _forbidden_writes("def _table(b, n, den):\n    b._n, b._den = n, den")
     # and each kind of _division write out of its place
     for source in (
         "def _divide(b):\n    b._division = None",  # None outside the table builders
-        "def _reduced(b, q):\n    b._n, b._division = {}, (0, q)",  # a quotient outside _divide
+        "def _table(b, q):\n    b._n, b._division = {}, (0, q)",  # a quotient outside _divide
         "def _divide(b):\n    del b._division",  # a del anywhere
     ):
         assert _forbidden_division_writes(source), source
     assert not _forbidden_division_writes(
-        "def _reduced(b, n, den):\n    b._n, b._den, b._division = n, den, None\n"
+        "def _table(b, n, den):\n    b._n, b._den, b._division = n, den, None\n"
         "def _divide(b, lo, q):\n    b._division = lo, q"
     )
