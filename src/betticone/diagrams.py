@@ -667,7 +667,12 @@ def _strand(cells) -> DegreeSequence:
         raise MissingColumn(next(p for p in range(top) if p not in mins))
     strand = [mins[p] for p in range(top)]
     if not all(map(lt, strand, strand[1:])):
-        raise NotStrictlyIncreasing(f"top strand {tuple(strand)} is not strictly increasing")
+        try:
+            message = f"top strand {tuple(strand)} is not strictly increasing"
+        except ValueError:  # an entry past the int-to-str digit limit
+            p = next(p for p in range(1, top) if strand[p - 1] >= strand[p])
+            message = f"top strand is not strictly increasing at column {p}"
+        raise NotStrictlyIncreasing(message)
     return DegreeSequence._trusted(strand)
 
 
@@ -753,12 +758,13 @@ def _alternating(b: BettiDiagram):
 
 
 def _moments_pay(m: int, s: int, terms: int) -> bool:
-    """Whether multiplicity's moment kernel costs less than the long
-    division (_quotient) on a polynomial of m + s coefficients, terms of
-    them nonzero, divided by (1-t)^s: (m - 3(terms - s - 1) - 25) * 1600 >
-    s(s + 1600). It was fitted against the s prefix sums that once divided
-    these shapes, and against the long division it is conservative (both
-    tables are in multiplicity's docstring). On a polynomial that can
+    """Whether multiplicity's kernels for M_s (the product check and the
+    moments) cost less than the long division (_quotient) on a polynomial
+    of m + s coefficients, terms of them nonzero, divided by (1-t)^s:
+    (m - 3(terms - s - 1) - 25) * 1600 > s(s + 1600). It was fitted against
+    the s prefix sums that once divided these shapes, and against the long
+    division it is conservative (multiplicity's docstring has the measured
+    crossovers, and why the formula stays). On a polynomial that can
     divide (terms > s) it needs m > s + 25."""
     return (m - 3 * (terms - s - 1) - 25) * 1600 > s * (s + 1600)
 
@@ -908,54 +914,74 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     sum_p a_p s! C(x_p, s) = M_s, since s! C(x, s) - P_s(x) has degree
     below s. So HN(1) = (-1)^s M_s / (s! den).
 
-    The moment kernel keeps w_p = a_p P_i(x_p) for p >= i and steps it to
-    i + 1 by one product per term, after checking that the w_p sum to 0.
-    It costs about s(N - s/2) products, against m s / 2 products and m s
-    subtractions for the long division, where the polynomial has m + s
-    coefficients; _moments_pay picks it for shapes with long quotients,
-    and every other shape is divided by _divide, unless b already holds
-    its quotient, which is then summed. The moments store nothing. They
-    read the nonzero terms alone, so their memory does not grow with the
-    span: (0, 10^8) has two terms and no list of 10^8 coefficients is made. The kernel never calls
-    pure_diagram or a closed form, so multiplicity(pure_diagram(e)) == 1
-    checks the diagram kernels. A sequence with every gap 5 has m about 4s
-    and takes it:
+    Shapes with long quotients, which _moments_pay picks, take M_s from
+    one of two kernels; every other shape is divided by _divide, unless b
+    already holds its quotient, which is then summed.
+
+    With exactly s + 1 nonzero terms (N = s), the shape of every pure
+    diagram, scaled or not, _product_moment checks the Herzog-Kuhl
+    equations in product form. Let w(x) = prod_j (x - x_j). The vectors
+    (Q(x_p))_p with deg Q < s span s of the s + 1 dimensions, and by the
+    Lagrange identity sum_p Q(x_p) / w'(x_p) = [x^s] Q for deg Q <= s,
+    (1 / w'(x_p))_p is orthogonal to all of them. So (1-t)^s divides K
+    exactly when a_p w'(x_p) is one constant c for every p, and then
+    M_s = c sum_p P_s(x_p) / w'(x_p) = c, which is a_s w'(x_s) =
+    a_s P_s(x_s). The sign of w'(x_p) is (-1)^(s-p): it is the product of
+    the p positive differences x_p - x_j to its left and the s - p
+    negative ones to its right. So the check takes, per column, two
+    C-level products of small differences (about s^2 small products in
+    all) and two bigint products, where the moments run s rounds of
+    bigint-by-small products over a shrinking list, with a sum every
+    round. Over the gapped_degseq benchmark's 600 sequences of 30-150
+    degrees (gaps 2-5), multiplicity takes 0.85-0.89x the time it takes
+    with the moments in the product check's place (medians of 15
+    interleaved rounds, seeds 1 and 41).
+
+    Any other N, a sum of diagrams, takes _newton_moment, the only kernel
+    that reads sparse terms there. It keeps w_p = a_p P_i(x_p) for p >= i
+    and steps it to i + 1 by one product per term, after checking that the
+    w_p sum to 0: about s(N - s/2) products, against m s / 2 products and
+    m s subtractions for the long division, where the polynomial has
+    m + s coefficients.
+
+    Neither kernel stores anything. Both read the nonzero terms alone, so
+    their memory does not grow with the span: (0, 10^8) has two terms and
+    no list of 10^8 coefficients is made. They never call pure_diagram or
+    a closed form, so multiplicity(pure_diagram(e)) == 1 checks the
+    diagram kernels. A sequence with every gap 5 has m about 4s and s + 1
+    terms, so it takes the product check, scaled or not:
 
     >>> b = pure_diagram(range(0, 50, 5))
     >>> terms, lo, hi, s = _alternating(b)
     >>> hi - lo + 1 - s, s, len(terms), _moments_pay(hi - lo + 1 - s, s, len(terms))
     (37, 9, 10, True)
+    >>> c = _product_moment(terms, sorted(terms), s)
+    >>> c == _newton_moment(terms, sorted(terms), s) == (-1) ** s * math.factorial(s) * b._den
+    True
     >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
     (Fraction(1, 1), Fraction(-2, 3))
 
-    The test _moments_pay was fitted to the crossover m* at which the
-    moments and s prefix sums, the division that once took these shapes,
-    take the same time on pure diagrams (N = s) with the degrees placed at
-    random in the span (Python 3.11.7, x86_64; two seeded sets of 4 to 150
-    diagrams, median ratio of 9 interleaved timings each):
+    The crossover m* at which a kernel and the long division take the same
+    time, with the degrees placed at random in the span (Python 3.11.7,
+    x86_64, 2-CPU host; two seeded sets of 6 diagrams per m, median ratio
+    of 9 interleaved timings, row memo warm), for the product check on
+    pure diagrams (N = s) and the moments on sums of two (N about 1.5s
+    there), against the test's boundary at N = s:
 
-        s       4    8   16   30   60   90  150  250  400
-        m*     45   34   37   49   81  120  184  327  518
-        test   29   33   41   56   87  120  189  314  525
+        s              4    8   16   30   60   90  150  250  400
+        products     2.6  5.3   10   18   36   55   82  119  161
+        moments      2.8  6.2   16   38   90  133  187  254  305
+        test          29   33   41   56   87  120  189  314  525
 
-    Below m* the prefix sums win, by 1.8-2.6x at m = s/2; above it the
-    moments win, by 1.7x at m = 2.5s (a gapped sequence) and 2.0-2.4x at
-    m = 3.5s (s = 60-150). On a sum of two such diagrams, N about 1.8s,
-    m* is 133, 238, 358 and 561 at s = 30, 60, 90 and 150: 3.2-3.3 more
-    per term past s + 1, and the test takes 3(N - s) off m.
-
-    Against the long division, the kernel the test now chooses against,
-    the same measurement (two seeded sets of 6 diagrams per m, row memo cold or
-    warm alike) puts m* lower:
-
-        s       8   30   90  150
-        m*    4.4   20   60   94
-
-    So the test is conservative: at its boundary the moments take 0.24x
-    (s = 8) to 0.5x (s = 90-150) of the long division's time, and shapes
-    between m* and the test are divided where the moments would be
-    faster. Family shapes (m <= 11) never pass it; at s = 112-298 the
-    moments would take 8-50x the long division's time.
+    The test was fitted against the s prefix sums that once divided these
+    shapes, and is conservative against the long division: at its
+    boundary the product check takes 0.19x (s = 8) to 0.32-0.47x
+    (s = 30-150) of the long division's time, and shapes between m* and
+    the test are divided where a kernel would be faster. A refit to these
+    numbers would move 23 of the 900 seed-1 family_oracle benchmark ops
+    (s = 3-14, m = 5-11) to the product check, so the formula stays.
+    Family shapes (m <= 11) never pass it; at s = 112-298 the product
+    check would take 9-86x the long division's time.
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
@@ -965,6 +991,33 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     if not _moments_pay(max(hi - lo + 1 - s, 0), s, len(terms)):
         return Fraction(sum(_divide(b, terms, lo, hi, s)[1]), b._den)
     xs = sorted(terms)
+    moment = _product_moment if len(xs) == s + 1 else _newton_moment
+    return Fraction((-1) ** s * moment(terms, xs, s), math.factorial(s) * b._den)
+
+
+def _product_moment(terms: dict, xs: list, s: int) -> int:
+    """M_s of K = sum_p a_p t^(x_p), a_p = terms[x_p], over exactly s + 1
+    nonzero terms at the sorted exponents xs, by the Herzog-Kuhl products:
+    _indivisible(s) unless a_p w'(x_p) is one constant c, which is M_s.
+    Here w'(x_p) = (-1)^(s-p) L_p R_p, with L_p the product of the
+    x_p - x_j over j < p and R_p that of the x_j - x_p over j > p, both
+    positive."""
+    x = xs[s]
+    c = terms[x] * math.prod(map(sub, repeat(x), xs[:s]))
+    for p, x in enumerate(xs[:s]):
+        left = math.prod(map(sub, repeat(x), xs[:p]))
+        right = math.prod(map(sub, xs[p + 1 :], repeat(x)))
+        if terms[x] * left * right != (-c if (s - p) & 1 else c):
+            raise _indivisible(s)
+    return c
+
+
+def _newton_moment(terms: dict, xs: list, s: int) -> int:
+    """M_s of K = sum_p a_p t^(x_p), a_p = terms[x_p], over its nonzero
+    terms at the sorted exponents xs, by s rounds in the Newton basis:
+    _indivisible(s) unless M_0 .. M_(s-1) are all 0. Round i keeps
+    w_p = a_p P_i(x_p) for p >= i and checks that they sum to 0 before
+    stepping them to i + 1 by one product per term."""
     w = [terms[x] for x in xs]
     # xs runs out before round s only when K is 0: a last nonzero term
     # left alone in w fails the check
@@ -972,4 +1025,4 @@ def multiplicity(b: BettiDiagram) -> Fraction:
         if sum(w):
             raise _indivisible(s)
         w = list(map(mul, w[1:], map(sub, xs[i + 1 :], repeat(x))))
-    return Fraction((-1) ** s * sum(w), math.factorial(s) * b._den)
+    return sum(w)

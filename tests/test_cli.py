@@ -422,9 +422,27 @@ def test_verify_suites_pass(capsys):
     assert "(ok)" in out
 
 
-def _wide_hn_leading(params, i, right=secant.hn_leading_coefficient):
-    """hn_leading_coefficient with its denominator product widened to
-    i = k-1 .. 2k: too high in r by a degree of two."""
+def test_hn_leading_suite_checks_each_tuple_once(capsys, monkeypatch):
+    # jump_tuples builds every tuple valid: secant_pure_diagram's
+    # degree_sequence checks it, and the suite's closed form does not again
+    calls = []
+    checked_tuple = secant._checked_tuple
+
+    def spy(params, i):
+        calls.append(i)
+        return checked_tuple(params, i)
+
+    monkeypatch.setattr(secant, "_checked_tuple", spy)
+    code, out, err = run(
+        capsys, "verify", "--suite", "hn-leading", "--g-max", "2", "--k-max", "1", "--d-max", "16",
+    )
+    assert (code, out, err) == (0, "hn-leading: 80/80 passed (ok)\n", "")
+    assert len(calls) == 80
+
+
+def _wide_hn_leading(params, i, right=secant._hn_leading):
+    """_hn_leading with its denominator product widened to i = k-1 .. 2k:
+    too high in r by a degree of two."""
     r, k = params.r, params.k
     return right(params, i) / ((r - k + 1) * (r - k))
 
@@ -441,7 +459,7 @@ def _pure_doubled_at_0_1(params, i, right=secant.secant_pure_diagram):
 @pytest.mark.parametrize(
     "suite, name, wrong, first",
     [
-        ("hn-leading", "hn_leading_coefficient", _wide_hn_leading, "g=1 k=0 d=3 tuple=(1,)"),
+        ("hn-leading", "_hn_leading", _wide_hn_leading, "g=1 k=0 d=3 tuple=(1,)"),
         ("dominant-kappa", "kappa_dominant", _kappa_wrong_at_column_1, "g=1 k=0 d=4 p=1"),
         ("multiplicity", "secant_pure_diagram", _pure_doubled_at_0_1, "g=1 k=1 d=5 tuple=(0, 1)"),
     ],
@@ -521,6 +539,25 @@ def digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(old)
+
+
+def test_top_strand_past_the_digit_limit_is_still_not_in_cone(tmp_path, capsys, digit_limit):
+    # three unit cells whose top strand (0, 10^4300, 2) holds an entry past
+    # the digit limit, though every value read is below it: the command
+    # exits 3 and names the first column where the strand stops
+    # increasing; a strand that prints is named whole, as before
+    for q, named in (
+        (10**digit_limit - 1, "top strand is not strictly increasing at column 2"),
+        (10, "top strand (0, 11, 2) is not strictly increasing"),
+    ):
+        cells = [{"p": 0, "q": 0, "v": "1/1"}, {"p": 1, "q": q, "v": "1/1"},
+                 {"p": 2, "q": 0, "v": "1/1"}]
+        src = tmp_path / "strand.json"
+        src.write_text(json.dumps({"entries": cells}))
+        code, out, err = run(capsys, "decompose", "--input", str(src))
+        assert (code, out) == (3, "")
+        assert err.startswith("not in cone: ")
+        assert err.split("\n", 1)[0] == f"not in cone: top strand failed: {named}"
 
 
 @pytest.mark.parametrize(

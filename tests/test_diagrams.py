@@ -25,10 +25,17 @@ Claims pinned here:
       the alternating polynomial is its own quotient; its memoized row is
       (-1)^i C(s, i), and a cold memo and a warm one give the same
       quotient or message
-    - multiplicity's Herzog-Kuhl moment kernel gives the prefix sums'
-      HN(1), or their one message, on both sides of its shape test and at
-      its exact boundary; family shapes and (0,3,4,6,7,9) take the long
-      division, gapped sequences of 30 or more degrees the moments
+    - multiplicity's Herzog-Kuhl kernels, the product check (exactly
+      s + 1 nonzero terms, the shape of every pure diagram) and the
+      moments (any other), give the prefix sums' HN(1), or their one
+      message, on both sides of the shape test and at its exact boundary,
+      with more than 20 seeded cases on each of the three kernels; the
+      two agree wherever the product check applies; family shapes and
+      (0,3,4,6,7,9) take the long division, gapped sequences of 30 or
+      more degrees the product check, sums of two on long spans the
+      moments; a numerator one too large in column 0, a middle column or
+      column s, or one flipped sign, fails the product check with the
+      one message
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
     - both pure_diagram kernels (integer numerators over S!/n!, and reduced
@@ -47,8 +54,8 @@ Claims pinned here:
     - pure_diagram checks its sequence before its memo: (0, 1.0),
       (0, True) and (0, 0, 1) are refused with (0, 1) in the memo, and a
       list, a tuple and a DegreeSequence of one sequence give one diagram
-    - multiplicity's moments list no coefficient of the degree span: two
-      terms 10^7 apart take under 1 MB
+    - multiplicity's product check lists no coefficient of the degree
+      span: two terms 10^7 apart take under 1 MB
     - multiplicity and hilbert_numerator of one diagram, in either order,
       build its alternating polynomial once and divide once; each diagram
       holds its own quotient, an equal diagram that is another object
@@ -479,10 +486,30 @@ def _shape(b):
     return max(len(coeffs) - s, 0), s
 
 
+def _kernel_outcome(kernel, terms, s):
+    """kernel's M_s of the polynomial with the nonzero terms terms, or the
+    message of the NotCohenMacaulayShape it raises."""
+    try:
+        return kernel(terms, sorted(terms), s)
+    except NotCohenMacaulayShape as exc:
+        return str(exc)
+
+
+def _assert_moment_kernels_agree(b):
+    """Where b's alternating polynomial has exactly s + 1 nonzero terms,
+    the product check gives the moments' M_s or raises their message."""
+    terms, _, _, s = diagrams._alternating(b)
+    if len(terms) == s + 1:
+        products = _kernel_outcome(diagrams._product_moment, terms, s)
+        assert products == _kernel_outcome(diagrams._newton_moment, terms, s)
+
+
 def _assert_division_matches_prefix_sums(b):
     """_quotient of b's alternating polynomial equals the prefix-sum oracle,
     and hilbert_numerator and multiplicity read it over b's denominator;
-    where the oracle finds a remainder, all three raise the one message."""
+    where the oracle finds a remainder, all three raise the one message.
+    Both moment kernels agree where the product check applies."""
+    _assert_moment_kernels_agree(b)
     coeffs, offset, s = _dense_alternating(b)
     lcm = b._den
     expected = _prefix_sum_quotient(coeffs, s)
@@ -507,27 +534,37 @@ def _run_sequence(n, extra):
     return tuple(range(4)) + tuple(range(4 + extra, n + 1 + extra))
 
 
+_KERNELS = {
+    "_quotient": "long division",
+    "_product_moment": "product check",
+    "_newton_moment": "moments",
+}
+
+
 def _multiplicity_path(b, monkeypatch):
-    """The kernel multiplicity(b) runs: the moments or the long division.
-    It asks a fresh diagram equal to b, since b may hold its quotient from
-    an earlier call, which would answer without a kernel."""
+    """The kernel multiplicity(b) runs: the long division, the product
+    check or the moments, whether it divides or raises. It asks a fresh
+    diagram equal to b, since b may hold its quotient from an earlier
+    call, which would answer without a kernel."""
     taken = []
-    quotient = diagrams._quotient
-
-    def spy(coeffs, s):
-        taken.append("long division")
-        return quotient(coeffs, s)
-
     with monkeypatch.context() as patch:
-        patch.setattr(diagrams, "_quotient", spy)
-        diagrams.multiplicity(_fresh(b))
-    return taken[0] if taken else "moments"
+        for name, kernel in _KERNELS.items():
+            def spy(*args, _kernel=kernel, _original=getattr(diagrams, name)):
+                taken.append(_kernel)
+                return _original(*args)
+            patch.setattr(diagrams, name, spy)
+        try:
+            diagrams.multiplicity(_fresh(b))
+        except NotCohenMacaulayShape:
+            pass
+    assert len(taken) == 1, taken
+    return taken[0]
 
 
 def test_division_shape_test_sides(monkeypatch):
     # multiplicity's shape test: family diagrams and (0,3,4,6,7,9) take
     # the long division, gapped sequences of 30 or more degrees the
-    # moments; the family quotients match the prefix sums (the other
+    # product check; the family quotients match the prefix sums (the other
     # shapes are matched in test_one_division_where_the_prefix_sums_ran)
     family = [
         secant.degree_sequence(secant.SecantParams(g, k, d), t)
@@ -541,7 +578,7 @@ def test_division_shape_test_sides(monkeypatch):
     rng = random.Random(9)
     gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
     for e in gapped + [(0, 3, 4, 6, 7, 9)]:
-        path = "moments" if len(e) >= 30 else "long division"
+        path = "product check" if len(e) >= 30 else "long division"
         assert _multiplicity_path(diagrams.pure_diagram(e), monkeypatch) == path, e
 
 
@@ -661,6 +698,8 @@ def test_long_division_same_with_cold_and_warm_row_memo():
 
 
 def _takes_moments(b):
+    """Whether _moments_pay sends b past the long division, to the product
+    check or the moments."""
     coeffs, _, s = _dense_alternating(b)
     return diagrams._moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0))
 
@@ -668,8 +707,10 @@ def _takes_moments(b):
 def _assert_moments_match_prefix_sums(b, moments=None):
     """multiplicity(b) is the sum of the prefix-sum oracle's quotient over
     the denominator, or raises its one message; _moments_pay is on the
-    side that moments names, when it names one."""
+    side that moments names, when it names one. Both moment kernels agree
+    where the product check applies."""
     assert moments is None or _takes_moments(b) is moments
+    _assert_moment_kernels_agree(b)
     coeffs, _, s = _dense_alternating(b)
     expected = _prefix_sum_quotient(coeffs, s)
     if expected is None:
@@ -681,9 +722,11 @@ def _assert_moments_match_prefix_sums(b, moments=None):
     return expected
 
 
-def test_moment_kernel_matches_prefix_sums():
+def test_moment_kernel_matches_prefix_sums(monkeypatch):
     # seeded pure diagrams (many starting at negative degrees), positive
-    # combinations of two on one span, and one unit more in one cell
+    # combinations of two on one span, and one unit more in one cell; then
+    # combinations of two on spans long enough for the moments, alone and
+    # with one unit more in one cell
     rng = random.Random(59)
     cases = []
     for _ in range(40):
@@ -695,12 +738,24 @@ def test_moment_kernel_matches_prefix_sums():
         bump = diagrams.BettiDiagram({(p, e[p] - p + rng.randint(0, 1)): F(1)})
         weight = F(rng.randint(1, 5), rng.randint(1, 5))
         cases += [pure, diagrams.add(diagrams.scale(pure, weight), other), diagrams.add(pure, bump)]
+    for _ in range(12):
+        n = rng.randint(8, 40)
+        e = _spread(rng, rng.randint(-60, 20), n, rng.randint(5 * n + 30, 8 * n + 60))
+        other = diagrams.pure_diagram(_spread(rng, e[0], n, e[-1] - e[0] - n))
+        weight = F(rng.randint(1, 5), rng.randint(1, 5))
+        pair = diagrams.add(diagrams.pure_diagram(e), diagrams.scale(other, weight))
+        p = rng.randint(0, n)
+        bump = diagrams.BettiDiagram({(p, e[p] - p + rng.randint(0, 1)): F(1)})
+        cases += [pair, diagrams.add(pair, bump)]
     sides = {True: 0, False: 0}
     divides = {True: 0, False: 0}
+    kernels = dict.fromkeys(_KERNELS.values(), 0)
     for b in cases:
         sides[_takes_moments(b)] += 1
+        kernels[_multiplicity_path(b, monkeypatch)] += 1
         divides[_assert_moments_match_prefix_sums(b) is not None] += 1
     assert min(sides.values()) > 20 and min(divides.values()) > 20, (sides, divides)
+    assert min(kernels.values()) > 20, kernels
 
 
 def test_moment_kernel_edge_shapes():
@@ -749,14 +804,43 @@ def test_moment_shape_test_exact_boundary():
 
 
 def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
-    # the gapped benchmark's shapes: multiplicity by the moments, and
-    # hilbert_numerator's coefficients by the long division, both 1
+    # the gapped benchmark's shapes: multiplicity by the product check, as
+    # the prefix-sum oracle gives it, and hilbert_numerator's coefficients
+    # by the long division, all 1
     rng = random.Random(67)
     for n in (30, 90, 150):
         b = diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), n))
-        assert _multiplicity_path(b, monkeypatch) == "moments"
+        assert _multiplicity_path(b, monkeypatch) == "product check"
+        expected = _assert_moments_match_prefix_sums(b, True)
+        assert F(sum(expected), b._den) == 1
         hn = diagrams.hilbert_numerator(b)
         assert sum(c for _, c in hn.items()) == _cold(diagrams.multiplicity, b) == 1
+
+
+def test_product_check_rejects_planted_faults(monkeypatch):
+    # a gapped pure diagram with one numerator one too large in column 0,
+    # in a middle column or in column s, or with one entry's sign flipped:
+    # each keeps s + 1 terms, takes the product check, and raises the
+    # prefix sums' one message
+    e = _random_sequence(random.Random(71), 0, (2, 3, 4, 5), 41)
+    b = diagrams.pure_diagram(e)
+    s = len(e) - 1
+    assert _multiplicity_path(b, monkeypatch) == "product check"
+    one = F(1, b._den)
+
+    def planted(p, change):
+        cells = dict(b.items())
+        cells[p, e[p] - p] = change(cells[p, e[p] - p])
+        return diagrams.BettiDiagram(cells)
+
+    faults = [planted(p, lambda v: v + one) for p in (0, s // 2, s)]
+    faults.append(planted(s // 2 + 1, lambda v: -v))
+    for bad in faults:
+        assert len(diagrams._alternating(bad)[0]) == s + 1
+        assert _multiplicity_path(bad, monkeypatch) == "product check"
+        assert _assert_moments_match_prefix_sums(bad, True) is None
+        message = f"(1-t)^{s} does not divide the alternating polynomial"
+        assert _outcome(diagrams.multiplicity, bad) == message
 
 
 def _counting(patch, *names):
@@ -850,11 +934,11 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
 
 
 def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
-    # seeded diagrams on both of multiplicity's paths, pure and
+    # seeded diagrams on each of multiplicity's kernels, pure and
     # combinations of two: HN(1) from hilbert_numerator is multiplicity,
     # and both read the same held or not, in either order
     rng = random.Random(2424)
-    paths = {"long division": 0, "moments": 0}
+    paths = dict.fromkeys(_KERNELS.values(), 0)
     cases = []
     for _ in range(6):
         g, k = rng.randint(1, 4), rng.randint(0, 3)
@@ -866,7 +950,11 @@ def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
         short = diagrams.pure_diagram(_random_sequence(rng, rng.randint(-5, 5), (1, 2, 3), 6))
         cases.append((short, "long division"))
         cases.append((diagrams.scale(short, F(5, 7)), "long division"))
-        cases.append((diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), 40)), "moments"))
+        gapped = _random_sequence(rng, 0, (2, 3, 4, 5), 40)
+        cases.append((diagrams.pure_diagram(gapped), "product check"))
+        # its second degree one up: a sum of s + 2 terms
+        moved = diagrams.pure_diagram((0, gapped[1] + 1, *gapped[2:]))
+        cases.append((diagrams.add(diagrams.pure_diagram(gapped), moved), "moments"))
     for b, path in cases:
         assert _multiplicity_path(b, monkeypatch) == path
         paths[path] += 1
@@ -893,10 +981,11 @@ def test_each_diagram_keeps_its_own_quotient(monkeypatch):
         assert calls["_quotient"] == len(tables)
 
 
-def test_multiplicity_lists_no_coefficient_of_a_wide_span():
-    # two terms 10^7 apart take the moments, which read the two terms; a
-    # list of the span's coefficients would hold about 80 MB
+def test_multiplicity_lists_no_coefficient_of_a_wide_span(monkeypatch):
+    # two terms 10^7 apart take the product check, which reads the two
+    # terms; a list of the span's coefficients would hold about 80 MB
     b = diagrams.pure_diagram((0, 10**7))
+    assert _multiplicity_path(b, monkeypatch) == "product check"
     tracemalloc.start()
     try:
         assert diagrams.multiplicity(b) == 1
