@@ -83,10 +83,39 @@ def render_table(b: diagrams.BettiDiagram) -> str:
     return "\n".join(lines)
 
 
+def _unprintable_cell(b: diagrams.BettiDiagram):
+    """The first cell (p, q), in (p, q) order, whose numerator or
+    denominator has more digits than sys.get_int_max_str_digits() lets
+    str() print; None if every entry prints."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # 0: no limit, every int prints
+        return None
+    for cell, v in b.items():
+        # at most 3·limit bits is below 8^limit, so at most limit digits
+        if max(v.numerator.bit_length(), v.denominator.bit_length()) > 3 * limit:
+            try:
+                str(v)
+            except ValueError:
+                return cell
+    return None
+
+
 def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
     """Writes prefix and the diagram in one write once both are formatted,
-    so a diagram that fails to format leaves stdout empty."""
-    body = render_table(b) if fmt == "table" else diagrams._diagram_json(b)
+    so a diagram that fails to format leaves stdout empty. An entry past
+    the int-to-str digit limit is named by its cell and the limit."""
+    try:
+        body = render_table(b) if fmt == "table" else diagrams._diagram_json(b)
+    except ValueError:
+        if fmt == "table":
+            _table_rectangle(b)  # a table past the ceiling keeps that refusal
+        cell = _unprintable_cell(b)
+        if cell is None:
+            raise
+        raise ValueError(
+            f"entry at ({cell[0]},{cell[1]}) has more digits than the limit of "
+            f"{sys.get_int_max_str_digits()} (sys.get_int_max_str_digits()) and cannot be printed"
+        ) from None
     sys.stdout.write(prefix + body + "\n")
 
 

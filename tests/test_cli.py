@@ -162,7 +162,9 @@ def test_secant_pure_that_fails_to_format_leaves_stdout_empty(capsys):
     # entries past the int-to-str digit limit fail while the diagram is
     # formatted, after its comment line is built: the command exits 2 and
     # writes no stdout, neither the comment line nor part of the diagram.
-    # The limit is lowered here (640 is the least it takes), never raised
+    # The one stderr line names the first cell in (p, q) order that cannot
+    # be printed, and the limit. The limit is lowered here (640 is the
+    # least it takes), never raised
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -170,7 +172,37 @@ def test_secant_pure_that_fails_to_format_leaves_stdout_empty(capsys):
             argv = ["secant-pure", "-g", "1", "-k", "0", "-d", "2200", "--dominant", "--format", fmt]
             code, out, err = run(capsys, *argv)
             assert (code, len(out)) == (2, 0), fmt
-            assert err.startswith("bad input:"), (fmt, err)
+            assert err == (
+                "bad input: entry at (874,1) has more digits than the limit of 640 "
+                "(sys.get_int_max_str_digits()) and cannot be printed\n"
+            ), fmt
+        params = secant.SecantParams(1, 0, 2200)
+        cells = secant.secant_pure_diagram(params, secant.dominant_tuple(params)).items()
+        assert all(len(str(v.numerator)) <= 640 for _, v in cells[:874])  # (p, 1) is item p
+        with pytest.raises(ValueError):
+            str(cells[874][1])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_table_past_the_ceiling_and_the_digit_limit_keeps_the_ceiling_message(capsys, monkeypatch):
+    # g=1 k=2 d=2200 lays out 7 rows of 2,195 columns; its entries pass the
+    # lowered limit (640, never raised here) as at k=0 above. With the
+    # ceiling lowered below that rectangle, the table keeps the ceiling's
+    # refusal and JSON, which has no ceiling, names the digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["secant-pure", "-g", "1", "-k", "2", "-d", "2200", "--dominant"]
+        monkeypatch.setattr(cli, "_TABLE_CELLS_MAX", 15_000)
+        code, out, err = run(capsys, *argv, "--format", "table")
+        assert (code, out) == (2, "")
+        assert err == (
+            "bad input: the table has 15365 cells, above the ceiling of 15000; use --format json\n"
+        )
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("bad input: entry at (") and "the limit of 640 " in err
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -16,10 +16,14 @@ Claims pinned here:
     - Factors.ratio is the product its docstring defines, for every mix of
       binomial signs and powers of two; kappa_dominant_factors gives the
       lists its docstring spells and names its range in every refusal
+    - Factors.ratio's binomials, stepped from the last one it took, equal
+      math.comb's value or error whatever (n, p) came before, and
+      kappa_dominant equals the table in any column order, memo warm or cold
     - secant_degree frozen values and the k = 0 collapse to d
     - for g = 1, degree times the dominant diagram is integral and symmetric
     - every entry point taking an outside integer refuses 1.0, True and "1"
-      with its own error type
+      with its own error type, and the secant layer's with the message the
+      per-value require_int loop gives
     - every entry point taking an outside rational value, the two JSON
       readers included, reads it through one check: a Fraction, an int or
       a str, never a float, a bool, None, a Decimal or an object whose str
@@ -29,10 +33,13 @@ Claims pinned here:
       the message, that Fraction(str) gives on every spelling around it
 """
 
+import importlib.util
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,6 +290,157 @@ def test_kappa_dominant_factors_lists_and_range_messages():
                     assert str(exc.value) == message
 
 
+def _cold(f, *args):
+    """f(*args) with Factors.ratio's binomial memo emptied first."""
+    secant._last_binomial = (0, 0, 1)
+    return f(*args)
+
+
+def test_kappa_dominant_stepped_in_any_column_order_equals_table():
+    # ratio steps each binomial from the last one when the same n comes at
+    # p - 1, p or p + 1: every column order gives the table's entry, and
+    # the value a warm memo gives equals a cold one
+    rng = random.Random(33)
+    for g in range(1, 4):
+        for k in range(3):
+            for d in range(2 * g + 2 * k + 2, 61):
+                params = secant.SecantParams(g, k, d)
+                table = secant.secant_pure_diagram(params, secant.dominant_tuple(params))
+                columns = list(range(1, params.r - g - 2 * k))
+                shuffled = rng.sample(columns, len(columns))
+                for order in (columns, columns[::-1], shuffled):
+                    for p in order:
+                        warm = secant.kappa_dominant(params, p)
+                        assert warm == table.get(p, k + 1), (g, k, d, p)
+                for p in shuffled[:3]:
+                    assert _cold(secant.kappa_dominant, params, p) == table.get(p, k + 1)
+
+
+def test_factors_ratio_two_binomials_of_different_n():
+    # dominant_binomial_ratio's list holds C(r - 2k, p) and 1 / C(r, p):
+    # each evicts the other, and every column, in either direction, is the
+    # product the docstring defines
+    for g, k, d in ((1, 0, 40), (2, 1, 60), (3, 2, 300)):
+        params = secant.SecantParams(g, k, d)
+        r = params.r
+        columns = list(range(1, r - g - 2 * k))
+        for order in (columns, columns[::-1]):
+            for p in order:
+                f = secant.kappa_dominant_factors(params, p).times(
+                    secant.Factors(binoms=((r, p, -1),), two=2 * k + 1)
+                )
+                assert [n for n, _, _ in f.binoms] == [r - 2 * k, r]
+                n, d_ = f.ratio()
+                assert F(n, d_) == _factors_oracle(f) == F(*_cold(f.ratio)), (g, k, d, p)
+
+
+def _comb_or_error(n, p):
+    try:
+        return math.comb(n, p)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_factors_ratio_binomial_at_the_edges_and_past_them():
+    # p = 0 and p = n step like any other column; p > n is 0 and p < 0 the
+    # ValueError math.comb gives, from any memo; the column after either
+    # is stepped or computed as before
+    def ratio_or_error(n, p):
+        try:
+            return secant.Factors(binoms=((n, p, 1),)).ratio()[0]
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    for n in (0, 1, 2, 7, 40):
+        walks = (
+            [0, 1, 2, n - 1, n, n + 1, n, n - 1, n + 2, n],
+            [n, n - 1, 0, -1, 0, 1, -1, 1, 0, 0],
+            list(range(n + 2)) + list(range(n + 1, -2, -1)),
+        )
+        for walk in walks:
+            secant._last_binomial = (0, 0, 1)
+            for p in walk:
+                assert ratio_or_error(n, p) == _comb_or_error(n, p), (n, walk, p)
+    assert _cold(secant.Factors(binoms=((5, 6, 1),)).ratio) == (0, 1)
+    with pytest.raises(ValueError) as exc:
+        _cold(secant.Factors(binoms=((5, -1, 1),)).ratio)
+    assert str(exc.value) == _comb_or_error(5, -1)[1]
+
+
+def test_factors_ratio_binomial_random_walk_matches_math_comb():
+    # the memo is one entry: any sequence of (n, p), steps of -1, 0 and +1
+    # mixed with jumps and other n, gives math.comb's value or its error
+    rng = random.Random(3301)
+    secant._last_binomial = (0, 0, 1)
+    n, p = 30, 15
+    for _ in range(4000):
+        move = rng.random()
+        if move < 0.75:
+            p += rng.choice((-1, 0, 1))
+        elif move < 0.9:
+            p = rng.randint(-2, n + 2)
+        else:
+            n = rng.randint(0, 60)
+        sign = rng.choice((1, -1))
+        f = secant.Factors(binoms=((n, p, sign),))
+        want = _comb_or_error(n, p)
+        if isinstance(want, tuple):
+            with pytest.raises(ValueError) as exc:
+                f.ratio()
+            assert str(exc.value) == want[1]
+        elif want == 0 and sign < 0:
+            assert f.ratio() == (1, 0)
+        else:
+            assert f.ratio() == ((want, 1) if sign > 0 else (1, want)), (n, p, sign)
+
+
+def test_factors_ratio_binomial_memo_traffic(monkeypatch):
+    # the payoff the memo is kept for: a column sweep of one n, up or down
+    # and through p = 0 and p = n, asks math.comb once; a jump of two
+    # columns or another n asks it again
+    calls = []
+
+    def comb(n, p):
+        calls.append((n, p))
+        return math.comb(n, p)
+
+    monkeypatch.setattr(secant, "math", SimpleNamespace(comb=comb, prod=math.prod))
+    secant._last_binomial = (0, 0, 1)
+    for p in [*range(41), *range(40, -1, -1)]:
+        secant.Factors(binoms=((40, p, 1),)).ratio()
+    assert calls == [(40, 0)]
+    for n, p in ((40, 2), (40, 3), (41, 3), (40, 3), (40, 3)):
+        secant.Factors(binoms=((n, p, -1),)).ratio()
+    assert calls == [(40, 0), (40, 2), (41, 3), (40, 3)]
+    assert secant._last_binomial == (40, 3, math.comb(40, 3))
+
+
+def test_factors_ratio_binomial_memo_starts_at_a_true_binomial():
+    # a fresh copy of the module, whose memo no other test has written:
+    # its first entry must be a binomial the step may start from
+    spec = importlib.util.spec_from_file_location("betticone._fresh_secant", secant.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    n, p, c = fresh._last_binomial
+    assert 0 <= p <= n and c == math.comb(n, p)
+    assert fresh.Factors(binoms=((n, p, 1),)).ratio() == (c, 1)
+
+
+def test_factors_ratio_refuses_what_math_comb_refuses():
+    # a float, a str or a negative n reaches math.comb, which raises as it
+    # did before the memo; a bool is read as the int it is
+    secant.Factors(binoms=((10, 4, 1),)).ratio()
+    for n, p, error in ((10.0, 5, TypeError), (10, 5.0, TypeError), ("10", 5, TypeError),
+                        (-1, 0, ValueError)):
+        with pytest.raises(error) as exc:
+            secant.Factors(binoms=((n, p, 1),)).ratio()
+        with pytest.raises(error) as want:
+            math.comb(n, p)
+        assert str(exc.value) == str(want.value)
+    assert secant.Factors(binoms=((10, True, 1),)).ratio() == (10, 1)
+    assert secant.Factors(binoms=((True, 1, 1),)).ratio() == (1, 1)
+
+
 def test_hn_leading_matches_hilbert_numerator():
     for (g, k, d) in [(3, 1, 11), (2, 1, 12), (1, 2, 11), (4, 2, 15), (2, 0, 7), (3, 0, 9)]:
         params = secant.SecantParams(g, k, d)
@@ -409,6 +567,57 @@ def test_outside_integers_refused_everywhere(entry, x):
     call, error = _INT_ENTRY_POINTS[entry]
     with pytest.raises(error, match="must be an integer"):
         call(x)
+
+
+def _refusals(call, error, cases):
+    return [(call, args, error, message) for args, message in cases]
+
+
+# the parent's refusals of a bool, a float or a str, frozen: class and
+# message, whichever field holds it and whatever follows
+_TYPE_REFUSALS = [
+    *_refusals(secant.SecantParams, InvalidParams, [
+        ((True, 1, 9), "g must be an integer, got True"),
+        ((2.0, 1, 9), "g must be an integer, got 2.0"),
+        (("2", 1, 9), "g must be an integer, got '2'"),
+        ((2, False, 9), "k must be an integer, got False"),
+        ((2, 1.0, 9), "k must be an integer, got 1.0"),
+        ((2, "1", 9), "k must be an integer, got '1'"),
+        ((2, 1, True), "d must be an integer, got True"),
+        ((2, 1, 9.0), "d must be an integer, got 9.0"),
+        ((2, 1, "9"), "d must be an integer, got '9'"),
+        ((2, 1.0, "9"), "k must be an integer, got 1.0"),
+        ((True, True, True), "g must be an integer, got True"),
+    ]),
+    *(
+        refusal
+        for call in (secant.degree_sequence, secant.hn_leading_coefficient)
+        for refusal in _refusals(call, InvalidTuple, [
+            ((_PARAMS, (1, True)), "jump tuple entry must be an integer, got True"),
+            ((_PARAMS, (False, 2)), "jump tuple entry must be an integer, got False"),
+            ((_PARAMS, (1.0, 2)), "jump tuple entry must be an integer, got 1.0"),
+            ((_PARAMS, (1, 2.0)), "jump tuple entry must be an integer, got 2.0"),
+            ((_PARAMS, (1.0, True)), "jump tuple entry must be an integer, got 1.0"),
+            ((_PARAMS, (1, True, 2)), "need 2 entries, got 3"),
+        ])
+    ),
+    *(
+        refusal
+        for call in (secant.kappa_dominant, secant.kappa_dominant_factors)
+        for refusal in _refusals(call, OutOfRange, [
+            ((_PARAMS, 1.0), "p must be an integer, got 1.0"),
+            ((_PARAMS, True), "p must be an integer, got True"),
+            ((_PARAMS, "1"), "p must be an integer, got '1'"),
+        ])
+    ),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", _TYPE_REFUSALS)
+def test_type_refusals_frozen(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # each public entry point that takes a rational value from outside, fed x,
