@@ -37,13 +37,21 @@ _LIST_ITEM = {
 
 def _parse_list(text: str, flag: str, kind: type = int) -> list:
     """The numbers of flag's comma list; ValueError names flag and the first
-    item that is not an ASCII integer (or decimal, for kind float)."""
+    item that is not an ASCII integer (or decimal, for kind float), or that
+    has more digits than sys.get_int_max_str_digits() lets int read, by its
+    position and the limit alone. A decimal has no such limit: a long one
+    reads as inf."""
     pattern, noun = _LIST_ITEM[kind]
-    items = text.split(",")
-    for i, item in enumerate(items, 1):
+    numbers = []
+    for i, item in enumerate(text.split(","), 1):
         if not pattern.fullmatch(item):
             raise ValueError(f"{flag} {text!r}: item {i} ({item!r}) is not {noun}")
-    return [kind(item) for item in items]
+        try:
+            numbers.append(kind(item))
+        except ValueError:  # a matched item fails only past the digit limit
+            limit = f"the limit of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
+            raise ValueError(f"{flag}: item {i} has more digits than {limit}") from None
+    return numbers
 
 
 # The most cells render_table lays out. Its time and memory grow with the

@@ -757,16 +757,14 @@ def _alternating(b: BettiDiagram):
     return {t: c for t, c in degs.items() if c}, min(degs), max(degs), s
 
 
-def _moments_pay(m: int, s: int, terms: int) -> bool:
-    """Whether multiplicity's kernels for M_s (the product check and the
-    moments) cost less than the long division (_quotient) on a polynomial
-    of m + s coefficients, terms of them nonzero, divided by (1-t)^s:
-    (m - 3(terms - s - 1) - 25) * 1600 > s(s + 1600). It was fitted against
-    the s prefix sums that once divided these shapes, and against the long
-    division it is conservative (multiplicity's docstring has the measured
-    crossovers, and why the formula stays). On a polynomial that can
-    divide (terms > s) it needs m > s + 25."""
-    return (m - 3 * (terms - s - 1) - 25) * 1600 > s * (s + 1600)
+def _products_pay(m: int, s: int) -> bool:
+    """Whether multiplicity takes the product check (_product_moment) in
+    place of the long division (_quotient) on a polynomial of m + s
+    coefficients with exactly s + 1 nonzero terms, divided by (1-t)^s:
+    1600 (m - s - 25) > s^2, so it needs m > s + 25. The boundary lies
+    above the product check's measured crossovers, and multiplicity's
+    docstring has both and why it stays there."""
+    return 1600 * (m - s - 25) > s * s
 
 
 def _quotient(coeffs: list, s: int) -> list:
@@ -787,9 +785,11 @@ def _quotient(coeffs: list, s: int) -> list:
     shape this quantity assumes. A polynomial with at most s coefficients
     divides only if it is zero, and then the quotient is the empty list.
     The cost is m * s / 2 products by binomials of up to s bits and m * s
-    subtractions, so a long quotient against s is dear: multiplicity
-    leaves those to the moments (_moments_pay), and hilbert_numerator,
-    which needs every coefficient, pays it.
+    subtractions, so a long quotient against s is dear. multiplicity
+    leaves it to the product check where the polynomial has exactly s + 1
+    nonzero terms (_products_pay) and pays it on every other shape, every
+    sum of diagrams included; hilbert_numerator, which needs every
+    coefficient, always pays it.
     """
     if not s:
         return coeffs
@@ -855,8 +855,10 @@ def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
     in either order: 498, 497 and 469 of the 900 ops of the family_oracle
     benchmark (seeds 1-3) ask for both, and each such op divides once.
     The m integers held are fewer than the m Fractions of a
-    hilbert_numerator result, and multiplicity leaves the long quotients to
-    the moments (_moments_pay), so only hilbert_numerator divides those.
+    hilbert_numerator result. multiplicity leaves the long quotients of
+    polynomials with exactly s + 1 nonzero terms to the product check
+    (_products_pay), so only hilbert_numerator divides those; it divides
+    every other shape, whatever its length.
     """
     b._division = lo, _quotient([terms.get(t, 0) for t in range(lo, hi + 1)], s)
     return b._division
@@ -904,95 +906,90 @@ def multiplicity(b: BettiDiagram) -> Fraction:
 
     Write den times the alternating polynomial as K(t) = sum_p a_p t^(x_p)
     over its N + 1 nonzero terms, x_0 < ... < x_N, exponents counted from
-    the lowest (a power of t changes neither the division nor HN(1)), and
-    let P_i(x) = prod_{j<i} (x - x_j), a Newton basis. Then (1-t)^s divides K
-    exactly when sum_p a_p Q(x_p) = 0 for every Q of degree below s (the
-    derivatives of K at 1 are such sums, and the falling factorials span
-    those Q), that is when M_i = sum_{p>=i} a_p P_i(x_p) is 0 for i < s, as
-    P_i vanishes on x_0 .. x_{i-1}. Once it does, K = (1-t)^s * den * HN
+    the lowest (a power of t changes neither the division nor HN(1)).
+    (1-t)^s divides K exactly when sum_p a_p Q(x_p) = 0 for every Q of
+    degree below s (the derivatives of K at 1 are such sums, and the
+    falling factorials span those Q). Once it does, K = (1-t)^s * den * HN
     and the s-th derivative at 1 gives (-1)^s s! den HN(1) =
-    sum_p a_p s! C(x_p, s) = M_s, since s! C(x, s) - P_s(x) has degree
+    sum_p a_p s! C(x_p, s) = M_s, which is sum_p a_p P_s(x_p) for
+    P_s(x) = prod_{j<s} (x - x_j), since s! C(x, s) - P_s(x) has degree
     below s. So HN(1) = (-1)^s M_s / (s! den).
 
-    Shapes with long quotients, which _moments_pay picks, take M_s from
-    one of two kernels; every other shape is divided by _divide, unless b
-    already holds its quotient, which is then summed.
-
-    With exactly s + 1 nonzero terms (N = s), the shape of every pure
-    diagram, scaled or not, _product_moment checks the Herzog-Kuhl
-    equations in product form. Let w(x) = prod_j (x - x_j). The vectors
-    (Q(x_p))_p with deg Q < s span s of the s + 1 dimensions, and by the
-    Lagrange identity sum_p Q(x_p) / w'(x_p) = [x^s] Q for deg Q <= s,
-    (1 / w'(x_p))_p is orthogonal to all of them. So (1-t)^s divides K
-    exactly when a_p w'(x_p) is one constant c for every p, and then
-    M_s = c sum_p P_s(x_p) / w'(x_p) = c, which is a_s w'(x_s) =
+    Two kernels find it, picked by shape, unless b already holds its
+    quotient, which is then summed. With exactly s + 1 nonzero terms
+    (N = s, the shape of every pure diagram, scaled or not) and a quotient
+    long against s (_products_pay), _product_moment checks the
+    Herzog-Kuhl equations in product form. Let w(x) = prod_j (x - x_j).
+    The vectors (Q(x_p))_p with deg Q < s span s of the s + 1 dimensions,
+    and by the Lagrange identity sum_p Q(x_p) / w'(x_p) = [x^s] Q for
+    deg Q <= s, (1 / w'(x_p))_p is orthogonal to all of them. So (1-t)^s
+    divides K exactly when a_p w'(x_p) is one constant c for every p, and
+    then M_s = c sum_p P_s(x_p) / w'(x_p) = c, which is a_s w'(x_s) =
     a_s P_s(x_s). The sign of w'(x_p) is (-1)^(s-p): it is the product of
     the p positive differences x_p - x_j to its left and the s - p
     negative ones to its right. So the check takes, per column, two
     C-level products of small differences (about s^2 small products in
-    all) and two bigint products, where the moments run s rounds of
-    bigint-by-small products over a shrinking list, with a sum every
-    round. Over the gapped_degseq benchmark's 600 sequences of 30-150
-    degrees (gaps 2-5), multiplicity takes 0.85-0.89x the time it takes
-    with the moments in the product check's place (medians of 15
-    interleaved rounds, seeds 1 and 41).
+    all) and two bigint products. It stores nothing and reads the nonzero
+    terms alone, so its memory does not grow with the span: (0, 10^8) has
+    two terms and no list of 10^8 coefficients is made.
 
-    Any other N, a sum of diagrams, takes _newton_moment, the only kernel
-    that reads sparse terms there. It keeps w_p = a_p P_i(x_p) for p >= i
-    and steps it to i + 1 by one product per term, after checking that the
-    w_p sum to 0: about s(N - s/2) products, against m s / 2 products and
-    m s subtractions for the long division, where the polynomial has
-    m + s coefficients.
-
-    Neither kernel stores anything. Both read the nonzero terms alone, so
-    their memory does not grow with the span: (0, 10^8) has two terms and
-    no list of 10^8 coefficients is made. They never call pure_diagram or
-    a closed form, so multiplicity(pure_diagram(e)) == 1 checks the
-    diagram kernels. A sequence with every gap 5 has m about 4s and s + 1
-    terms, so it takes the product check, scaled or not:
+    Every other shape, a short quotient or any other N (every sum of
+    diagrams), is divided by _divide: m s / 2 products and m s
+    subtractions, where the polynomial has m + s coefficients. Neither
+    kernel calls pure_diagram or a closed form, so
+    multiplicity(pure_diagram(e)) == 1 checks the diagram kernels. A
+    sequence with every gap 5 has m about 4s and s + 1 terms, so it takes
+    the product check, scaled or not; a sum of two such diagrams is
+    divided, and keeps its quotient:
 
     >>> b = pure_diagram(range(0, 50, 5))
     >>> terms, lo, hi, s = _alternating(b)
-    >>> hi - lo + 1 - s, s, len(terms), _moments_pay(hi - lo + 1 - s, s, len(terms))
+    >>> hi - lo + 1 - s, s, len(terms), _products_pay(hi - lo + 1 - s, s)
     (37, 9, 10, True)
-    >>> c = _product_moment(terms, sorted(terms), s)
-    >>> c == _newton_moment(terms, sorted(terms), s) == (-1) ** s * math.factorial(s) * b._den
+    >>> _product_moment(terms, sorted(terms), s) == (-1) ** s * math.factorial(s) * b._den
     True
     >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
     (Fraction(1, 1), Fraction(-2, 3))
+    >>> pair = add(b, pure_diagram((0, 6, *range(10, 50, 5))))
+    >>> len(_alternating(pair)[0]), multiplicity(pair), pair._division is not None
+    (11, Fraction(2, 1), True)
 
-    The crossover m* at which a kernel and the long division take the same
-    time, with the degrees placed at random in the span (Python 3.11.7,
-    x86_64, 2-CPU host; two seeded sets of 6 diagrams per m, median ratio
-    of 9 interleaved timings, row memo warm), for the product check on
-    pure diagrams (N = s) and the moments on sums of two (N about 1.5s
-    there), against the test's boundary at N = s:
+    The crossover m* at which the product check and the long division
+    take the same time on pure diagrams, with the degrees placed at random
+    in the span (Python 3.11.7, x86_64, 2-CPU host; two seeded sets of 6
+    diagrams per m, median ratio of 9 interleaved timings, row memo warm),
+    against _products_pay's boundary:
 
         s              4    8   16   30   60   90  150  250  400
         products     2.6  5.3   10   18   36   55   82  119  161
-        moments      2.8  6.2   16   38   90  133  187  254  305
         test          29   33   41   56   87  120  189  314  525
 
-    The test was fitted against the s prefix sums that once divided these
-    shapes, and is conservative against the long division: at its
-    boundary the product check takes 0.19x (s = 8) to 0.32-0.47x
-    (s = 30-150) of the long division's time, and shapes between m* and
-    the test are divided where a kernel would be faster. A refit to these
-    numbers would move 23 of the 900 seed-1 family_oracle benchmark ops
-    (s = 3-14, m = 5-11) to the product check, so the formula stays.
-    Family shapes (m <= 11) never pass it; at s = 112-298 the product
-    check would take 9-86x the long division's time.
+    The boundary stays above the crossovers on purpose. A refit to them
+    (3m > 2s) would move 56 of the 2,700 multiplicity calls of the
+    family_oracle benchmark (seeds 1-3; s = 2-14, m = 3-11) to the product
+    check, and 26 of those ops then ask for hilbert_numerator, which must
+    divide anyway, since the product check leaves no quotient behind: per
+    op, 28.0 us against 23.7 us with the boundary where it is (medians of
+    15 interleaved rounds). Family shapes (m <= 11) never pass the test;
+    at s = 112-298 the product check would take 9-86x the long division's
+    time.
+
+    The price of one kernel for every other shape is that a sum with a
+    long quotient lists its span, as hilbert_numerator always has (min of
+    5 rounds, against the Newton-basis moments this path once took):
+    600 seeded sums of two pure diagrams of 9-41 degrees (m about 6.5 s)
+    take 197 us -> 705 us each, and {(0, 0): 1, (s, 10^5): 1}, which does
+    not divide, 4-8 us -> 0.16, 0.22 and 0.54 s at s = 3, 9 and 40.
     """
     if not b:
         raise EmptyDiagram("multiplicity of an empty diagram")
     if b._division:
         return Fraction(sum(b._division[1]), b._den)
     terms, lo, hi, s = _alternating(b)
-    if not _moments_pay(max(hi - lo + 1 - s, 0), s, len(terms)):
-        return Fraction(sum(_divide(b, terms, lo, hi, s)[1]), b._den)
-    xs = sorted(terms)
-    moment = _product_moment if len(xs) == s + 1 else _newton_moment
-    return Fraction((-1) ** s * moment(terms, xs, s), math.factorial(s) * b._den)
+    if len(terms) == s + 1 and _products_pay(hi - lo + 1 - s, s):
+        moment = _product_moment(terms, sorted(terms), s)
+        return Fraction((-1) ** s * moment, math.factorial(s) * b._den)
+    return Fraction(sum(_divide(b, terms, lo, hi, s)[1]), b._den)
 
 
 def _product_moment(terms: dict, xs: list, s: int) -> int:
@@ -1010,19 +1007,3 @@ def _product_moment(terms: dict, xs: list, s: int) -> int:
         if terms[x] * left * right != (-c if (s - p) & 1 else c):
             raise _indivisible(s)
     return c
-
-
-def _newton_moment(terms: dict, xs: list, s: int) -> int:
-    """M_s of K = sum_p a_p t^(x_p), a_p = terms[x_p], over its nonzero
-    terms at the sorted exponents xs, by s rounds in the Newton basis:
-    _indivisible(s) unless M_0 .. M_(s-1) are all 0. Round i keeps
-    w_p = a_p P_i(x_p) for p >= i and checks that they sum to 0 before
-    stepping them to i + 1 by one product per term."""
-    w = [terms[x] for x in xs]
-    # xs runs out before round s only when K is 0: a last nonzero term
-    # left alone in w fails the check
-    for i, x in zip(range(s), xs):
-        if sum(w):
-            raise _indivisible(s)
-        w = list(map(mul, w[1:], map(sub, xs[i + 1 :], repeat(x))))
-    return sum(w)

@@ -116,6 +116,27 @@ def test_comma_lists_are_strict(tmp_path, capsys, argv, flag):
     assert not out_file.exists()
 
 
+def test_comma_list_item_past_the_digit_limit_is_named_by_position(tmp_path, capsys):
+    # an integer item of one digit more than the interpreter converts: the
+    # refusal names the flag, the item's position and the limit, and
+    # echoes none of the item's digits
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * limit
+    out_file = tmp_path / "out.csv"
+    for argv, flag, position in (
+        (("pure", "--degseq", f"0,{big}"), "--degseq", 2),
+        (("secant-pure", "-g", "3", "-k", "1", "-d", "11", "--tuple", f"1,{big}"), "--tuple", 2),
+        (_SWEEP + ("--a", "0", "--d", f"{big},101", "--out", str(out_file)), "--d", 1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), flag
+        assert err == (
+            f"bad input: {flag}: item {position} has more digits than the limit of "
+            f"{limit} (sys.get_int_max_str_digits())\n"
+        )
+    assert not out_file.exists()
+
+
 def test_comma_lists_read_signs_spaces_and_decimals():
     assert cli._parse_list(" 0, +3,-4 ", "--degseq") == [0, 3, -4]
     assert cli._parse_list("-1,2.,.5,1E-1", "--a", float) == [-1.0, 2.0, 0.5, 0.1]

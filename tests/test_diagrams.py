@@ -25,17 +25,19 @@ Claims pinned here:
       the alternating polynomial is its own quotient; its memoized row is
       (-1)^i C(s, i), and a cold memo and a warm one give the same
       quotient or message
-    - multiplicity's Herzog-Kuhl kernels, the product check (exactly
-      s + 1 nonzero terms, the shape of every pure diagram) and the
-      moments (any other), give the prefix sums' HN(1), or their one
-      message, on both sides of the shape test and at its exact boundary,
-      with more than 20 seeded cases on each of the three kernels; the
-      two agree wherever the product check applies; family shapes and
-      (0,3,4,6,7,9) take the long division, gapped sequences of 30 or
-      more degrees the product check, sums of two on long spans the
-      moments; a numerator one too large in column 0, a middle column or
-      column s, or one flipped sign, fails the product check with the
-      one message
+    - multiplicity's two kernels, the Herzog-Kuhl product check (exactly
+      s + 1 nonzero terms, the shape of every pure diagram, and a long
+      quotient) and the long division (every other shape), give the
+      prefix sums' HN(1), or their one message, on both sides of the
+      shape test and at its exact boundary, with more than 20 seeded
+      cases on each kernel; the product check, forced on every case with
+      s + 1 nonzero terms whichever kernel multiplicity takes, gives the
+      prefix sums' M_s = (-1)^s s! den HN(1) or their message; family
+      shapes and (0,3,4,6,7,9) take the long division, gapped sequences
+      of 30 or more degrees the product check, and sums of two, on any
+      span, the long division; a numerator one too large in column 0, a
+      middle column or column s, or one flipped sign, fails the product
+      check with the one message
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
     - both pure_diagram kernels (integer numerators over S!/n!, and reduced
@@ -495,24 +497,30 @@ def _kernel_outcome(kernel, terms, s):
         return str(exc)
 
 
-def _assert_moment_kernels_agree(b):
+def _assert_product_check_matches(b, expected):
     """Where b's alternating polynomial has exactly s + 1 nonzero terms,
-    the product check gives the moments' M_s or raises their message."""
+    the product check, run whichever kernel multiplicity would take, gives
+    M_s = (-1)^s s! den HN(1) for the prefix-sum oracle's quotient
+    expected of den times that polynomial, or, where expected is None,
+    raises the oracle's one message."""
     terms, _, _, s = diagrams._alternating(b)
     if len(terms) == s + 1:
-        products = _kernel_outcome(diagrams._product_moment, terms, s)
-        assert products == _kernel_outcome(diagrams._newton_moment, terms, s)
+        if expected is None:
+            moment = f"(1-t)^{s} does not divide the alternating polynomial"
+        else:
+            moment = (-1) ** s * math.factorial(s) * sum(expected)
+        assert _kernel_outcome(diagrams._product_moment, terms, s) == moment
 
 
 def _assert_division_matches_prefix_sums(b):
     """_quotient of b's alternating polynomial equals the prefix-sum oracle,
     and hilbert_numerator and multiplicity read it over b's denominator;
     where the oracle finds a remainder, all three raise the one message.
-    Both moment kernels agree where the product check applies."""
-    _assert_moment_kernels_agree(b)
+    The product check matches the oracle where it applies."""
     coeffs, offset, s = _dense_alternating(b)
     lcm = b._den
     expected = _prefix_sum_quotient(coeffs, s)
+    _assert_product_check_matches(b, expected)
     if expected is None:
         message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
         with pytest.raises(NotCohenMacaulayShape, match=message):
@@ -537,13 +545,12 @@ def _run_sequence(n, extra):
 _KERNELS = {
     "_quotient": "long division",
     "_product_moment": "product check",
-    "_newton_moment": "moments",
 }
 
 
 def _multiplicity_path(b, monkeypatch):
-    """The kernel multiplicity(b) runs: the long division, the product
-    check or the moments, whether it divides or raises. It asks a fresh
+    """The kernel multiplicity(b) runs, the long division or the product
+    check, whether it divides or raises. It asks a fresh
     diagram equal to b, since b may hold its quotient from an earlier
     call, which would answer without a kernel."""
     taken = []
@@ -697,22 +704,23 @@ def test_long_division_same_with_cold_and_warm_row_memo():
         assert outcomes == [expected, expected], (s, coeffs)
 
 
-def _takes_moments(b):
-    """Whether _moments_pay sends b past the long division, to the product
-    check or the moments."""
+def _takes_products(b):
+    """Whether the shape test sends b to the product check: exactly s + 1
+    nonzero terms, and _products_pay on its shape."""
     coeffs, _, s = _dense_alternating(b)
-    return diagrams._moments_pay(max(len(coeffs) - s, 0), s, len(coeffs) - coeffs.count(0))
+    terms = len(coeffs) - coeffs.count(0)
+    return terms == s + 1 and diagrams._products_pay(len(coeffs) - s, s)
 
 
-def _assert_moments_match_prefix_sums(b, moments=None):
+def _assert_multiplicity_matches_prefix_sums(b, products=None):
     """multiplicity(b) is the sum of the prefix-sum oracle's quotient over
-    the denominator, or raises its one message; _moments_pay is on the
-    side that moments names, when it names one. Both moment kernels agree
-    where the product check applies."""
-    assert moments is None or _takes_moments(b) is moments
-    _assert_moment_kernels_agree(b)
+    the denominator, or raises its one message; the shape test sends b to
+    the product check exactly when products is True, when it is given.
+    The product check matches the oracle where it applies."""
+    assert products is None or _takes_products(b) is products
     coeffs, _, s = _dense_alternating(b)
     expected = _prefix_sum_quotient(coeffs, s)
+    _assert_product_check_matches(b, expected)
     if expected is None:
         message = rf"^\(1-t\)\^{s} does not divide the alternating polynomial$"
         with pytest.raises(NotCohenMacaulayShape, match=message):
@@ -725,8 +733,8 @@ def _assert_moments_match_prefix_sums(b, moments=None):
 def test_moment_kernel_matches_prefix_sums(monkeypatch):
     # seeded pure diagrams (many starting at negative degrees), positive
     # combinations of two on one span, and one unit more in one cell; then
-    # combinations of two on spans long enough for the moments, alone and
-    # with one unit more in one cell
+    # combinations of two on spans long enough for the product check, alone
+    # and with one unit more in one cell, which the long division takes
     rng = random.Random(59)
     cases = []
     for _ in range(40):
@@ -751,56 +759,54 @@ def test_moment_kernel_matches_prefix_sums(monkeypatch):
     divides = {True: 0, False: 0}
     kernels = dict.fromkeys(_KERNELS.values(), 0)
     for b in cases:
-        sides[_takes_moments(b)] += 1
-        kernels[_multiplicity_path(b, monkeypatch)] += 1
-        divides[_assert_moments_match_prefix_sums(b) is not None] += 1
+        products = _takes_products(b)
+        sides[products] += 1
+        path = _multiplicity_path(b, monkeypatch)
+        assert path == ("product check" if products else "long division")
+        kernels[path] += 1
+        divides[_assert_multiplicity_matches_prefix_sums(b) is not None] += 1
     assert min(sides.values()) > 20 and min(divides.values()) > 20, (sides, divides)
     assert min(kernels.values()) > 20, kernels
 
 
 def test_moment_kernel_edge_shapes():
-    for s, moments in ((40, True), (5, False)):
+    # every shape here has other than s + 1 nonzero terms, or a short
+    # quotient, so the long division takes it
+    for s in (40, 5):
         # K = 0 (multiplicity 0), and a nonzero K of one term
         cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
-        assert _assert_moments_match_prefix_sums(cancels, moments) == []
+        assert _assert_multiplicity_matches_prefix_sums(cancels, False) == []
         assert diagrams.multiplicity(cancels) == 0
         single = diagrams.BettiDiagram({(0, s): F(1), (s, 0): F(1 + s % 2)})
-        assert _assert_moments_match_prefix_sums(single, moments) is None
+        assert _assert_multiplicity_matches_prefix_sums(single, False) is None
     # s nonzero terms spread over 200 exponents: never divisible by (1-t)^s
     rng = random.Random(61)
     poly = [0] * 200
     for j in rng.sample(range(200), 40):
         poly[j] = rng.choice((-3, -1, 2))
-    assert _assert_moments_match_prefix_sums(_diagram_with_polynomial(poly, 40), True) is None
-    # s = 0: HN is the alternating polynomial itself, here at negative degrees
-    for cells, moments in (
-        ({(0, -4): F(1, 3), (0, 3): F(2)}, False),
-        ({(0, -9): F(1), (0, 40): F(5, 2)}, True),
+    assert _assert_multiplicity_matches_prefix_sums(_diagram_with_polynomial(poly, 40), False) is None
+    # s = 0: HN is the alternating polynomial itself, here at negative
+    # degrees; a single cell is the one term the product check takes
+    for cells in (
+        {(0, -4): F(1, 3), (0, 3): F(2)},
+        {(0, -9): F(1), (0, 40): F(5, 2)},
+        {(0, 5): F(2, 3)},
     ):
         b = diagrams.BettiDiagram(cells)
-        assert _assert_moments_match_prefix_sums(b, moments)
+        assert _assert_multiplicity_matches_prefix_sums(b, False)
         assert diagrams.multiplicity(b) == sum(cells.values())
 
 
 def test_moment_shape_test_exact_boundary():
-    # (m - 3(terms - s - 1) - 25) 1600 = s (s + 1600) at (m, s) = (66, 40)
-    # with one term per column: the boundary takes the long division, one
-    # coefficient more the moments
-    assert (66 - 25) * 1600 == 40 * (40 + 1600)
+    # 1600 (m - s - 25) = s^2 at (m, s) = (66, 40), with s + 1 nonzero
+    # terms: the boundary takes the long division, one coefficient more the
+    # product check
+    assert 1600 * (66 - 40 - 25) == 40 * 40
     on = diagrams.pure_diagram(_run_sequence(40, 65))
     above = diagrams.pure_diagram(_run_sequence(40, 66))
     assert (_shape(on), _shape(above)) == ((66, 40), (67, 40))
-    assert _assert_moments_match_prefix_sums(on, False)
-    assert _assert_moments_match_prefix_sums(above, True)
-    # each nonzero term past s + 1 moves the boundary up by 3: two pure
-    # diagrams of pd 40 on s + 2 exponents, at m = 69 and 70
-    for extra, moments in ((68, False), (69, True)):
-        a = _run_sequence(40, extra)
-        b = a[:3] + (a[4] - 1,) + a[4:]  # degree 3 moved up next to the run
-        pair = diagrams.add(diagrams.pure_diagram(a), diagrams.pure_diagram(b))
-        assert _shape(pair) == (extra + 1, 40)
-        assert _assert_moments_match_prefix_sums(pair, moments)
-        assert diagrams.multiplicity(pair) == 2
+    assert _assert_multiplicity_matches_prefix_sums(on, False)
+    assert _assert_multiplicity_matches_prefix_sums(above, True)
 
 
 def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
@@ -811,7 +817,7 @@ def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
     for n in (30, 90, 150):
         b = diagrams.pure_diagram(_random_sequence(rng, 0, (2, 3, 4, 5), n))
         assert _multiplicity_path(b, monkeypatch) == "product check"
-        expected = _assert_moments_match_prefix_sums(b, True)
+        expected = _assert_multiplicity_matches_prefix_sums(b, True)
         assert F(sum(expected), b._den) == 1
         hn = diagrams.hilbert_numerator(b)
         assert sum(c for _, c in hn.items()) == _cold(diagrams.multiplicity, b) == 1
@@ -838,7 +844,7 @@ def test_product_check_rejects_planted_faults(monkeypatch):
     for bad in faults:
         assert len(diagrams._alternating(bad)[0]) == s + 1
         assert _multiplicity_path(bad, monkeypatch) == "product check"
-        assert _assert_moments_match_prefix_sums(bad, True) is None
+        assert _assert_multiplicity_matches_prefix_sums(bad, True) is None
         message = f"(1-t)^{s} does not divide the alternating polynomial"
         assert _outcome(diagrams.multiplicity, bad) == message
 
@@ -904,7 +910,8 @@ def test_division_memo_matches_by_identity(monkeypatch):
 
 def test_division_memo_never_holds_a_failed_division(monkeypatch):
     # one unit more in the last column, on both of multiplicity's paths
-    # (the long division with a short and with a long quotient): four
+    # (the long division with a short and with a longer quotient, and the
+    # product check on a long one): four
     # calls in either order each raise the same message afresh, the
     # failing diagram stores nothing, and a diagram divided before keeps
     # its quotient
@@ -912,7 +919,7 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
     sequences = [
         (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), "long division"),
         (_random_sequence(rng, 0, (2, 3, 5), 8), "long division"),
-        (_random_sequence(rng, 0, (2, 3, 5), 40), "moments"),
+        (_random_sequence(rng, 0, (2, 3, 5), 40), "product check"),
     ]
     held = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
     diagrams.hilbert_numerator(held)
@@ -921,7 +928,7 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
     for e, path in sequences:
         n = len(e) - 1
         bad = diagrams.add(diagrams.pure_diagram(e), diagrams.BettiDiagram({(n, e[n] - n): F(1)}))
-        assert _takes_moments(bad) is (path == "moments")
+        assert _takes_products(bad) is (path == "product check")
         message = f"(1-t)^{n} does not divide the alternating polynomial"
         for order in _BOTH_ORDERS:
             with monkeypatch.context() as patch:
@@ -952,9 +959,9 @@ def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
         cases.append((diagrams.scale(short, F(5, 7)), "long division"))
         gapped = _random_sequence(rng, 0, (2, 3, 4, 5), 40)
         cases.append((diagrams.pure_diagram(gapped), "product check"))
-        # its second degree one up: a sum of s + 2 terms
+        # its second degree one up: a sum of s + 2 terms, which is divided
         moved = diagrams.pure_diagram((0, gapped[1] + 1, *gapped[2:]))
-        cases.append((diagrams.add(diagrams.pure_diagram(gapped), moved), "moments"))
+        cases.append((diagrams.add(diagrams.pure_diagram(gapped), moved), "long division"))
     for b, path in cases:
         assert _multiplicity_path(b, monkeypatch) == path
         paths[path] += 1
