@@ -9,12 +9,17 @@ lists, and _evaluate turns the lists into a float: as an exact rational up
 to EXACT_CROSSOVER, as a sum of logs above it. The log sum stays within
 1e-10 relative of the exact value for r up to 2*10^4, and within 1e-9 at
 r = 10^5 (both tested; measured worst 1.9e-10 there).
+
+The distribution rows of one d come from one kernel, _distribution_rows:
+what depends on d alone (r, the degree factor, 2*pi/r, the column's
+constants) once, then per a the column, the factor lists and one
+_evaluate. normal_dist_point is its one-a case and distribution_sweep
+calls it once per d. The sweep writers format a whole CSV text with
+f-strings and write it in one call, the bytes csv.writer would give.
 """
 
 from __future__ import annotations
 
-import csv
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -66,16 +71,37 @@ def realized_column(params: SecantParams, a: float) -> int:
     form is defined. A non-finite a has no column and raises OutOfRange; a
     finite a so large that the float position overflows just clamps. At
     d = 2g + 2k + 1 the window is empty, and OutOfRange names the first d
-    that has a column.
+    that has a column. An r past the float range has no column either, and
+    raises OutOfRange after those two checks.
     """
-    if not math.isfinite(a):
-        raise OutOfRange(f"a must be finite, got {a!r}")
+    return _columns(params)[0](a)
+
+
+def _columns(params: SecantParams) -> tuple:
+    """(column, float(r)): realized_column at params as a function of a
+    alone, with r/2, its square root and the window taken once for every a.
+
+    An r past the float range makes those floats nan, and column then
+    refuses every a after a's own checks, so the refusals keep
+    realized_column's order.
+    """
     r = params.r
     hi = r - params.g - 2 * params.k - 1
-    if hi < 1:
-        raise OutOfRange(f"no dominant column at d={params.d}; the first is at d={params.d - hi + 1}")
-    raw = min(max(r / 2 + a * math.sqrt(r / 2) + 0.5, 0.0), float(r))
-    return max(1, min(hi, math.floor(raw)))
+    try:
+        half, root, top = r / 2, math.sqrt(r / 2), float(r)
+    except OverflowError:
+        half = root = top = math.nan
+
+    def column(a) -> int:
+        if not math.isfinite(a):
+            raise OutOfRange(f"a must be finite, got {a!r}")
+        if hi < 1:
+            raise OutOfRange(f"no dominant column at d={params.d}; the first is at d={params.d - hi + 1}")
+        if top != top:
+            raise OutOfRange(f"r of {r.bit_length()} bits is past the float range")
+        return max(1, min(hi, math.floor(min(max(half + a * root + 0.5, 0.0), top))))
+
+    return column, top
 
 
 def _log_sum(f: Factors) -> float:
@@ -131,11 +157,6 @@ def dominant_binomial_ratio(params: SecantParams, a: float, method: str = "auto"
     return _evaluate(f, 1.0, r, method)
 
 
-# A distribution sweep asks for one d once per a, back to back, so one entry
-# serves every a of a d: the README's 3 a x 3 d sweep hits 6 of 9 calls, and
-# one sweep_cli pool (480 ops, seeds 1 and 2) 4,800 of 7,200.
-# collapse_identity's own key evicts it, which changes no value.
-@functools.lru_cache(maxsize=1)
 def _degree_factors(params: SecantParams, r_power: int, two: int = 0) -> Factors:
     """secant_degree * (k+1)! / r^r_power * 2^two."""
     return Factors((secant_degree(params), *range(2, params.k + 2)), (params.r,) * r_power, (), two)
@@ -154,13 +175,27 @@ def normal_dist_point(params: SecantParams, a: float, method: str = "auto") -> D
     r=10^4, a=1). Measured from the strand's own centre, x = (p -
     (r-2k-1)/2)/sqrt(r/2), the value is exp(-x^2) up to O(1/r).
     """
-    r, k = params.r, params.k
-    p = realized_column(params, a)
-    f = kappa_dominant_factors(params, p).times(_degree_factors(params, k, two=2 * k - r))
-    value = _evaluate(f, 2 * math.pi / r, r, method)
-    return DistributionRow(
-        d=params.d, r=r, p=p, a_target=float(a), value=value, limit=math.exp(-(a * a))
-    )
+    return _distribution_rows(params, (a,), method)[0]
+
+
+def _distribution_rows(params: SecantParams, a_list, method: str = "auto") -> list:
+    """normal_dist_point(params, a, method) for each a of a_list, in order.
+
+    What depends on d alone (r, the degree factor, 2*pi/r and the column's
+    constants) is computed once; each a costs its column, its kappa_dominant
+    factors and one _evaluate.
+    """
+    g, k, d = params
+    r = d - g
+    column, top = _columns(params)
+    degree = _degree_factors(params, k, two=2 * k - r)
+    root = 2 * math.pi / top  # 2*pi/r: an int divisor is rounded to float(r) first
+    rows = []
+    for a in a_list:
+        p = column(a)
+        value = _evaluate(kappa_dominant_factors(params, p).times(degree), root, r, method)
+        rows.append(DistributionRow(d, r, p, float(a), value, math.exp(-(a * a))))
+    return rows
 
 
 def collapse_identity(params: SecantParams, a: float) -> tuple:
@@ -257,35 +292,43 @@ def purity_sweep(g: int, k: int, d_min: int, d_max: int, step: int = 1):
 
 
 def distribution_sweep(g: int, k: int, a_list, d_list):
-    """normal_dist_point over the cartesian grid, d-major order."""
+    """normal_dist_point over the cartesian grid, d-major order. a_list is
+    read once, so any iterable serves every d."""
+    a_list = tuple(a_list)
     rows = []
     for d in d_list:
-        params = SecantParams(g, k, d)
-        rows += [normal_dist_point(params, a) for a in a_list]
+        rows += _distribution_rows(SecantParams(g, k, d), a_list)
     return rows
 
 
-def _write_csv(out, header: list, lines) -> None:
-    """The CSV at the path out: the header, then each line of lines."""
+def _write_csv(out, text: str) -> None:
+    """text to the path out as UTF-8, its line ends kept as they are.
+
+    The sweep writers build the whole text before the file is opened, so a
+    value that cannot be formatted (an int past the digit limit) leaves the
+    file as it was. Their text is what csv.writer with a newline line
+    terminator writes for the same rows: every field is an int, a fixed
+    name or a float repr, none of which holds a comma, a quote or a line
+    break, so csv would quote none of them.
+    """
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(lines)
+        fh.write(text)
 
 
 def write_purity_csv(g: int, k: int, rows, out) -> None:
     """Exact CSV at the path out: one row per (d, quantity), quantities as
     num/den columns."""
-    _write_csv(out, ["g", "k", "d", "r", "quantity", "value_num", "value_den"], (
-        [g, k, row.d, row.r, name, v.numerator, v.denominator]
+    _write_csv(out, "g,k,d,r,quantity,value_num,value_den\n" + "".join(
+        f"{g},{k},{row.d},{row.r},{name},{v.numerator},{v.denominator}\n"
         for row in rows
         for name, v in (("lower_bound", row.lower_bound), ("gap", row.gap), ("r_gap", row.r_gap))
     ))
 
 
 def write_distribution_csv(g: int, k: int, rows, out) -> None:
-    _write_csv(out, ["g", "k", "d", "r", "a", "p", "value", "limit"], (
-        [g, k, row.d, row.r, row.a_target, row.p, repr(row.value), repr(row.limit)] for row in rows
+    _write_csv(out, "g,k,d,r,a,p,value,limit\n" + "".join(
+        f"{g},{k},{row.d},{row.r},{row.a_target!r},{row.p},{row.value!r},{row.limit!r}\n"
+        for row in rows
     ))
 
 

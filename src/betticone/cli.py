@@ -35,17 +35,22 @@ _LIST_ITEM = {
 }
 
 
+# the most characters of a refused item that its message repeats
+_ITEM_SHOWN = 20
+
+
 def _parse_list(text: str, flag: str, kind: type = int) -> list:
     """The numbers of flag's comma list; ValueError names flag and the first
-    item that is not an ASCII integer (or decimal, for kind float), or that
-    has more digits than sys.get_int_max_str_digits() lets int read, by its
-    position and the limit alone. A decimal has no such limit: a long one
-    reads as inf."""
+    item that is not an ASCII integer (or decimal, for kind float), by its
+    position and its first _ITEM_SHOWN characters, or that has more digits
+    than sys.get_int_max_str_digits() lets int read, by its position and
+    the limit alone. A decimal has no such limit: a long one reads as inf."""
     pattern, noun = _LIST_ITEM[kind]
     numbers = []
     for i, item in enumerate(text.split(","), 1):
         if not pattern.fullmatch(item):
-            raise ValueError(f"{flag} {text!r}: item {i} ({item!r}) is not {noun}")
+            shown = repr(item[:_ITEM_SHOWN]) + ("..." if len(item) > _ITEM_SHOWN else "")
+            raise ValueError(f"{flag} item {i} ({shown}) is not {noun}")
         try:
             numbers.append(kind(item))
         except ValueError:  # a matched item fails only past the digit limit

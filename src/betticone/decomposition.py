@@ -53,12 +53,19 @@ class Decomposition(NamedTuple):
     def reconstruct(self) -> BettiDiagram:
         """Sum of all summands plus the residual, as one combination; each
         coefficient is read by require_rational (0.1 is refused, not
-        taken as 3602879701896397/36028797018963968)."""
-        terms = [(1, self.residual)]
-        terms += (
-            (require_rational(s.coefficient, "coefficient"), pure_diagram(s.degrees))
+        taken as 3602879701896397/36028797018963968).
+
+        Every summand is checked in order first, so the first bad one is
+        named; the pure diagrams are then asked for last-first, so the
+        newest entries of pure_diagram's memo, which decompose filled
+        first-to-last, are read before older ones evict them.
+        """
+        checked = [
+            (require_rational(s.coefficient, "coefficient"), DegreeSequence(s.degrees))
             for s in self.summands
-        )
+        ]
+        terms = [(1, self.residual)]
+        terms += ((c, pure_diagram(e)) for c, e in reversed(checked))
         return _combination(terms)
 
     def to_json_obj(self) -> dict:

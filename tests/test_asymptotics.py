@@ -25,15 +25,23 @@ Claims pinned here:
     - purity rows hold reduced Fractions with gap = 1 - bound and
       r_gap = r * gap, and a sweep of more rows than the ceiling is refused
       before any is built
-    - distribution rows equal normal_dist_point float for float, whether
-      _degree_factors' memo holds the d or not
+    - distribution rows equal normal_dist_point float for float, before and
+      after another distribution quantity is evaluated, and a one-shot
+      iterable of a serves every d; past the float range of r a non-finite a
+      is refused first, then every a
+    - both CSV writers give the bytes csv.writer(lineterminator="\\n")
+      writes for the same rows (the oracle), on seeded grids, and a value
+      that cannot be formatted leaves the file as it was
 """
 
 import csv
+import io
 import json
 import math
 import pathlib
+import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -485,11 +493,89 @@ def test_distribution_csv_format(tmp_path):
     assert float(got[1][6]) == rows[0].value
 
 
+def _csv_oracle(header, lines) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(lines)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_writers_match_the_csv_module(tmp_path):
+    # g, k <= 6; r from the first d with a column up to 10^6, on both sides
+    # of EXACT_CROSSOVER; a negative, zero (of either sign), small enough
+    # for repr to write 1e-05, and large
+    rng = random.Random(35)
+    crossover = asymptotics.EXACT_CROSSOVER
+    out = tmp_path / "sweep.csv"
+    for _ in range(12):
+        g, k = rng.randint(1, 6), rng.randint(0, 6)
+        d_min = 2 * g + 2 * k + 1
+        start = rng.choice((d_min, g + crossover - 1, g + rng.randint(d_min, 10**6)))
+        rows = asymptotics.purity_sweep(g, k, start, start + rng.randint(0, 6), rng.randint(1, 3))
+        asymptotics.write_purity_csv(g, k, rows, str(out))
+        assert out.read_bytes() == _csv_oracle(
+            ["g", "k", "d", "r", "quantity", "value_num", "value_den"],
+            (
+                [g, k, row.d, row.r, name, v.numerator, v.denominator]
+                for row in rows
+                for name, v in (
+                    ("lower_bound", row.lower_bound), ("gap", row.gap), ("r_gap", row.r_gap)
+                )
+            ),
+        )
+        negative, zero, large = (-2.5, -1.0, -3e-07), (0.0, -0.0), (0.5, 7.25, 1e3)
+        a_list = [rng.choice(negative), rng.choice(zero), 1e-05, rng.choice(large)]
+        rng.shuffle(a_list)
+        rs = (g + 2 * k + 2, rng.randint(g + 2 * k + 2, crossover), crossover, crossover + 1,
+              rng.randint(crossover, 10**6), 10**6)
+        rows = asymptotics.distribution_sweep(g, k, a_list, [g + r for r in rs])
+        asymptotics.write_distribution_csv(g, k, rows, str(out))
+        assert out.read_bytes() == _csv_oracle(
+            ["g", "k", "d", "r", "a", "p", "value", "limit"],
+            ([g, k, row.d, row.r, row.a_target, row.p, row.value, row.limit] for row in rows),
+        )
+
+
+def test_csv_writer_refusal_leaves_the_file_as_it_was(tmp_path):
+    # a numerator past the int-to-str digit limit cannot be written; the
+    # refusal comes before the file is opened
+    out = tmp_path / "purity.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    big = F(10 ** sys.get_int_max_str_digits(), 3)
+    rows = asymptotics.purity_sweep(2, 1, 7, 8) + [asymptotics.PuritySweepRow(9, 7, big, 1 - big)]
+    with pytest.raises(ValueError, match="limit"):
+        asymptotics.write_purity_csv(2, 1, rows, str(out))
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_distribution_sweep_reads_a_one_shot_iterable_of_a_once():
+    d_list = [101, 201]
+    want = asymptotics.distribution_sweep(1, 1, [0.0, 1.0], d_list)
+    assert [(row.d, row.a_target) for row in want] == [
+        (101, 0.0), (101, 1.0), (201, 0.0), (201, 1.0)
+    ]
+    assert asymptotics.distribution_sweep(1, 1, (a for a in [0.0, 1.0]), iter(d_list)) == want
+
+
+def test_distribution_refusals_past_the_float_range_keep_their_order():
+    # r = 10^400 - 1 has no float: a non-finite a is still refused first, an
+    # empty a list still gives no row, and a finite a is refused, not an
+    # OverflowError
+    d = [10**400]
+    with pytest.raises(OutOfRange, match="a must be finite"):
+        asymptotics.distribution_sweep(1, 1, [math.inf], d)
+    assert asymptotics.distribution_sweep(1, 1, [], d) == []
+    with pytest.raises(OutOfRange, match="r of 1329 bits is past the float range"):
+        asymptotics.distribution_sweep(1, 1, [0.0], d)
+    with pytest.raises(OutOfRange, match="past the float range"):
+        asymptotics.realized_column(secant.SecantParams(1, 1, d[0]), 0.0)
+
+
 def test_distribution_rows_consistent_with_point():
     # r on both sides of EXACT_CROSSOVER, up to 10^5; the points are taken
-    # a-major, so each misses _degree_factors' one-entry memo, and the rows
-    # d-major, so they hit it; collapse_identity between the two sweeps
-    # evicts it
+    # a-major and the rows d-major, and collapse_identity runs between the
+    # two sweeps
     a_list = [-1.0, 0.0, 0.5, 1.0, 2.0]
     crossover = asymptotics.EXACT_CROSSOVER
     for g, k in ((1, 1), (3, 2)):
@@ -502,9 +588,4 @@ def test_distribution_rows_consistent_with_point():
         want = [points[d, a] for d in d_list for a in a_list]
         assert asymptotics.distribution_sweep(g, k, a_list, d_list) == want
         asymptotics.collapse_identity(secant.SecantParams(g, k, d_list[0]), 0.5)
-        before = asymptotics._degree_factors.cache_info()
         assert asymptotics.distribution_sweep(g, k, a_list, d_list) == want
-        after = asymptotics._degree_factors.cache_info()
-        # one miss per d, a hit for every other a
-        assert after.misses - before.misses == len(d_list)
-        assert after.hits - before.hits == (len(a_list) - 1) * len(d_list)

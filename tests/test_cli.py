@@ -116,6 +116,25 @@ def test_comma_lists_are_strict(tmp_path, capsys, argv, flag):
     assert not out_file.exists()
 
 
+def test_comma_list_refusal_names_the_item_not_the_flag_text(tmp_path, capsys):
+    # the message holds the flag, the item's position and at most the first
+    # 20 characters of the item, however long the list is
+    zeros = "0" * 5000
+    out_file = tmp_path / "out.csv"
+    for argv, want in (
+        (("pure", "--degseq", f"x,1{zeros}"), "--degseq item 1 ('x') is not an integer"),
+        (
+            ("pure", "--degseq", f"0,x{zeros}"),
+            "--degseq item 2 ('x0000000000000000000'...) is not an integer",
+        ),
+        (_SWEEP + ("--a", f"0,{zeros},1_0", "--d", "101", "--out", str(out_file)),
+         "--a item 3 ('1_0') is not a decimal number"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"bad input: {want}\n")
+    assert not out_file.exists()
+
+
 def test_comma_list_item_past_the_digit_limit_is_named_by_position(tmp_path, capsys):
     # an integer item of one digit more than the interpreter converts: the
     # refusal names the flag, the item's position and the limit, and
@@ -402,6 +421,24 @@ def test_sweep_purity_writes_csv(tmp_path, capsys):
     assert lines[0] == "g,k,d,r,quantity,value_num,value_den"
     assert lines[1] == "2,1,7,5,lower_bound,5,13"
     assert len(lines) == 10
+
+
+def test_sweep_purity_step_selects_every_step_th_d(tmp_path, capsys):
+    # --step 5 keeps d = 7, 12, 17 of 7..20: the rows a --step 1 sweep
+    # writes for those d, in order
+    argv = ("sweep", "purity", "-g", "2", "-k", "1", "--d-min", "7", "--d-max", "20")
+    every, stepped = tmp_path / "every.csv", tmp_path / "stepped.csv"
+    assert run(capsys, *argv, "--out", str(every)) == (0, "", "")
+    assert run(capsys, *argv, "--step", "5", "--out", str(stepped)) == (0, "", "")
+    header, *rows = every.read_text(encoding="utf-8").splitlines()
+    want = [header] + [row for row in rows if row.split(",")[2] in ("7", "12", "17")]
+    assert stepped.read_text(encoding="utf-8").splitlines() == want
+    assert len(want) == 1 + 3 * 3
+    for step in ("0", "-1"):
+        out_file = tmp_path / f"step{step}.csv"
+        code, out, err = run(capsys, *argv, "--step", step, "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"bad input: step must be positive, got {step}\n")
+        assert not out_file.exists()
 
 
 def test_sweep_distribution_writes_csv(tmp_path, capsys):

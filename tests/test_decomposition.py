@@ -7,7 +7,10 @@ Claims pinned here:
     - diagrams outside the cone raise NotInCone carrying the partial state
     - verify rejects tampered decompositions and says why
     - a decompose -> verify round trip with at most 8 summands builds each
-      summand's pure diagram once: verify's come from pure_diagram's memo
+      summand's pure diagram once: verify's come from pure_diagram's memo;
+      with more, verify asks last first and the last 8 hit the memo
+    - reconstruct names the first bad summand, whichever order it asks
+      for the pure diagrams in
     - decomposition JSON with a degree that is not an integer, degrees
       that are not strictly increasing, a zero denominator, a 'summands'
       that is not a list, a summand that is not an object or a float
@@ -42,6 +45,7 @@ import pytest
 from betticone import decomposition, diagrams, secant
 from betticone.errors import (
     EmptyDiagram,
+    MalformedDegreeSequence,
     MissingColumn,
     NegativeEntry,
     NotInCone,
@@ -210,6 +214,42 @@ def test_verify_after_decompose_builds_each_pure_diagram_once(monkeypatch):
         assert sorted(built) == sorted(s.degrees for s in dec.summands)
         sizes.append(len(dec.summands))
     assert sizes == [7, 5, 8, 3, 3, 4]
+
+
+def test_verify_after_a_long_decompose_reads_the_memo_last_first():
+    # a chain of 10 degree sequences decomposes into those 10 summands,
+    # first to last; verify then asks for them last first, so the 8 the
+    # memo still holds are hits before the two misses evict any
+    chain = [
+        (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6), (0, 1, 3, 6),
+        (0, 1, 3, 7), (0, 2, 3, 7), (0, 2, 4, 7), (0, 2, 4, 8), (0, 3, 4, 8),
+    ]
+    combo = diagrams.BettiDiagram()
+    for w, e in enumerate(chain, 1):
+        combo = diagrams.add(combo, diagrams.scale(diagrams.pure_diagram(e), F(w, 55)))
+    diagrams._pure_checked.cache_clear()
+    dec = decomposition.decompose(combo)
+    assert [tuple(s.degrees) for s in dec.summands] == chain
+    assert len(chain) > diagrams._PURE_MEMO_SIZE
+    before = diagrams._pure_checked.cache_info()
+    assert decomposition.verify(combo, dec)
+    after = diagrams._pure_checked.cache_info()
+    assert after.hits - before.hits == diagrams._PURE_MEMO_SIZE
+    assert after.misses - before.misses == len(chain) - diagrams._PURE_MEMO_SIZE
+
+
+def test_reconstruct_names_the_first_bad_summand():
+    e = diagrams.DegreeSequence((0, 1))
+    for summands, error, message in (
+        (((0.1, e), (0.2, e)), ValueError, "got 0.1"),
+        (((1, (0, 0)), (0.2, e)), MalformedDegreeSequence, r"\(0, 0\)"),
+        (((1, e), ("1/0", e), (1, (1, 1))), ValueError, "zero denominator"),
+    ):
+        dec = decomposition.Decomposition(
+            tuple(decomposition.PureSummand(c, degrees) for c, degrees in summands)
+        )
+        with pytest.raises(error, match=message):
+            dec.reconstruct()
 
 
 def test_decomposition_json_round_trip():
