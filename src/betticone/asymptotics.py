@@ -8,7 +8,9 @@ binomial(r, p) at r up to 10^6. Each is written once, as secant.Factors
 lists, and _evaluate turns the lists into a float: as an exact rational up
 to EXACT_CROSSOVER, as a sum of logs above it. The log sum stays within
 1e-10 relative of the exact value for r up to 2*10^4, and within 1e-9 at
-r = 10^5 (both tested; measured worst 1.9e-10 there).
+r = 10^5 (both tested; measured worst 1.9e-10 there). Its error grows
+like r * eps, to about 1e-9 at r = 10^6, and the log path refuses a
+larger r (_LOG_R_MAX).
 
 The distribution rows of one d come from one kernel, _distribution_rows:
 what depends on d alone (r, the degree factor, 2*pi/r, the column's
@@ -28,15 +30,21 @@ from .errors import InvalidRange, OutOfRange, require_int, require_rational
 from .secant import (
     Factors,
     SecantParams,
+    bottom_right_betti,
     dominant_tuple,
-    _hn_leading,
+    _hn_leading_pair,
     kappa_dominant_factors,
-    normalized_hn_leading,
     secant_degree,
 )
 
 # above this r, exact binomial/power arithmetic is wasteful; use lgamma
 EXACT_CROSSOVER = 300
+
+# The largest r the log path takes, the last r at which its error budget is
+# stated (about 1e-9 relative). Its lgamma differences cancel at r * eps:
+# at g = k = 1, a = 0 the value reads 0.9977 at r = 10^12, 4e24 at 10^16
+# against a limit of 1, and raises OverflowError from 10^18.
+_LOG_R_MAX = 10**6
 
 # The most rows purity_sweep builds; it counts them from its arguments
 # first. 10^6 rows of g=2, k=1 took 33 s and 376 MB through `sweep purity`
@@ -119,13 +127,19 @@ def _log_sum(f: Factors) -> float:
 def _evaluate(f: Factors, root: float, r: int, method: str) -> float:
     """f * sqrt(root): exact rationals up to EXACT_CROSSOVER, logs above.
 
-    method "exact" or "log" forces a path; "auto" picks by r.
+    method "exact" or "log" forces a path; "auto" picks by r. The log path
+    refuses an r above _LOG_R_MAX with OutOfRange; "exact" takes any r.
     """
     if method not in ("auto", "exact", "log"):
         raise ValueError(f"unknown method {method!r}")
     if method == "exact" or (method == "auto" and r <= EXACT_CROSSOVER):
         num, den = f.ratio()
         return num / den * math.sqrt(root)  # int / int is float(Fraction(num, den))
+    if r > _LOG_R_MAX:  # no caller gets here with an r past the float range
+        raise OutOfRange(
+            f"r={r} is above the log path's ceiling of r = 10^6, "
+            "the last r at which its error budget is stated"
+        )
     return math.exp(_log_sum(f) + 0.5 * math.log(root))
 
 
@@ -228,9 +242,13 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
     the product telescopes: prod_{l<=j} (g-1+l)/(g+l) = (g-1)/(g+j) <= (g-1)/g.
     The tuple (g-1, g, ..., g) attains it. For g = 1 the dominant tuple is
     the only one with i_0 >= 1, so M = 0, which the formula also gives.
-    Substituting M, the bound is g*A/L* - (g-1), clamped to [0, 1]. It is
-    combined from the numerators and denominators of A and L* as integers,
-    clamped by comparing integers, and built as one Fraction.
+    Substituting M, the bound is g*A/L* - (g-1), clamped to [0, 1]. Neither
+    A nor L* is built as a Fraction: each is an unreduced pair of integers
+    with a positive denominator (A is (bottom_right_betti, secant_degree),
+    or the given coefficient's own pair; L* is secant._hn_leading_pair's,
+    both positive). The bound is combined from them as one integer ratio,
+    clamped by comparing integers, which scaling the pairs does not change,
+    and built as one Fraction.
 
     With the default A the bound never decreases in d. Let
     W = prod_{j=k+1}^{2k} (r-j), A' = (g-1)(k+1) and
@@ -252,13 +270,14 @@ def purity_lower_bound(params: SecantParams, leading_coefficient: Fraction | Non
     taken as the binary fraction nearest it.
     """
     if leading_coefficient is None:
-        a_coeff = normalized_hn_leading(params)
+        a_num, a_den = bottom_right_betti(params), secant_degree(params)
     else:
         a_coeff = require_rational(leading_coefficient, "leading coefficient")
-    l_star = _hn_leading(params, dominant_tuple(params))
+        a_num, a_den = a_coeff.numerator, a_coeff.denominator
+    l_num, l_den = _hn_leading_pair(params, dominant_tuple(params))
     # g*A/L* - (g-1) = num/den with den > 0
-    den = a_coeff.denominator * l_star.numerator
-    num = params.g * a_coeff.numerator * l_star.denominator - (params.g - 1) * den
+    den = a_den * l_num
+    num = params.g * a_num * l_den - (params.g - 1) * den
     if num <= 0:
         return Fraction(0)
     if num >= den:
@@ -284,10 +303,10 @@ def purity_sweep(g: int, k: int, d_min: int, d_max: int, step: int = 1):
         )
     rows = []
     for d in range(d_min, d_max + 1, step):
-        params = SecantParams(g, k, d)
-        bound = purity_lower_bound(params)
+        bound = purity_lower_bound(SecantParams(g, k, d))
         gap = Fraction(bound.denominator - bound.numerator, bound.denominator)
-        rows.append(PuritySweepRow(d=d, r=params.r, lower_bound=bound, gap=gap))
+        # positional, as SecantParams builds itself: the fields are known good
+        rows.append(tuple.__new__(PuritySweepRow, (d, d - g, bound, gap)))
     return rows
 
 

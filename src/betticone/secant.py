@@ -266,7 +266,14 @@ def hn_leading_coefficient(params: SecantParams, i) -> Fraction:
 
 def _hn_leading(params: SecantParams, i: tuple) -> Fraction:
     """hn_leading_coefficient of a tuple its caller built valid, i_0 >= 1
-    (the dominant tuple of purity_lower_bound), without the checks."""
+    (the hn-leading suite's tuples), without the checks."""
+    return Fraction(*_hn_leading_pair(params, i))
+
+
+def _hn_leading_pair(params: SecantParams, i: tuple) -> tuple:
+    """_hn_leading as the unreduced (numerator, denominator) of its
+    formula, both positive: prod_j (i_j + j) and (r+1) prod_{t=k+1}^{2k}
+    (r-t). purity_lower_bound combines it with A in integers."""
     r, k = params.r, params.k
     num = 1
     for j, ij in enumerate(i):
@@ -274,7 +281,7 @@ def _hn_leading(params: SecantParams, i: tuple) -> Fraction:
     den = r + 1
     for t in range(k + 1, 2 * k + 1):
         den *= r - t
-    return Fraction(num, den)
+    return num, den
 
 
 def normalized_hn_leading(params: SecantParams) -> Fraction:

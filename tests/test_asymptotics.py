@@ -22,13 +22,15 @@ Claims pinned here:
       centre to (r-2k-1)/2, up to O(1/r); about that centre the residual
       from the Gaussian profile is O(1/r)
     - sweep CSV writers emit the documented headers and exact columns
-    - purity rows hold reduced Fractions with gap = 1 - bound and
-      r_gap = r * gap, and a sweep of more rows than the ceiling is refused
-      before any is built
+    - purity rows hold reduced Fractions with the enumerating oracle's
+      bound, gap = 1 - bound and r_gap = r * gap, and a sweep of more rows
+      than the ceiling is refused before any is built
     - distribution rows equal normal_dist_point float for float, before and
       after another distribution quantity is evaluated, and a one-shot
       iterable of a serves every d; past the float range of r a non-finite a
       is refused first, then every a
+    - the log path refuses an r above 10^6, the last r its error budget is
+      stated at, while method "exact" takes it
     - both CSV writers give the bytes csv.writer(lineterminator="\\n")
       writes for the same rows (the oracle), on seeded grids, and a value
       that cannot be formatted leaves the file as it was
@@ -387,6 +389,8 @@ def test_purity_sweep_rows_are_exact_and_reduced():
         for k in range(0, 5):
             lo = 2 * g + 2 * k + 1
             for row in asymptotics.purity_sweep(g, k, lo, lo + 40, step=2):
+                params = secant.SecantParams(g, k, row.d)
+                assert row.lower_bound == _enumerated_purity_bound(params, None), row
                 assert row.gap == 1 - row.lower_bound, row
                 assert row.r_gap == row.r * row.gap, row
                 for v in (row.lower_bound, row.gap, row.r_gap):
@@ -570,6 +574,26 @@ def test_distribution_refusals_past_the_float_range_keep_their_order():
         asymptotics.distribution_sweep(1, 1, [0.0], d)
     with pytest.raises(OutOfRange, match="past the float range"):
         asymptotics.realized_column(secant.SecantParams(1, 1, d[0]), 0.0)
+
+
+def test_log_path_refuses_r_above_its_ceiling():
+    # r = 10^6 is the last r with a stated budget and still evaluates; one
+    # more is refused on every log-path quantity, while "exact" takes it
+    ceiling = asymptotics._LOG_R_MAX
+    assert ceiling == 10**6
+    message = f"^r={ceiling + 1} is above the log path's ceiling of r = 10\\^6, "
+    params = secant.SecantParams(1, 1, ceiling + 2)
+    assert asymptotics.stirling_ratio(ceiling, ceiling // 2) > 0
+    assert asymptotics.normal_dist_point(secant.SecantParams(1, 1, ceiling + 1), 0.0).value > 0
+    for quantity in (
+        lambda: asymptotics.normal_dist_point(params, 0.0),
+        lambda: asymptotics.distribution_sweep(1, 1, [0.0], [params.d]),
+        lambda: asymptotics.dominant_binomial_ratio(params, 0.0),
+        lambda: asymptotics.stirling_ratio(ceiling + 1, 10, method="log"),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            quantity()
+    assert asymptotics.stirling_ratio(ceiling + 1, 10, method="exact") == 0.0
 
 
 def test_distribution_rows_consistent_with_point():

@@ -477,6 +477,23 @@ def test_sweep_distribution_smallest_d(tmp_path, capsys):
     assert out_file.read_text().splitlines()[1].startswith("1,1,6,5,0.0,1,")
 
 
+@pytest.mark.parametrize("d", [10**16, 10**20])
+def test_sweep_distribution_past_the_log_ceiling_exits_two(tmp_path, capsys, d):
+    # the log path's error budget is stated up to r = 10^6; past it the
+    # value read 4e24 at d = 10^16 and d = 10^20 raised OverflowError
+    out_file = tmp_path / "dist.csv"
+    code, out, err = run(
+        capsys, "sweep", "distribution", "-g", "1", "-k", "1", "--d", f"101,{d}",
+        "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"bad input: r={d - 1} is above the log path's ceiling of r = 10^6, "
+        "the last r at which its error budget is stated\n"
+    )
+    assert not out_file.exists()
+
+
 def test_sweep_purity_needs_range(capsys):
     code, out, err = run(capsys, "sweep", "purity", "-g", "2", "-k", "1", "--out", "/tmp/x.csv")
     assert code == 2

@@ -63,6 +63,9 @@ Claims pinned here:
       holds its own quotient, an equal diagram that is another object
       divides on its own, a division that fails stores nothing, and held
       and fresh results agree on both of multiplicity's paths
+    - a nonzero polynomial of at most s terms is refused before any
+      coefficient of its span is listed (Descartes' rule of signs), within
+      a time budget, while the zero polynomial keeps multiplicity 0
 """
 
 import ast
@@ -70,6 +73,7 @@ import math
 import pathlib
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -938,6 +942,34 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
                     assert bad._division is None
                     assert held._division is quotient
                     assert calls["_alternating"] == i + 1
+
+
+def test_division_refuses_too_few_terms_before_listing_the_span(monkeypatch):
+    # Descartes' rule of signs: N + 1 nonzero terms give t = 1 a root of
+    # multiplicity at most N, so (1-t)^s divides no polynomial of 1 to s
+    # terms; both quantities refuse one in microseconds, whatever its span
+    # (listing the 10^5 coefficients took 0.16-0.54 s), and store nothing
+    cases = [{(0, 0): 1, (s, 10**5): 1} for s in (2, 3, 9, 40)]
+    cases.append({(0, 0): 2, (4, 10**5): 1, (9, 2 * 10**5): -3})
+    for cells in cases:
+        s = max(p for p, _ in cells)
+        message = f"(1-t)^{s} does not divide the alternating polynomial"
+        for order in _BOTH_ORDERS:
+            with monkeypatch.context() as patch:
+                calls = _counting(patch, "_quotient")
+                b = diagrams.BettiDiagram(cells)
+                for f in order:
+                    start = time.perf_counter()
+                    with pytest.raises(NotCohenMacaulayShape) as exc:
+                        f(b)
+                    assert time.perf_counter() - start < 0.01, (cells, f)
+                    assert str(exc.value) == message
+                    assert b._division is None
+                assert calls["_quotient"] == 0
+    # the zero polynomial, which has no term, still divides: multiplicity 0
+    zero = diagrams.BettiDiagram({(0, 0): 1, (1, -1): 1, (4, -4): 1, (5, -5): 1})
+    assert diagrams.multiplicity(zero) == 0
+    assert diagrams.hilbert_numerator(zero).items() == []
 
 
 def test_division_memo_warm_equals_cold_on_every_path(monkeypatch):
