@@ -147,11 +147,16 @@ def stirling_ratio(r: int, p: int, method: str = "auto") -> float:
     """sqrt(2*pi*r) / 2^(r+1) * binomial(r, p).
 
     Centered columns p ~ r/2 + a*sqrt(r/2) send this to exp(-a^2) as r
-    grows.
+    grows. An r past the float range raises OutOfRange, whatever the
+    method, after the checks of r and p.
     """
     if require_int(r, "r", OutOfRange) < 1 or require_int(p, "p", OutOfRange) < 0 or p > r:
         raise OutOfRange(f"need 1 <= r and 0 <= p <= r, got r={r}, p={p}")
-    return _evaluate(Factors(binoms=((r, p, 1),), two=-(r + 1)), 2 * math.pi * r, r, method)
+    try:
+        root = 2 * math.pi * r
+    except OverflowError:  # refused before any path builds 2^(r+1)
+        raise OutOfRange(f"r of {r.bit_length()} bits is past the float range") from None
+    return _evaluate(Factors(binoms=((r, p, 1),), two=-(r + 1)), root, r, method)
 
 
 def kappa_dominant_log(params: SecantParams, p: int) -> float:

@@ -3,25 +3,32 @@
 A diagram is a finite sparse table of rationals indexed by (p, q) where p is
 the column (homological degree) and q the weight. It is held as nonzero
 integer numerators over one positive denominator, in lowest terms.
-A diagram's value never changes once built, and its one late-written slot,
-_division, caches its own quotient by (1-t)^s once a division of it
-succeeds. So pure_diagram's memo hands one object to every caller of a
-sequence, and multiplicity and hilbert_numerator of one diagram divide it
-once. Fractions are made only where a value leaves (get, items, the JSON
-form). One loop, _total, sums integer numerators into a table over a
-common denominator its caller picked as an lcm: the linear combinations
-of diagrams (add, scale, subtract and Decomposition.reconstruct) and the
+A diagram's value never changes once built. It has two late-written
+slots: _division caches its own quotient by (1-t)^s once a division of it
+succeeds, and a pure table's cell dict is built from its columns on the
+first read of a cell. So pure_diagram's memo hands one object to every
+caller of a sequence, and multiplicity and hilbert_numerator of one
+diagram divide it once. Every reader of cells goes through the one
+accessor BettiDiagram._n, the one place after _table that sets the dict;
+two threads may both build it, but each build gives an equal dict and
+the assignment is atomic, so the value still never changes. Fractions
+are made only where a value leaves (get, items, the JSON form). One
+loop, _total, sums integer numerators into a table over a common
+denominator its caller picked as an lcm: the linear combinations of
+diagrams (add, scale, subtract and Decomposition.reconstruct) and the
 values given from outside, except a JSON list in the writers' own form,
 which _canonical_entries keys in whole-list passes. Both pure-diagram
 kernels return a sequence's numerators in column order over one
-denominator, and _pure_checked keys them by column into the table. The greedy peel, _greedy_peel, keeps
-its residual as a private dict of numerators that it updates in place and
-hands out as a table only where it fails; each step reads its top strand
-by _strand, the one scan of the column minima, which top_strand also
-uses. No other module reads the numerators or the denominator. Pure
-diagrams carry one entry per column at weight e_p - p for a strictly
-increasing degree sequence e, normalized so the multiplicity comes out
-to exactly 1.
+denominator, and _pure_checked keeps them so, in column form, with the
+sequence: multiplicity and hilbert_numerator divide such a table from
+its columns (_alternating) and never key its cells.
+The greedy peel, _greedy_peel, keeps its residual as a private dict of
+numerators that it updates in place and hands out as a table only where
+it fails; each step reads its top strand by _strand, the one scan of the
+column minima, which top_strand also uses. No other module reads the
+numerators or the denominator. Pure diagrams carry one entry per column
+at weight e_p - p for a strictly increasing degree sequence e,
+normalized so the multiplicity comes out to exactly 1.
 
 Everything in this module is exact; no floats.
 """
@@ -33,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import repeat
-from operator import add as _add, floordiv, lt, mul, sub
+from operator import add as _add, floordiv, lt, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -146,17 +153,34 @@ class BettiDiagram:
     _den > 0 with gcd(_den, *_n.values()) == 1, so equal diagrams hold
     equal pairs; _division is None until a division of the diagram
     succeeds, then (lo, quotient) (see the module docstring and _divide).
-    Equality reads _n and _den alone. Entries are allowed to be
-    negative so the type can hold intermediate formal differences;
-    cone-facing operations check signs themselves.
+    The dict itself is the slot _cells, read through _n. A table
+    pure_diagram builds holds its columns too: _e, its DegreeSequence,
+    and _columns, its numerators in column order; its _cells is None
+    until the first read of _n keys the columns. Every other table has _e None. Equality reads _n and _den
+    alone. Entries are allowed to be negative so the type can hold
+    intermediate formal differences; cone-facing operations check signs
+    themselves.
     """
 
-    __slots__ = ("_n", "_den", "_division")
+    __slots__ = ("_cells", "_den", "_division", "_e", "_columns")
 
     def __init__(self, entries: Mapping[tuple, object] | None = None):
         triples = ((p, q, v) for (p, q), v in entries.items()) if entries else ()
         b = _summed(_checked(triples))
-        self._n, self._den, self._division = b._n, b._den, None
+        self._cells, self._den, self._division = b._cells, b._den, None
+        self._e = self._columns = None
+
+    @property
+    def _n(self) -> dict:
+        """The numerators keyed by cell (p, q), read by every reader of
+        cells: a pure table's column p is keyed at (p, e_p - p) on the first
+        read, and the dict is kept."""
+        n = self._cells
+        if n is None:
+            e = self._e
+            keys = zip(range(len(e)), map(sub, e, range(len(e))))
+            n = self._cells = dict(zip(keys, self._columns))
+        return n
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
@@ -180,8 +204,8 @@ class BettiDiagram:
     def __len__(self):
         return len(self._n)
 
-    def __bool__(self):
-        return bool(self._n)
+    def __bool__(self):  # a pure table has at least one column
+        return self._e is not None or bool(self._cells)
 
     def __eq__(self, other):
         if isinstance(other, BettiDiagram):
@@ -371,11 +395,15 @@ def _reduced(n: dict, den: int) -> BettiDiagram:
     return _table(n, den)
 
 
-def _table(n: dict, den: int) -> BettiDiagram:
+def _table(n: dict | None, den: int, e=None, columns=None) -> BettiDiagram:
     """The diagram n / den, for nonzero integer numerators n on checked keys
-    already in lowest terms over den > 0; n becomes its own."""
+    already in lowest terms over den > 0; n becomes its own. A pure table
+    passes n None, its DegreeSequence e and its numerators in column
+    order, and its cells are keyed on the first read (BettiDiagram._n).
+    """
     b = BettiDiagram.__new__(BettiDiagram)
-    b._n, b._den, b._division = n, den, None
+    b._cells, b._den, b._division = n, den, None
+    b._e, b._columns = e, columns
     return b
 
 
@@ -411,7 +439,8 @@ def pure_diagram(e) -> BettiDiagram:
     from S and n alone: _pure_over_holes builds them over the one
     denominator S!/n!, and _pure_over_runs reduces each entry as it goes
     and clears them over one lcm. Both return the list in column order, and
-    _pure_checked keys column p at (p, e_p - p). Secant-family sequences
+    the table keeps it so (_pure_checked); column p is keyed at
+    (p, e_p - p) on the first read of a cell. Secant-family sequences
     (H = 2k + 2, so H << n once d is past a few dozen) take the first;
     sequences with all gaps in [2, 5] (H of about 2.5 n) take the second,
     as does a short sequence over a long span such as (0, 10^8), whose
@@ -440,21 +469,22 @@ def pure_diagram(e) -> BettiDiagram:
 # asked first to last. Callers that never repeat a sequence within 8
 # calls, such as the family_oracle and gapped_degseq ops (0 hits in 1,800
 # and 1,200 calls), only pay the lookup. Eight diagrams of those ops'
-# median size hold 88-117 KB, the eight largest 217-266 KB (tracemalloc,
-# seed 1).
+# median size hold 62-85 KB in column form and 99-121 KB once their
+# cells are keyed, the eight largest 150-217 KB and 251-266 KB; a seed-1
+# family_oracle pass, which keys only the tables it asks get of,
+# retains 127 KB, its peak 239 KB (tracemalloc).
 _PURE_MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_PURE_MEMO_SIZE)
 def _pure_checked(e: DegreeSequence) -> BettiDiagram:
     """pure_diagram of a DegreeSequence, from the kernel _few_holes_pay
-    picks: its numerators, in lowest terms over its den, keyed by column.
-    Both kernels return lowest terms, so no gcd is taken here."""
-    n = len(e) - 1
-    kernel = _pure_over_holes if _few_holes_pay(e[-1] - e[0], n) else _pure_over_runs
+    picks: a table in column form, e and its numerators in lowest terms
+    over its den, in column order. Both kernels return lowest terms, so no
+    gcd is taken here."""
+    kernel = _pure_over_holes if _few_holes_pay(e[-1] - e[0], len(e) - 1) else _pure_over_runs
     numerators, den = kernel(e, *_runs(e))
-    keys = zip(range(n + 1), map(sub, e, range(n + 1)))
-    return _table(dict(zip(keys, numerators)), den)
+    return _table(None, den, e, numerators)
 
 
 def _runs(e):
@@ -747,7 +777,16 @@ def _alternating(b: BettiDiagram):
     p + q over the cells, cancelled or not. No list over the span hi - lo
     is made here: only a caller of _quotient lists the span's coefficients.
     Integer numerators keep the division in plain bigint arithmetic.
+
+    A pure table is read from its columns, not its cells: column p sits at
+    exponent e_p, no two cancel, and terms is its numerators with every
+    odd column's sign flipped by one slice, keyed by e.
     """
+    e = b._e
+    if e is not None:
+        signed = b._columns.copy()
+        signed[1::2] = map(neg, signed[1::2])
+        return dict(zip(e, signed)), e[0], e[-1], len(e) - 1
     degs = {}
     s = 0
     for (p, q), c in b._n.items():

@@ -28,7 +28,8 @@ Claims pinned here:
     - distribution rows equal normal_dist_point float for float, before and
       after another distribution quantity is evaluated, and a one-shot
       iterable of a serves every d; past the float range of r a non-finite a
-      is refused first, then every a
+      is refused first, then every a, and stirling_ratio refuses such an r
+      on every method
     - the log path refuses an r above 10^6, the last r its error budget is
       stated at, while method "exact" takes it
     - both CSV writers give the bytes csv.writer(lineterminator="\\n")
@@ -114,6 +115,16 @@ def test_stirling_ratio_validation():
         asymptotics.stirling_ratio(10, 11)
     with pytest.raises(ValueError):
         asymptotics.stirling_ratio(10, 5, method="fast")
+
+
+def test_stirling_ratio_refuses_r_past_the_float_range():
+    # refused before any float or power of two is built, on every path;
+    # the r/p checks still come first
+    for method in ("auto", "exact", "log"):
+        with pytest.raises(OutOfRange, match="^r of 1329 bits is past the float range$"):
+            asymptotics.stirling_ratio(10**400, 10, method=method)
+    with pytest.raises(OutOfRange, match="need 1 <= r"):
+        asymptotics.stirling_ratio(10**400, -1)
 
 
 def test_stirling_ratio_rejects_bools():

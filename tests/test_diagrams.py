@@ -51,8 +51,19 @@ Claims pinned here:
     - quantities of an empty diagram are refused with a message naming the
       quantity; reprs, len and comparison with another type are pinned
     - no module but diagrams.py reads a table's numerators or denominator,
-      and none changes a built table: _n and _den are set in
-      BettiDiagram.__init__ and _table alone
+      or a pure table's columns, and none changes a built table: its
+      fields are set in BettiDiagram.__init__ and _table alone, but for the
+      cell dict _cells, which the accessor _n also sets, and nothing writes
+      a cell or a column in place
+    - a pure table in column form and a table of the same cells held as a
+      dict alone agree on _alternating, on multiplicity and
+      hilbert_numerator in either order (value or exception, and the held
+      quotient), on every cell reader, the JSON bytes, top_strand, scale
+      and add, on family, gapped, herzog-kuhl-shaped and spread sequences
+      and at n = 0; multiplicity of (0, 10^8) lists no span on either
+    - multiplicity and hilbert_numerator of a new pure table leave its cell
+      dict unbuilt; the first reader of a cell builds it, once, and the
+      memo hands out that one object
     - pure_diagram checks its sequence before its memo: (0, 1.0),
       (0, True) and (0, 0, 1) are refused with (0, 1) in the memo, and a
       list, a tuple and a DegreeSequence of one sequence give one diagram
@@ -69,6 +80,7 @@ Claims pinned here:
 """
 
 import ast
+import json
 import math
 import pathlib
 import random
@@ -1034,6 +1046,127 @@ def test_multiplicity_lists_no_coefficient_of_a_wide_span(monkeypatch):
     assert peak < 2**20, peak
 
 
+def _column_form(e):
+    """A new pure table of e in column form, past pure_diagram's memo, its
+    cells not yet keyed."""
+    b = diagrams._pure_checked.__wrapped__(diagrams.DegreeSequence(e))
+    assert b._cells is None
+    return b
+
+
+def _table_form_cases(rng):
+    """Seeded sequences: n = 0, family sequences (g <= 6, k <= 4), gaps in
+    [2, 5], the herzog-kuhl suite's shape (starts in [-3, 3], gaps in
+    [1, 4]) and degrees spread at random, on both sides of the kernels'
+    shape test."""
+    seqs = [(0,), (7,), (-3,)]
+    for g in range(1, 7):
+        for k in range(5):
+            params = secant.SecantParams(g, k, rng.randint(2 * g + 2 * k + 1, 160))
+            seqs.append(secant.degree_sequence(params, rng.choice(secant.jump_tuples(g, k))))
+    for _ in range(10):
+        seqs.append(_random_sequence(rng, rng.randint(-3, 3), (2, 3, 4, 5), rng.randint(2, 60)))
+        seqs.append(_random_sequence(rng, rng.randint(-3, 3), (1, 2, 3, 4), rng.randint(2, 12)))
+    for _ in range(20):
+        n = rng.randint(1, 40)
+        seqs.append(_spread(rng, rng.randint(-3, 3), n, rng.randint(0, n + 2)))
+    return seqs
+
+
+def test_column_and_dict_forms_agree():
+    # a pure table in column form against a table of the same cells held
+    # as a dict alone, in a shuffled order, built through _table: every
+    # quantity and reader gives the same value or exception, each reader
+    # on a table whose cells it keys first
+    rng = random.Random(3737)
+    sides = {True: 0, False: 0}
+    paths = set()
+    for e in _table_form_cases(rng):
+        sides[_takes_holes(e)] += 1
+        cells = list(_column_form(e)._n.items())
+        den = _column_form(e)._den
+
+        def dict_form():
+            rng.shuffle(cells)
+            return diagrams._table(dict(cells), den)
+
+        assert diagrams._alternating(_column_form(e)) == diagrams._alternating(dict_form()), e
+        for order in _BOTH_ORDERS:
+            col, dic = _column_form(e), dict_form()
+            assert [_outcome(f, col) for f in order] == [_outcome(f, dic) for f in order]
+            assert col._division == dic._division and col._cells is None, e
+        paths.add(_takes_products(dict_form()))
+        dic = dict_form()
+        readers = (
+            lambda b: [b.get(p, x - p) for p, x in enumerate(e)] + [b.get(0, e[0] + 1)],
+            lambda b: b.items(),
+            lambda b: b.support(),
+            len,
+            bool,
+            lambda b: (b == dic, dic == b, b == _column_form(e), b == diagrams.scale(dic, 2)),
+            lambda b: json.dumps(b.to_json_obj()),
+            diagrams._diagram_json,
+            diagrams.top_strand,
+            lambda b: (diagrams.scale(b, F(-2, 3)), diagrams.add(b, dic), diagrams.add(dic, b)),
+        )
+        for reader in readers:
+            assert reader(_column_form(e)) == reader(dict_form()), e
+    assert min(sides.values()) >= 20 and paths == {True, False}, (sides, paths)
+    # two terms 10^8 apart: the product check on both forms, no span listed
+    wide = _column_form((0, 10**8))
+    tracemalloc.start()
+    try:
+        assert diagrams.multiplicity(wide) == 1
+        assert diagrams.multiplicity(diagrams._table(dict(_column_form((0, 10**8))._n), wide._den)) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_pure_table_divides_without_keying_its_cells(monkeypatch):
+    # multiplicity, then hilbert_numerator, of a new pure table on each of
+    # multiplicity's paths leave its cell dict unbuilt; the first reader
+    # of a cell builds it, once, and pure_diagram's memo hands out that
+    # one object with it
+    built = []
+
+    def counting_dict(*args):
+        built.append(args)
+        return dict(*args)
+
+    rng = random.Random(77)
+    family = secant.degree_sequence(secant.SecantParams(3, 2, 97), (1, 2, 3))
+    for e in (family, _random_sequence(rng, 0, (2, 3, 4, 5), 40)):
+        diagrams._pure_checked.cache_clear()
+        b = diagrams.pure_diagram(e)
+        assert b._cells is None
+        assert diagrams.multiplicity(b) == 1 and diagrams.hilbert_numerator(b)
+        assert b._cells is None and b._division is not None
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(diagrams, "dict", counting_dict, raising=False)
+            assert b.get(0, e[0]) > 0
+            cells = b._cells
+            assert cells is not None and len(built) == 1
+            b.items(), b.support(), len(b), b == b, b.to_json_obj(), diagrams.top_strand(b)
+            diagrams.scale(b, 2), diagrams._diagram_json(b)
+            assert b._cells is cells and len(built) == 1
+        assert diagrams.pure_diagram(list(e)) is b and b._cells is cells
+
+
+def test_only_diagrams_reads_the_column_form():
+    # a pure table's cell dict and columns are read in diagrams.py alone
+    for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_cells", "_e", "_columns")
+        }
+        assert names == ({"_cells", "_e", "_columns"} if path.name == "diagrams.py" else set())
+
+
 def test_power_sum_relations_random_pure():
     rng = random.Random(5)
     for _ in range(40):
@@ -1386,12 +1519,23 @@ def test_only_diagrams_reads_the_table_format():
     assert readers == {"diagrams.py": {"_n", "_den", "_division"}}
 
 
-# the calls that change a dict in place
+# the calls that change a dict or a list in place
 _DICT_MUTATORS = {
     "clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__", "__ior__"
 }
-# the only functions that may set a table's _n and _den
+_LIST_MUTATORS = {"append", "extend", "insert", "remove", "sort", "reverse", "__iadd__", "__imul__"}
+# the only functions that may set a table's fields
 _TABLE_BUILDERS = {"BettiDiagram.__init__", "_table"}
+# the functions that may set each field: the cell dict _cells also in its
+# accessor _n, which keys a pure table's columns on the first read; _n,
+# that accessor, nowhere
+_FIELD_SETTERS = {
+    "_cells": _TABLE_BUILDERS | {"BettiDiagram._n"},
+    **dict.fromkeys(("_den", "_e", "_columns"), _TABLE_BUILDERS),
+}
+_TABLE_FIELDS = ("_n", *_FIELD_SETTERS)
+# the fields that hold a dict or a list
+_MUTABLE_FIELDS = ("_n", "_cells", "_columns")
 # the only functions that may set a table's _division, to None with the
 # table and to a quotient by the one division
 _DIVISION_SETTERS = {"none": _TABLE_BUILDERS, "quotient": {"_divide"}}
@@ -1399,16 +1543,17 @@ _DIVISION_SETTERS = {"none": _TABLE_BUILDERS, "quotient": {"_divide"}}
 
 def _table_writes(source):
     """(enclosing function, line, kind) for every write to a table in
-    source: kind "set" for an assignment or del of *._n or *._den
-    themselves, "in place" for any other change (_changes_in_place)."""
+    source: kind the field's name for an assignment or del of one of
+    _TABLE_FIELDS itself, "in place" for any other change
+    (_changes_in_place)."""
     writes = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-        if isinstance(node, ast.Attribute) and node.attr in ("_n", "_den") and stored:
-            writes.append((scope, node.lineno, "set"))
+        if isinstance(node, ast.Attribute) and node.attr in _TABLE_FIELDS and stored:
+            writes.append((scope, node.lineno, node.attr))
         elif _changes_in_place(node, stored):
             writes.append((scope, node.lineno, "in place"))
         for child in ast.iter_child_nodes(node):
@@ -1419,31 +1564,35 @@ def _table_writes(source):
 
 
 def _changes_in_place(node, stored):
-    """A store or del on *._n[...], a mutating dict call on *._n, or a
-    setattr, delattr, __setattr__ or __delattr__ call naming _n or _den."""
+    """A store or del on *._n[...] or any other item of a dict or list
+    field (nested too), a mutating dict or list call on one of them, or a
+    setattr, delattr, __setattr__ or __delattr__ call naming a field."""
     if isinstance(node, ast.Subscript):
-        return stored and _is_numerators(node.value)
+        return stored and _is_table_part(node.value)
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in _DICT_MUTATORS and _is_numerators(getattr(func, "value", None)):
+    if name in _DICT_MUTATORS | _LIST_MUTATORS and _is_table_part(getattr(func, "value", None)):
         return True
     return name in ("setattr", "delattr", "__setattr__", "__delattr__") and any(
-        isinstance(arg, ast.Constant) and arg.value in ("_n", "_den", "_division")
+        isinstance(arg, ast.Constant) and arg.value in (*_TABLE_FIELDS, "_division")
         for arg in node.args
     )
 
 
-def _is_numerators(node):
-    return isinstance(node, ast.Attribute) and node.attr == "_n"
+def _is_table_part(node):
+    """node is a dict or list field of a table, or an item of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in _MUTABLE_FIELDS
 
 
 def _forbidden_writes(source):
     return [
         (scope, line)
         for scope, line, kind in _table_writes(source)
-        if kind == "in place" or scope not in _TABLE_BUILDERS
+        if scope not in _FIELD_SETTERS.get(kind, ())
     ]
 
 
@@ -1489,18 +1638,22 @@ def _forbidden_division_writes(source):
 def test_no_diagram_changes_once_built():
     # pure_diagram's memo hands one object to every caller, so a change to
     # a built diagram would corrupt every later call for its sequence: no
-    # module writes a table's numerators in place, and _n and _den are set
-    # in BettiDiagram.__init__ and _table alone. A table's _division is
-    # set to None there too, and to a quotient in _divide alone
+    # module writes a table's numerators or a pure table's columns in
+    # place, and its fields are set in BettiDiagram.__init__ and _table
+    # alone, except the cell dict _cells, which the accessor _n also sets
+    # once, from a pure table's columns. A table's _division is set to
+    # None there too, and to a quotient in _divide alone
     setters = set()
     division_setters = set()
     for path in sorted(pathlib.Path(diagrams.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         assert _forbidden_writes(source) == [], path.name
         assert _forbidden_division_writes(source) == [], path.name
-        setters |= {(path.name, scope) for scope, _, _ in _table_writes(source)}
+        setters |= {(path.name, scope, field) for scope, _, field in _table_writes(source)}
         division_setters |= {(path.name, scope, kind) for scope, _, kind in _division_writes(source)}
-    assert setters == {("diagrams.py", scope) for scope in _TABLE_BUILDERS}
+    assert setters == {
+        ("diagrams.py", scope, field) for field, scopes in _FIELD_SETTERS.items() for scope in scopes
+    }
     assert division_setters == {
         ("diagrams.py", scope, kind) for kind, scopes in _DIVISION_SETTERS.items() for scope in scopes
     }
@@ -1519,9 +1672,37 @@ def test_no_diagram_changes_once_built():
         "def _table(n, den):\n    n._n.clear()",
         "class BettiDiagram:\n    def scale(self):\n        self._den *= 2",
         "def _divide(b):\n    setattr(b, '_division', (0, []))",
+        # the accessor _n, set nowhere, builders included
+        "def _table(b, n, den):\n    b._n, b._den = n, den",
+        # the cell dict outside the builders and its accessor, or in place
+        "def f(b):\n    b._cells = {}",
+        "def _n(b):\n    b._cells = {}",
+        "def f(b):\n    b._cells[(0, 0)] = 1",
+        "def _table(b):\n    b._cells.clear()",
+        "class BettiDiagram:\n    @property\n    def _n(self):\n        self._cells.update({})",
+        # a pure table's columns after _table, in the accessor too
+        "def f(b):\n    b._e = (0,)",
+        "def f(b):\n    b._columns = []",
+        "def f(b):\n    b._columns += [1]",
+        "def f(b):\n    b._columns[0] = 1",
+        "def f(b):\n    b._columns[1::2] = []",
+        "def f(b):\n    b._columns.append(1)",
+        "def f(b):\n    b._columns.sort()",
+        "def f(b):\n    del b._e",
+        "def f(b):\n    b._columns.insert(0, 1)",
+        "def f(b):\n    b._columns.extend([1])",
+        "def f(b):\n    setattr(b, '_columns', [])",
+        "def _table(b):\n    b._columns.reverse()",
+        "class BettiDiagram:\n    @property\n    def _n(self):\n        self._columns = None",
     ):
         assert _forbidden_writes(source), source
-    assert not _forbidden_writes("def _table(b, n, den):\n    b._n, b._den = n, den")
+    assert not _forbidden_writes(
+        "def _table(b, n, den, e, columns):\n"
+        "    b._cells, b._den = n, den\n"
+        "    b._e, b._columns = e, columns\n"
+        "class BettiDiagram:\n    @property\n    def _n(self):\n"
+        "        n = self._cells = dict(zip(self._e, self._columns))\n        return n"
+    )
     # and each kind of _division write out of its place
     for source in (
         "def _divide(b):\n    b._division = None",  # None outside the table builders
