@@ -39,6 +39,13 @@ _LIST_ITEM = {
 _ITEM_SHOWN = 20
 
 
+def _past_the_digit_limit(what: str, after: str = "") -> ValueError:
+    """The refusal of what, a number past the interpreter's int digit
+    limit: it names the limit, never the digits."""
+    limit = f"the limit of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
+    return ValueError(f"{what} has more digits than {limit}{after}")
+
+
 def _parse_list(text: str, flag: str, kind: type = int) -> list:
     """The numbers of flag's comma list; ValueError names flag and the first
     item that is not an ASCII integer (or decimal, for kind float), by its
@@ -54,8 +61,7 @@ def _parse_list(text: str, flag: str, kind: type = int) -> list:
         try:
             numbers.append(kind(item))
         except ValueError:  # a matched item fails only past the digit limit
-            limit = f"the limit of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
-            raise ValueError(f"{flag}: item {i} has more digits than {limit}") from None
+            raise _past_the_digit_limit(f"{flag}: item {i}") from None
     return numbers
 
 
@@ -125,10 +131,8 @@ def _emit_diagram(b: diagrams.BettiDiagram, fmt: str, prefix: str = "") -> None:
         cell = _unprintable_cell(b)
         if cell is None:
             raise
-        raise ValueError(
-            f"entry at ({cell[0]},{cell[1]}) has more digits than the limit of "
-            f"{sys.get_int_max_str_digits()} (sys.get_int_max_str_digits()) and cannot be printed"
-        ) from None
+        where = f"entry at ({cell[0]},{cell[1]})"
+        raise _past_the_digit_limit(where, " and cannot be printed") from None
     sys.stdout.write(prefix + body + "\n")
 
 
@@ -141,7 +145,8 @@ def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
     """The diagram in a JSON file, read whole (a decode error names its byte
     offset in the file). Lines whose first non-blank character is "#" are
     dropped; a line ends at "\n" once the file's "\r\n" and "\r" are read
-    as "\n", not at the other breaks str.splitlines knows."""
+    as "\n", not at the other breaks str.splitlines knows. A JSON integer
+    past the int digit limit is refused naming the limit."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if "#" in text:  # the scan costs ~0.1 ms on a 5 KB file that has no comment
@@ -150,6 +155,10 @@ def _read_diagram_file(path: str) -> diagrams.BettiDiagram:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # json.loads fails otherwise only past the digit limit
+        raise _past_the_digit_limit("a JSON integer") from None
     return diagrams.BettiDiagram.from_json_obj(obj)
 
 

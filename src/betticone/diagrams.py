@@ -12,16 +12,17 @@ diagram divide it once. Every reader of cells goes through the one
 accessor BettiDiagram._n, the one place after _table that sets the dict;
 two threads may both build it, but each build gives an equal dict and
 the assignment is atomic, so the value still never changes. Fractions
-are made only where a value leaves (get, items, the JSON form). One
+are made only where a value enters, one per value through
+errors.require_rational, or leaves (get, items, the JSON form). One
 loop, _total, sums integer numerators into a table over a common
 denominator its caller picked as an lcm: the linear combinations of
 diagrams (add, scale, subtract and Decomposition.reconstruct) and the
 values given from outside, except a JSON list in the writers' own form,
-which _canonical_entries keys in whole-list passes. Both pure-diagram
-kernels return a sequence's numerators in column order over one
-denominator, and _pure_checked keeps them so, in column form, with the
-sequence: multiplicity and hilbert_numerator divide such a table from
-its columns (_alternating) and never key its cells.
+which _canonical_entries keys in whole-list passes with no Fraction.
+Both pure-diagram kernels return a sequence's numerators in column
+order over one denominator, and _pure_checked keeps them so, in column
+form, with the sequence: multiplicity and hilbert_numerator divide
+such a table from its columns (_alternating) and never key its cells.
 The greedy peel, _greedy_peel, keeps its residual as a private dict of
 numerators that it updates in place and hands out as a table only where
 it fails; each step reads its top strand by _strand, the one scan of the
@@ -44,14 +45,12 @@ from operator import add as _add, floordiv, lt, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import (
-    _CANONICAL,
     EmptyDiagram,
     MalformedDegreeSequence,
     MissingColumn,
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
-    rational_pair,
     require_int,
     require_rational,
 )
@@ -166,7 +165,7 @@ class BettiDiagram:
 
     def __init__(self, entries: Mapping[tuple, object] | None = None):
         triples = ((p, q, v) for (p, q), v in entries.items()) if entries else ()
-        b = _summed(_checked(triples))
+        b = _summed(triples)
         self._cells, self._den, self._division = b._cells, b._den, None
         self._e = self._columns = None
 
@@ -185,7 +184,7 @@ class BettiDiagram:
     @classmethod
     def from_entries(cls, triples: Iterable[tuple]) -> "BettiDiagram":
         """Build from (p, q, value) triples, summing duplicates."""
-        return _summed(_checked(triples))
+        return _summed(triples)
 
     def get(self, p: int, q: int) -> Fraction:
         return Fraction(self._n.get((p, q), 0), self._den)
@@ -228,14 +227,15 @@ class BettiDiagram:
     @classmethod
     def from_json_obj(cls, obj) -> "BettiDiagram":
         """The diagram of a JSON object {"entries": [{"p", "q", "v"}, ...]},
-        duplicate cells summed, with no Fraction per cell.
+        duplicate cells summed.
 
         A list in the form to_json_obj writes, distinct cells with nonzero
         canonical "n/d" values, is read in whole-list passes
-        (_canonical_entries). Every other list, and every list that fails,
-        is read cell by cell (_entries_by_cell), so both give one diagram
-        and a refusal is always that loop's: every cell's shape and value
-        is checked, in file order, before any index.
+        (_canonical_entries), with no Fraction per cell. Every other list,
+        and every list that fails, is read cell by cell (_entries_by_cell),
+        one Fraction per value, so both give one diagram and a refusal is
+        always that loop's: every cell's shape and value is checked, in
+        file order, before any index.
 
         >>> b = BettiDiagram.from_json_obj({"entries": [
         ...     {"p": 0, "q": 0, "v": "1/2"}, {"p": 1, "q": 1, "v": "3/4"}]})
@@ -272,10 +272,10 @@ def _diagram_json(b: BettiDiagram, pad: str = "") -> str:
     return f'{{\n{pad}  "entries": {entries}\n{pad}}}'
 
 
-# a run of canonical values joined by single spaces, the grammar written
-# once in errors._CANONICAL; compiled by re's own cache on the first read,
-# so an import that reads no JSON does not pay for it
-_CANONICAL_RUN = rf"{_CANONICAL.pattern}(?: {_CANONICAL.pattern})*"
+# a run of canonical values joined by single spaces, each the "n/d" the
+# writers spell (ASCII digits, no sign but a leading "-"); compiled by re's
+# own cache on the first read, so an import that reads no JSON does not pay
+_CANONICAL_RUN = "{0}(?: {0})*".format(r"-?[0-9]+/[0-9]+")
 
 
 def _canonical_entries(entries: list):
@@ -284,10 +284,10 @@ def _canonical_entries(entries: list):
     nonzero, on distinct cells; None for any other list, which
     _entries_by_cell then reads. Its checks are whole-list passes: one
     set of types per field, one min, one fullmatch over the values joined
-    by spaces, map(int) over their digits and one lcm. The fullmatch
-    alone would read "1/2 3/4" as two values, so the text must also hold
-    exactly one "/" per cell. On these lists _entries_by_cell refuses
-    nothing and gives the same diagram.
+    by spaces, map(int) over their digits and one lcm; no Fraction is
+    built. The fullmatch alone would read "1/2 3/4" as two values, so the
+    text must also hold exactly one "/" per cell. On these lists
+    _entries_by_cell refuses nothing and gives the same diagram.
     """
     if not entries or not set(map(type, entries)) <= {dict}:
         return None
@@ -316,15 +316,15 @@ def _canonical_entries(entries: list):
 
 def _entries_by_cell(entries: list) -> BettiDiagram:
     """The diagram of any entries list, read cell by cell: each cell's
-    shape, then its value through rational_pair, in file order; then every
-    index through _key, in file order; duplicates summed by _summed. The
-    one reader that names a bad cell."""
+    shape, then its value through require_rational, in file order; then
+    every index, in file order, by _summed. The one reader that names a
+    bad cell."""
     cells = []
     for cell in entries:
         if not (isinstance(cell, dict) and "p" in cell and "q" in cell and "v" in cell):
             raise ValueError(f"malformed diagram cell: {cell!r}")
-        cells.append((cell["p"], cell["q"], *rational_pair(cell["v"], "diagram value")))
-    return _summed((_key(p, q), n, d) for p, q, n, d in cells)
+        cells.append((cell["p"], cell["q"], require_rational(cell["v"], "diagram value")))
+    return _summed(cells)
 
 
 def _key(p, q) -> tuple:
@@ -337,22 +337,14 @@ def _key(p, q) -> tuple:
     return p, q
 
 
-def _checked(triples):
-    """((p, q), numerator, denominator) triples from (p, q, value) triples
-    given from outside: each index is checked, then its value goes through
-    rational_pair, once."""
-    for p, q, val in triples:
-        key = _key(p, q)
-        yield key, *rational_pair(val, "diagram value")
-
-
-def _summed(terms) -> BettiDiagram:
-    """The diagram of ((p, q), n, d) terms given from outside, on checked
-    keys, d > 0 and n/d not necessarily reduced: each n cleared over the
-    lcm of every d, and duplicates summed by _total."""
-    terms = list(terms)
-    den = math.lcm(*[d for _, _, d in terms])
-    return _total(((1, [(key, n * (den // d)) for key, n, d in terms]),), den)
+def _summed(triples) -> BettiDiagram:
+    """The diagram of (p, q, value) triples given from outside: each index
+    checked by _key, then its value read by require_rational (a Fraction
+    as it is), triple by triple; each numerator cleared over the lcm of
+    every denominator, and duplicates summed by _total."""
+    terms = [(_key(p, q), require_rational(v, "diagram value")) for p, q, v in triples]
+    den = math.lcm(*[v.denominator for _, v in terms])
+    return _total(((1, [(key, v.numerator * (den // v.denominator)) for key, v in terms]),), den)
 
 
 def _combination(terms) -> BettiDiagram:

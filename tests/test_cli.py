@@ -686,6 +686,28 @@ def test_exponent_past_digit_limit_refused_by_every_reader(tmp_path, capsys, dig
         decomposition.Decomposition.from_json_obj({"summands": [{"c": text, "e": [0, 1]}]})
 
 
+@pytest.mark.parametrize("limit", [4300, 640])
+@pytest.mark.parametrize("field", ["p", "q", "v"])
+def test_json_integer_past_the_digit_limit_names_the_limit(tmp_path, capsys, digit_limit, field, limit):
+    # json.loads reads an integer literal by int(), whose refusal past the
+    # digit limit advises raising it; the file's refusal names the limit
+    # alone, as a comma list's does, and a literal at the limit still reads
+    sys.set_int_max_str_digits(limit)  # the fixture restores the old limit
+    src = tmp_path / "big.json"
+    for digits in (limit + 1, limit):
+        cell = {"p": "0", "q": "0", "v": "1", field: "7" * digits}
+        src.write_text('{"entries": [{%s}]}' % ", ".join(f'"{k}": {v}' for k, v in cell.items()))
+        code, out, err = run(capsys, "decompose", "--input", str(src))
+        if digits == limit:  # read; a lone cell past column 0 is not in the cone
+            assert code == (3 if field == "p" else 0) and "more digits" not in err
+            continue
+        assert (code, out) == (2, "")
+        assert err == (
+            f"bad input: a JSON integer has more digits than the limit of {limit} "
+            "(sys.get_int_max_str_digits())\n"
+        )
+
+
 def test_exponent_below_digit_limit_read_exactly(digit_limit):
     obj = {"entries": [{"p": 0, "q": 0, "v": "1e4299"}, {"p": 1, "q": 0, "v": "3E-4_299"}]}
     b = diagrams.BettiDiagram.from_json_obj(obj)

@@ -33,6 +33,11 @@ Claims pinned here:
       float or a zero denominator is a ValueError, a str is read
     - the CLI's JSON writers give the bytes of json.dumps(to_json_obj(),
       indent=2), their oracle
+    - a positive combination of a chain e^1 < e^2 < ... in the
+      Boij-Soederberg order decomposes into exactly that chain, in order,
+      with those coefficients (the order's unique chain decomposition),
+      for chains of one length and chains that mix lengths (non-Cohen-
+      Macaulay); the expected answer is the chain built, not a peel
 """
 
 import json
@@ -51,6 +56,7 @@ from betticone.errors import (
     NotInCone,
     NotStrictlyIncreasing,
 )
+from test_cli_frozen import _pure_column
 
 F = Fraction
 
@@ -445,6 +451,56 @@ def test_long_peel_matches_oracle():
     assert len(dec.summands) >= 12
     assert dec == _peel_oracle(combo)
     assert decomposition.verify(combo, dec)
+
+
+def _chain(rng, drop=0.0):
+    """Degree sequences, each above the last in the Boij-Soederberg order,
+    drawn as tests/test_cli_frozen.py::_chain draws them when drop is 0.
+    Otherwise each step first drops the last degree with probability drop
+    (while two remain), so a chain may mix lengths."""
+    n = rng.randint(1, 5)
+    seq = sorted(rng.sample(range(-2, 3 * n + 4), n + 1))
+    chain = [tuple(seq)]
+    for _ in range(rng.randint(0, 3)):
+        seq = list(seq)
+        if drop and n and rng.random() < drop:
+            seq.pop()
+            n -= 1
+        for i in sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)), reverse=True):
+            seq[i] += 1
+            while i + 1 <= n and seq[i] >= seq[i + 1]:
+                seq[i + 1] = seq[i] + 1
+                i += 1
+        chain.append(tuple(seq))
+    return chain
+
+
+def _chain_diagram(rng, chain):
+    """(coefficients, diagram): the chain summed with random positive
+    rational coefficients, each column straight from the Herzog-Kuhl
+    formula (_pure_column), not from pure_diagram."""
+    coefficients = [F(rng.randint(1, 30), rng.randint(1, 12)) for _ in chain]
+    table = {}
+    for c, e in zip(coefficients, chain):
+        for p, ep in enumerate(e):
+            table[(p, ep - p)] = table.get((p, ep - p), 0) + c * _pure_column(e, p)
+    return coefficients, diagrams.BettiDiagram(table)
+
+
+@pytest.mark.parametrize("seed, drop", [(15, 0.0), (1515, 0.5)], ids=["same-length", "mixed"])
+def test_chain_combination_decomposes_into_its_chain(seed, drop):
+    rng = random.Random(seed)
+    mixed = 0
+    for _ in range(2000):
+        chain = _chain(rng, drop)
+        coefficients, b = _chain_diagram(rng, chain)
+        dec = decomposition.decompose(b)
+        assert [(s.coefficient, tuple(s.degrees)) for s in dec.summands] == list(
+            zip(coefficients, chain)
+        )
+        assert not dec.residual
+        mixed += len({len(e) for e in chain}) > 1
+    assert mixed >= 1000 if drop else mixed == 0
 
 
 def _reconstruct_oracle(dec):

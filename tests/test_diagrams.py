@@ -100,7 +100,6 @@ from betticone.errors import (
     NegativeEntry,
     NotCohenMacaulayShape,
     NotStrictlyIncreasing,
-    rational_pair,
     require_int,
     require_rational,
 )
@@ -1339,7 +1338,6 @@ def test_json_unreduced_value_reads_as_reduced():
     unreduced = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": "2/4"}]})
     assert unreduced == half
     assert (unreduced._n, unreduced._den) == ({(0, 0): 1}, 2)
-    assert rational_pair("2/4", "v") == (2, 4)
     assert require_rational("2/4", "v") == F(1, 2)
 
 
@@ -1384,8 +1382,6 @@ def test_json_reader_refuses_a_float_value(v):
     with pytest.raises(ValueError, match=re.escape(message)):
         diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": v}]})
     with pytest.raises(ValueError, match=re.escape(message)):
-        rational_pair(v, "diagram value")
-    with pytest.raises(ValueError, match=re.escape(message)):
         require_rational(v, "diagram value")
     # the same digits as a string are read exactly
     cell = {"p": 0, "q": 0, "v": "1.00000000000000001"}
@@ -1396,13 +1392,12 @@ def test_json_reader_refuses_a_float_value(v):
 def test_rational_pair_reads_an_int_without_str():
     # past the int-to-str digit limit, as require_rational already reads it
     huge = 10**5000
-    assert rational_pair(huge, "c") == (huge, 1)
     assert require_rational(huge, "c") == F(huge)
     b = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": huge}]})
     assert b.get(0, 0) == huge
     # a bool is not read as an int
     with pytest.raises(ValueError, match=re.escape("v must be a Fraction, an int or a str, got True")):
-        rational_pair(True, "v")
+        require_rational(True, "v")
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,8 @@ Claims pinned here:
       a str, never a float, a bool, None, a Decimal or an object whose str
       spells a rational, and a str's exponent past the digit limit is
       refused before it is built
-    - the reader's fast path for the canonical "n/d" gives the value, or
-      the message, that Fraction(str) gives on every spelling around it
+    - the reader gives the value, or the message, that Fraction(str)
+      gives on the canonical "n/d" and every spelling around it
 """
 
 import importlib.util
