@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import re
 import sys
@@ -266,7 +267,45 @@ _SUITES = {
 }
 
 
+# The most entries a verify run may compute: the columns of every pure
+# diagram a grid suite builds, or at most a herzog-kuhl sequence's 12
+# columns and its 11 sums of 12 terms. The CI run of the multiplicity
+# suite at --g-max 4 --k-max 3 --d-max 120 computes 1,536,120 in 2.9 s,
+# the README's largest 335,040. Just below the ceiling, multiplicity at
+# --g-max 4 --k-max 3 --d-max 210 and hn-leading at --d-max 294 take
+# 10 s each, herzog-kuhl at --count 34722 17 s, and dominant-kappa, which
+# evaluates its closed form per column, 48 s at --d-max 1057 (2-CPU
+# x86_64, Python 3.11.7).
+_VERIFY_ENTRIES_MAX = 5_000_000
+
+
+def _verify_entries(args) -> int:
+    """The entries args.suite would compute (see _VERIFY_ENTRIES_MAX), from
+    its arguments alone: no tuple or d is listed, and the sum over (g, k)
+    stops once it passes the ceiling. Family (g, k, d) has r - 2k = d - g - 2k columns; over d
+    from 2g + 2k + 1 to d_max that is (d_max + 1 - 2k)(d_max - 2g - 2k)/2
+    columns per tuple, for C(g+k+1, k+1) tuples (multiplicity), the
+    C(g+k, k+1) with i_0 >= 1 (hn-leading) or the dominant one alone."""
+    if args.suite == "herzog-kuhl":
+        return 144 * args.count
+    extra = {"multiplicity": 1, "hn-leading": 0}.get(args.suite)  # None: the dominant tuple
+    d_max = args.d_max
+    total = 0
+    for g in range(1, min(args.g_max, (d_max - 1) // 2) + 1):
+        for k in range(min(args.k_max, (d_max - 1 - 2 * g) // 2) + 1):
+            tuples = 1 if extra is None else math.comb(g + k + extra, k + 1)
+            total += tuples * (d_max + 1 - 2 * k) * (d_max - 2 * g - 2 * k) // 2
+            if total > _VERIFY_ENTRIES_MAX:
+                return total
+    return total
+
+
 def cmd_verify(args) -> int:
+    grid = f"--g-max {args.g_max} --k-max {args.k_max} --d-max {args.d_max}"
+    chosen = f"--count {args.count}" if args.suite == "herzog-kuhl" else grid
+    if _verify_entries(args) > _VERIFY_ENTRIES_MAX:
+        ceiling = f"more than {_VERIFY_ENTRIES_MAX} entries, the ceiling"
+        raise ValueError(f"{args.suite}: {chosen} would compute {ceiling}")
     checked = failed = 0
     for case, ok in _SUITES[args.suite](args):
         checked += 1
@@ -275,8 +314,6 @@ def cmd_verify(args) -> int:
                 print(f"{args.suite}: first failure at {case}", file=sys.stderr)
             failed += 1
     if not checked:
-        grid = f"--g-max {args.g_max} --k-max {args.k_max} --d-max {args.d_max}"
-        chosen = f"--count {args.count}" if args.suite == "herzog-kuhl" else grid
         raise ValueError(f"{args.suite}: {chosen} selects no case to check")
     status = "FAIL" if failed else "ok"
     print(f"{args.suite}: {checked - failed}/{checked} passed ({status})")

@@ -427,16 +427,39 @@ def pure_diagram(e) -> BettiDiagram:
     >>> [v * math.perm(S, S - n) for _, v in pure_diagram(e).items()]
     [Fraction(30, 1), Fraction(252, 1), Fraction(420, 1), Fraction(210, 1), Fraction(12, 1)]
 
-    The numerators come from one of two kernels, picked by _few_holes_pay
-    from S and n alone: _pure_over_holes builds them over the one
-    denominator S!/n!, and _pure_over_runs reduces each entry as it goes
-    and clears them over one lcm. Both return the list in column order, and
-    the table keeps it so (_pure_checked); column p is keyed at
-    (p, e_p - p) on the first read of a cell. Secant-family sequences
-    (H = 2k + 2, so H << n once d is past a few dozen) take the first;
-    sequences with all gaps in [2, 5] (H of about 2.5 n) take the second,
-    as does a short sequence over a long span such as (0, 10^8), whose
-    S!/n! the first would never finish.
+    The numerators come from one of two kernels, picked by the shape
+    alone: _pure_over_holes, which builds them over the one denominator
+    S!/n!, when 2H <= n, else _pure_over_runs, which reduces each entry as
+    it goes and clears them over one lcm. Both return the list in column
+    order, and the table keeps it so (_pure_checked); column p is keyed at
+    (p, e_p - p) on the first read of a cell. The hole form does one
+    multiply and one exact division per column where the run form does two
+    multiplies, a gcd and two divisions, but its numerators carry C(S, x)
+    and the hole products, about H log2(S) bits more than the reduced
+    entries. Secant-family sequences (H = 2k + 2, so H << n once d is past
+    a few dozen) take the first; sequences with all gaps in [2, 5] (H of
+    about 2.5 n) take the second, as does a short sequence over a long span
+    such as (0, 10^8), whose S!/n! the first would never finish.
+
+    The hole count H* at which both take the same time, on degrees placed
+    at random in the span (tests/kernel_crossovers.py; median of 9 seeded
+    sequences, best of 5 timings each; x86_64):
+
+        n         8   16   32   64  128  256  512
+        3.11.7  8.5  9.6 16.6 24.5 52.5 79.9  162
+        3.12.1  4.5  6.6 12.1 19.3 29.9 69.9  180
+        3.13.0  4.8  8.5 13.5 23.4 36.7   84  184
+        rule      4    8   16   32   64  128  256
+
+    H*/n falls from 0.4-0.6 near n = 16 to about 1/3 past n = 250, and
+    the ratio of the two times stays near 1 for a wide band of H either
+    side of it, so the rule, which carries no fitted constant, takes at
+    most 1.18x the faster kernel's time at any measured (n, H) with
+    n >= 8 on all three interpreters, the worst at H = n/2 (one run per
+    interpreter; repeated runs spread by about 10%). Random placement is
+    the hole form's worst shape, many short runs of holes; on
+    secant-family sequences, whose 2k + 2 holes lie in at most k + 2 runs,
+    it won by 1.5-1.7x at n = 60-300 (Python 3.11.7).
 
     The sequence is checked first; only then is the diagram looked up in a
     memo of the last _PURE_MEMO_SIZE sequences (_pure_checked), so an
@@ -470,11 +493,13 @@ _PURE_MEMO_SIZE = 8
 
 @functools.lru_cache(maxsize=_PURE_MEMO_SIZE)
 def _pure_checked(e: DegreeSequence) -> BettiDiagram:
-    """pure_diagram of a DegreeSequence, from the kernel _few_holes_pay
-    picks: a table in column form, e and its numerators in lowest terms
-    over its den, in column order. Both kernels return lowest terms, so no
-    gcd is taken here."""
-    kernel = _pure_over_holes if _few_holes_pay(e[-1] - e[0], len(e) - 1) else _pure_over_runs
+    """pure_diagram of a DegreeSequence, from the hole kernel when its
+    H = S - n holes are at most n/2, else the run kernel: a table in
+    column form, e and its numerators in lowest terms over its den, in
+    column order. Both kernels return lowest terms, so no gcd is taken
+    here."""
+    n = len(e) - 1
+    kernel = _pure_over_holes if 2 * (e[-1] - e[0] - n) <= n else _pure_over_runs
     numerators, den = kernel(e, *_runs(e))
     return _table(None, den, e, numerators)
 
@@ -486,40 +511,6 @@ def _runs(e):
     starts = [0] + [p for p in range(1, len(e)) if e[p] != e[p - 1] + 1]
     stops = starts[1:] + [len(e)]
     return starts, stops, [e[p] for p in starts], [e[p - 1] for p in stops]
-
-
-def _few_holes_pay(span: int, n: int) -> bool:
-    """Whether _pure_over_holes builds the pure diagram of n + 1 degrees
-    over the given span faster than _pure_over_runs: 3H(n + 8) < n(n + 23)
-    for H = span - n holes.
-
-    The hole form does one multiply and one exact division per column where
-    the run form does two multiplies, a gcd and two divisions, then an lcm
-    and a rescale; but its numerators carry C(S, x) and the hole products,
-    about H log2(S) bits more than the reduced entries, and it pays a fixed
-    cost to list the holes. The test is fitted to the hole count H* at which
-    both take the same time, measured on degrees placed at random in the
-    span (Python 3.11.7, x86_64; median of 3 to 5 seeded sets, best of 5
-    timings each):
-
-        n       3    4    6    8   12   16   24   32   48   64   96  128  256  512
-        H*      2    3    5    7  9.5   12   17   17   18   26   40   55   84  172
-        test  2.4  3.0  4.1  5.2  7.0  8.7 11.8 14.7 20.3 25.8 36.6 47.4 90.2  176
-
-    H*/n falls from about 0.8 near n = 10 to 1/3 past n = 250. For n of 1
-    or 2 the run form wins at any H, and the test takes it. Random placement
-    is the hole form's worst shape, many short runs of holes: below H* it
-    wins there by 5-20%, and on secant-family sequences, whose 2k + 2 holes
-    lie in at most k + 2 runs, by 1.5-1.7x at n = 60-300 and 2.2x and 4x at
-    n = 2993 and 11998. Those sequences cross over near n = H + 2 for
-    H = 2..10, and the test sends each one with n >= 2H to the hole form.
-    Above H* the hole form loses by up to 1.5x at H = n (n = 512), and by
-    1.4-4x at H = 3n with the holes in two runs (n = 64-256). The test holds
-    only for H < n, so a sequence with every gap at least 2 (H >= n), such
-    as one with gaps in [2, 5], always takes the run form.
-    """
-    holes = span - n
-    return 3 * holes * (n + 8) < n * (n + 23)
 
 
 def _pure_over_holes(e, starts, stops, los, his) -> tuple:
@@ -789,16 +780,6 @@ def _alternating(b: BettiDiagram):
     return {t: c for t, c in degs.items() if c}, min(degs), max(degs), s
 
 
-def _products_pay(m: int, s: int) -> bool:
-    """Whether multiplicity takes the product check (_product_moment) in
-    place of the long division (_quotient) on a polynomial of m + s
-    coefficients with exactly s + 1 nonzero terms, divided by (1-t)^s:
-    1600 (m - s - 25) > s^2, so it needs m > s + 25. The boundary lies
-    above the product check's measured crossovers, and multiplicity's
-    docstring has both and why it stays there."""
-    return 1600 * (m - s - 25) > s * s
-
-
 def _quotient(coeffs: list, s: int) -> list:
     """The quotient of sum coeffs[j] t^j by (1-t)^s, as a list of integer
     coefficients; coeffs is consumed.
@@ -819,7 +800,7 @@ def _quotient(coeffs: list, s: int) -> list:
     The cost is m * s / 2 products by binomials of up to s bits and m * s
     subtractions, so a long quotient against s is dear. multiplicity
     leaves it to the product check where the polynomial has exactly s + 1
-    nonzero terms (_products_pay) and pays it on every other shape, every
+    nonzero terms and m > 2s, and pays it on every other shape, every
     sum of diagrams included; hilbert_numerator, which needs every
     coefficient, always pays it.
     """
@@ -845,24 +826,22 @@ def _quotient(coeffs: list, s: int) -> list:
     return coeffs
 
 
-# The row memo's bound. The long division's traffic asks for one s many
-# times in a row when it runs over every jump tuple of one (g, k, d), whose
-# diagrams share s = r - 2k - 1: verify --suite multiplicity and hn-leading
-# at g <= 4, k <= 3, d <= 120 hit it 24,576 and 11,392 times against 1,792
-# misses each, one per (g, k, d), and one row already takes all of those
-# hits. A second division of one diagram does not reach it (the diagram
-# holds its quotient), so one seed-1 pass of the family_oracle benchmark
-# (900 ops) gets 8 hits against 892 misses; one row would get 2 and eight
-# 25. Four half rows near s = 300 hold 38 KB (tracemalloc).
-_ROW_MEMO_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_ROW_MEMO_SIZE)
+@functools.lru_cache(maxsize=1)
 def _binomial_row(s: int) -> tuple:
     """The coefficients of t^1 .. t^(s//2) of (1-t)^s, (-1)^i C(s, i), as a
     tuple: the half row _quotient multiplies, one product and one exact
     division per term. A miss takes 3.5 us at s = 30 and 50 us at s = 301,
     a hit 0.2 us (Python 3.11.7, x86_64, best of 7).
+
+    The memo keeps the last row alone. Its traffic asks for one s many
+    times in a row when the division runs over every jump tuple of one
+    (g, k, d), whose diagrams share s = r - 2k - 1: verify --suite
+    multiplicity and hn-leading at g <= 4, k <= 3, d <= 120 hit it 24,415
+    and 11,392 times against 1,787 and 1,792 misses, one per (g, k, d)
+    that divides, as many as four rows got. A second division of one
+    diagram does not reach it (the diagram holds its quotient), so a
+    seed-1 pass of the family_oracle benchmark (900 ops) gets 2 hits
+    against 897 misses, where four rows got 8.
     """
     row = []
     c = 1
@@ -887,9 +866,9 @@ def _divide(b: BettiDiagram, terms: dict, lo: int, hi: int, s: int) -> tuple:
     in either order: 498, 497 and 469 of the 900 ops of the family_oracle
     benchmark (seeds 1-3) ask for both, and each such op divides once.
     The m integers held are fewer than the m Fractions of a
-    hilbert_numerator result. multiplicity leaves the long quotients of
-    polynomials with exactly s + 1 nonzero terms to the product check
-    (_products_pay), so only hilbert_numerator divides those; it divides
+    hilbert_numerator result. multiplicity leaves the long quotients
+    (m > 2s) of polynomials with exactly s + 1 nonzero terms to the
+    product check, so only hilbert_numerator divides those; it divides
     every other shape, whatever its length.
 
     By Descartes' rule of signs a nonzero polynomial with N + 1 terms has
@@ -958,7 +937,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     Two kernels find it, picked by shape, unless b already holds its
     quotient, which is then summed. With exactly s + 1 nonzero terms
     (N = s, the shape of every pure diagram, scaled or not) and a quotient
-    long against s (_products_pay), _product_moment checks the
+    longer than 2s (m > 2s), _product_moment checks the
     Herzog-Kuhl equations in product form. Let w(x) = prod_j (x - x_j).
     The vectors (Q(x_p))_p with deg Q < s span s of the s + 1 dimensions,
     and by the Lagrange identity sum_p Q(x_p) / w'(x_p) = [x^s] Q for
@@ -984,8 +963,8 @@ def multiplicity(b: BettiDiagram) -> Fraction:
 
     >>> b = pure_diagram(range(0, 50, 5))
     >>> terms, lo, hi, s = _alternating(b)
-    >>> hi - lo + 1 - s, s, len(terms), _products_pay(hi - lo + 1 - s, s)
-    (37, 9, 10, True)
+    >>> hi - lo + 1 - s, s, len(terms)
+    (37, 9, 10)
     >>> _product_moment(terms, sorted(terms), s) == (-1) ** s * math.factorial(s) * b._den
     True
     >>> multiplicity(b), multiplicity(scale(b, Fraction(-2, 3)))
@@ -994,25 +973,26 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     >>> len(_alternating(pair)[0]), multiplicity(pair), pair._division is not None
     (11, Fraction(2, 1), True)
 
-    The crossover m* at which the product check and the long division
-    take the same time on pure diagrams, with the degrees placed at random
-    in the span (Python 3.11.7, x86_64, 2-CPU host; two seeded sets of 6
-    diagrams per m, median ratio of 9 interleaved timings, row memo warm),
-    against _products_pay's boundary:
+    The length m* at which the product check and the long division take
+    the same time on pure diagrams, with the degrees placed at random in
+    the span (tests/kernel_crossovers.py; median of 9 seeded diagrams,
+    best of 5 timings each, row memo warm; x86_64):
 
-        s              4    8   16   30   60   90  150  250  400
-        products     2.6  5.3   10   18   36   55   82  119  161
-        test          29   33   41   56   87  120  189  314  525
+        s          2    4    8   16   30   60   90  150  250  400
+        3.11.7     1  2.3  5.1  9.8 17.6 37.7   55 83.5  118  155
+        3.12.1   1.2  2.5    5  9.6 17.4 36.7 55.6 86.1  124  166
+        3.13.0   1.3  2.6    5  9.6 17.7 38.3 57.4 88.2  125  163
+        rule       4    8   16   32   60  120  180  300  500  800
 
-    The boundary stays above the crossovers on purpose. A refit to them
-    (3m > 2s) would move 56 of the 2,700 multiplicity calls of the
-    family_oracle benchmark (seeds 1-3; s = 2-14, m = 3-11) to the product
-    check, and 26 of those ops then ask for hilbert_numerator, which must
-    divide anyway, since the product check leaves no quotient behind: per
-    op, 28.0 us against 23.7 us with the boundary where it is (medians of
-    15 interleaved rounds). Family shapes (m <= 11) never pass the test;
-    at s = 112-298 the product check would take 9-86x the long division's
-    time.
+    The rule m > 2s lies above m* on purpose, and the product check takes
+    at most 0.35x the long division's time wherever it picks it, at any
+    measured s from 1 to 400. Between m* and 2s the long division is the
+    slower kernel, but it leaves the quotient behind for a
+    hilbert_numerator of the same diagram, which the product check does
+    not: on the family_oracle benchmark, about half of whose ops ask for
+    both, a refit to the crossovers (3m > 2s) cost 28.0 us against 23.7 us
+    per moved op. Under m > 2s, a family shape (m = 2k + 3) takes the
+    product check only when s <= k + 1.
 
     The price of one kernel for every other shape is that a sum with a
     long quotient lists its span, as hilbert_numerator always has (min of
@@ -1028,7 +1008,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     if b._division:
         return Fraction(sum(b._division[1]), b._den)
     terms, lo, hi, s = _alternating(b)
-    if len(terms) == s + 1 and _products_pay(hi - lo + 1 - s, s):
+    if len(terms) == s + 1 and hi - lo + 1 - s > 2 * s:
         moment = _product_moment(terms, sorted(terms), s)
         return Fraction((-1) ** s * moment, math.factorial(s) * b._den)
     return Fraction(sum(_divide(b, terms, lo, hi, s)[1]), b._den)

@@ -61,10 +61,15 @@ def test_pure_table_star_pattern(capsys):
     assert lines[5].split() == ["4", "-", "-", "-", "-", "-", "2/27"]
 
 
-def test_pure_over_a_wide_span_stays_fast(capsys):
-    # (0, 10^8) has 10^8 - 1 holes: the shape test sends it to the run
-    # kernel, which answers within a few milliseconds; S!/n! is never built
-    assert not diagrams._few_holes_pay(10**8, 1)
+def test_pure_over_a_wide_span_stays_fast(capsys, monkeypatch):
+    # (0, 10^8) has 10^8 - 1 holes, more than n/2: the shape test sends it
+    # to the run kernel, which answers within a few milliseconds; the hole
+    # kernel, which would build S!/n!, is never called
+    def hole_kernel(*args):
+        raise AssertionError("the hole kernel took (0, 10^8)")
+
+    monkeypatch.setattr(diagrams, "_pure_over_holes", hole_kernel)
+    diagrams._pure_checked.cache_clear()
     t0 = time.perf_counter()
     code, out, err = run(capsys, "pure", "--degseq", "0,100000000")
     elapsed = time.perf_counter() - t0
@@ -608,6 +613,86 @@ def test_verify_empty_selection_is_bad_input(capsys, argv, named):
     assert out == ""
     assert err.startswith("bad input: ")
     assert "selects no case" in err and named in err
+
+
+def _forbid_building(monkeypatch):
+    """Spies that fail the test on any call that lists tuples or builds a
+    diagram, so an oversized run is never started."""
+    def forbidden(*args):
+        raise AssertionError("verify started building before its ceiling check")
+
+    for module, name in (
+        (secant, "jump_tuples"),
+        (secant, "secant_pure_diagram"),
+        (secant, "dominant_tuple"),
+        (diagrams, "pure_diagram"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize(
+    "argv, chosen",
+    [
+        # C(61, 31), about 2.3 * 10^17, tuples at (g, k) = (30, 30) alone
+        (("multiplicity", "--g-max", "30", "--k-max", "30", "--d-max", "200"),
+         "--g-max 30 --k-max 30 --d-max 200"),
+        (("hn-leading", "--g-max", "30", "--k-max", "30", "--d-max", "200"),
+         "--g-max 30 --k-max 30 --d-max 200"),
+        (("dominant-kappa", "--d-max", "1000000"), "--g-max 3 --k-max 2 --d-max 1000000"),
+        (("multiplicity", "--g-max", "1", "--k-max", "0", "--d-max", str(10**1000)),
+         f"--g-max 1 --k-max 0 --d-max {10**1000}"),
+        (("herzog-kuhl", "--count", "10000000"), "--count 10000000"),
+    ],
+    ids=["multiplicity", "hn-leading", "dominant-kappa", "huge-d", "herzog-kuhl"],
+)
+def test_verify_refuses_an_oversized_run_before_building(capsys, monkeypatch, argv, chosen):
+    _forbid_building(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", *argv)
+    ceiling = f"more than {cli._VERIFY_ENTRIES_MAX} entries, the ceiling"
+    assert (code, out) == (2, "")
+    assert err == f"bad input: {argv[0]}: {chosen} would compute {ceiling}\n"
+
+
+def test_verify_ceiling_boundary(capsys, monkeypatch):
+    # the grid suites' prediction is the columns they build, exactly; at a
+    # ceiling equal to it the run goes ahead, one below it is refused first
+    for suite in ("multiplicity", "hn-leading", "dominant-kappa"):
+        argv = ["verify", "--suite", suite, "--g-max", "3", "--k-max", "2", "--d-max", "14"]
+        columns = []
+        with monkeypatch.context() as patch:
+            pure = secant.pure_diagram
+            patch.setattr(secant, "pure_diagram", lambda e: columns.append(len(e)) or pure(e))
+            predicted = cli._verify_entries(cli._parse_args(argv))  # below the real ceiling
+            patch.setattr(cli, "_VERIFY_ENTRIES_MAX", predicted)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), suite
+            assert sum(columns) == predicted, suite
+            patch.setattr(cli, "_VERIFY_ENTRIES_MAX", predicted - 1)
+            _forbid_building(patch)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), suite
+            assert err.endswith(f"would compute more than {predicted - 1} entries, the ceiling\n")
+    # herzog-kuhl: 12 columns and 11 sums of 12 terms per sequence, at most
+    args = cli._parse_args(["verify", "--suite", "herzog-kuhl", "--count", "40"])
+    assert cli._verify_entries(args) == 40 * 144
+
+
+def test_verify_ceiling_admits_every_documented_run():
+    # the README's, CI's, the frozen cases' and the tests' verify runs; the
+    # largest is CI's multiplicity suite at d <= 120
+    runs = [
+        ["--suite", "multiplicity", "--g-max", "4", "--k-max", "3", "--d-max", "120"],
+        ["--suite", "hn-leading", "--g-max", "4", "--k-max", "3", "--d-max", "120"],
+        ["--suite", "multiplicity", "--d-max", "120"],
+        ["--suite", "dominant-kappa", "--d-max", "120"],
+        ["--suite", "hn-leading", "--d-max", "120"],
+        ["--suite", "multiplicity", "--g-max", "4", "--k-max", "3", "--d-max", "60"],
+        ["--suite", "dominant-kappa"],
+        ["--suite", "herzog-kuhl", "--count", "500", "--seed", "0"],
+    ]
+    entries = [cli._verify_entries(cli._parse_args(["verify", *argv])) for argv in runs]
+    assert entries[0] == 1_536_120
+    assert max(entries) == entries[0] <= cli._VERIFY_ENTRIES_MAX
 
 
 def test_calibrate_zero_denominator_threshold(capsys):

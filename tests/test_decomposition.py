@@ -38,12 +38,16 @@ Claims pinned here:
       with those coefficients (the order's unique chain decomposition),
       for chains of one length and chains that mix lengths (non-Cohen-
       Macaulay); the expected answer is the chain built, not a peel
+    - every decomposition built here, and every partial one a NotInCone
+      carries, is a strict chain e^1 < e^2 < ... in that order (an
+      autouse wrapper around decomposition.decompose)
 """
 
 import json
 import math
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -59,6 +63,52 @@ from betticone.errors import (
 from test_cli_frozen import _pure_column
 
 F = Fraction
+
+
+def _assert_strict_chain(dec):
+    """dec's degree sequences rise strictly in the Boij-Soederberg order:
+    e < e' when e is at least as long as e', e_i <= e'_i wherever both are
+    defined, and e != e'. The greedy peel's answer is that chain."""
+    for e, f in zip(dec.summands, dec.summands[1:]):
+        e, f = e.degrees, f.degrees
+        assert len(e) >= len(f) and all(map(le, e, f)) and e != f, (e, f)
+
+
+@pytest.fixture(autouse=True)
+def _decompose_returns_a_strict_chain(monkeypatch):
+    """Every decompose call of a test here checks its summands, or those
+    of the partial decomposition a NotInCone carries, by
+    _assert_strict_chain."""
+    peel = decomposition.decompose
+
+    def checked(b):
+        try:
+            dec = peel(b)
+        except NotInCone as exc:
+            _assert_strict_chain(exc.partial)
+            raise
+        _assert_strict_chain(dec)
+        return dec
+
+    monkeypatch.setattr(decomposition, "decompose", checked)
+
+
+def test_strict_chain_check_refuses_what_is_not_a_chain():
+    def dec(*sequences):
+        summands = [decomposition.PureSummand(F(1), diagrams.DegreeSequence(e)) for e in sequences]
+        return decomposition.Decomposition(tuple(summands))
+
+    _assert_strict_chain(dec((0, 2, 3, 5), (0, 2, 4, 5), (1, 2, 4)))
+    _assert_strict_chain(dec((0, 1, 2)))
+    for bad in (
+        [(0, 2, 4, 5), (0, 2, 3, 5)],  # falls at e_2
+        [(0, 2, 4), (0, 2, 4)],  # equal
+        [(0, 2, 4), (0, 2, 4, 5)],  # grows longer
+        [(0, 3, 4), (1, 2, 5)],  # incomparable
+        [(0, 1, 2), (0, 2, 3), (0, 1, 3)],  # a strict pair, then a fall
+    ):
+        with pytest.raises(AssertionError):
+            _assert_strict_chain(dec(*bad))
 
 
 def _random_degree_sequence(rng, n):

@@ -26,25 +26,26 @@ Claims pinned here:
       (-1)^i C(s, i), and a cold memo and a warm one give the same
       quotient or message
     - multiplicity's two kernels, the Herzog-Kuhl product check (exactly
-      s + 1 nonzero terms, the shape of every pure diagram, and a long
-      quotient) and the long division (every other shape), give the
+      s + 1 nonzero terms, the shape of every pure diagram, and m > 2s)
+      and the long division (every other shape), give the
       prefix sums' HN(1), or their one message, on both sides of the
       shape test and at its exact boundary, with more than 20 seeded
       cases on each kernel; the product check, forced on every case with
       s + 1 nonzero terms whichever kernel multiplicity takes, gives the
       prefix sums' M_s = (-1)^s s! den HN(1) or their message; family
       shapes and (0,3,4,6,7,9) take the long division, gapped sequences
-      of 30 or more degrees the product check, and sums of two, on any
-      span, the long division; a numerator one too large in column 0, a
-      middle column or column s, or one flipped sign, fails the product
-      check with the one message
+      the product check, and sums of two, on any span, the long division,
+      as spies on both kernels see; a numerator one too large in column
+      0, a middle column or column s, or one flipped sign, fails the
+      product check with the one message
     - within a run, pure_diagram steps a reduced entry by a ratio whose
       small factors cancel against it
     - both pure_diagram kernels (integer numerators over S!/n!, and reduced
       pairs stepped along runs) give the Herzog-Kuhl table in lowest terms,
-      on both sides of their shape test and at its exact boundary; gapped
-      sequences and wide spans take the run kernel, secant sequences with
-      n >= 2H the hole kernel
+      on both sides of their shape test (the hole kernel iff 2H <= n) and
+      at its exact boundary; gapped sequences and wide spans take the run
+      kernel, secant sequences exactly when n >= 2H the hole kernel, as
+      spies on both kernels see
     - the JSON reader sums int pairs to the Fraction sums, reads 2/4 as
       1/2, drops duplicates that cancel, and checks every value before any
       index; a JSON float is refused, since it arrives rounded to a double
@@ -250,8 +251,21 @@ def _spread(rng, start, n, holes):
     return (start, *inner, start + n + holes)
 
 
-def _takes_holes(e):
-    return diagrams._few_holes_pay(e[-1] - e[0], len(e) - 1)
+def _takes_holes(e, monkeypatch):
+    """Whether _pure_checked picks the hole kernel for the sequence e, seen
+    through spies on both kernels. It asks _pure_checked past its memo,
+    which would answer without a kernel, and each spy answers for its
+    kernel with a table of ones, so no table is built."""
+    taken = []
+    with monkeypatch.context() as patch:
+        for name in ("_pure_over_holes", "_pure_over_runs"):
+            def spy(e, *runs, _name=name):
+                taken.append(_name)
+                return [1] * len(e), 1
+            patch.setattr(diagrams, name, spy)
+        diagrams._pure_checked.__wrapped__(diagrams.DegreeSequence(e))
+    assert len(taken) == 1, taken
+    return taken[0] == "_pure_over_holes"
 
 
 def _columns(b, e):
@@ -273,7 +287,7 @@ def _assert_kernels_match_naive(e):
         assert kernel(seq, *runs) == _columns(b, e), (kernel.__name__, e)
 
 
-def test_pure_kernels_match_naive_formula_on_both_sides():
+def test_pure_kernels_match_naive_formula_on_both_sides(monkeypatch):
     rng = random.Random(41)
     sides = {True: 0, False: 0}
     singles = [(0,), (7,), (-12,)]
@@ -283,10 +297,9 @@ def test_pure_kernels_match_naive_formula_on_both_sides():
         n = rng.randint(1, 60)
         spread.append(_spread(rng, rng.randint(-30, 30), n, rng.randint(0, n + 2)))
     for e in singles + intervals + spread:
-        sides[_takes_holes(e)] += 1
+        sides[_takes_holes(e, monkeypatch)] += 1
         _assert_kernels_match_naive(e)
-    assert all(_takes_holes(e) for e in intervals)  # H = 0
-    assert not any(_takes_holes(e) for e in singles)  # n = 0
+    assert all(_takes_holes(e, monkeypatch) for e in intervals + singles)  # H = 0
     assert min(sides.values()) > 100, sides
 
 
@@ -315,31 +328,30 @@ def test_pure_kernels_return_lowest_terms():
             assert den > 0 and math.gcd(den, *numerators) == 1, (kernel.__name__, e)
 
 
-def test_pure_kernels_at_the_shape_test_boundary():
-    # 3H(n + 8) = n(n + 23) at (n, H) = (4, 3) and (112, 42): the boundary
-    # takes the run kernel, one hole fewer the hole kernel
+def test_pure_kernels_at_the_shape_test_boundary(monkeypatch):
+    # 2H = n at (n, H) = (4, 2) and (112, 56): the boundary and one hole
+    # fewer take the hole kernel, one hole more the run kernel; at odd n,
+    # (9, 4) is the last shape the hole kernel takes and (9, 5) the first
+    # the run kernel does
     rng = random.Random(43)
-    for n, holes in ((4, 3), (112, 42)):
-        assert 3 * holes * (n + 8) == n * (n + 23)
-        assert not diagrams._few_holes_pay(n + holes, n)
-        assert diagrams._few_holes_pay(n + holes - 1, n)
-        for h in (holes - 1, holes):
+    for n, holes in ((4, 2), (112, 56), (9, 4)):
+        for h in (holes - 1, holes, holes + 1):
             for _ in range(4):
                 e = _spread(rng, rng.randint(-9, 9), n, h)
-                assert _takes_holes(e) is (h < holes)
+                assert _takes_holes(e, monkeypatch) is (h <= holes), (n, h)
                 _assert_kernels_match_naive(e)
 
 
-def test_pure_kernel_sides_on_family_and_gapped_sequences():
-    # every sequence with gaps in [2, 5] has H >= n and takes the run kernel
+def test_pure_kernel_sides_on_family_and_gapped_sequences(monkeypatch):
+    # every sequence with gaps in [2, 5] has H >= n and takes the run
+    # kernel, but a single degree (n = H = 0)
     rng = random.Random(47)
     for length in (1, 2, 3, 10, 30, 90, 150):
         for _ in range(20):
             e = _random_sequence(rng, rng.randint(-9, 4), (2, 3, 4, 5), length)
-            assert not _takes_holes(e), e
+            assert _takes_holes(e, monkeypatch) is (length == 1), e
     # a secant sequence has H = 2k + 2 and n = r - 2k - 1; with k <= 4 it
-    # takes the hole kernel whenever n >= 2H, and the run kernel below that,
-    # where the run kernel is the faster one
+    # takes the hole kernel exactly when n >= 2H
     for g in range(1, 7):
         for k in range(5):
             for d in range(2 * g + 2 * k + 1, 301):
@@ -347,13 +359,10 @@ def test_pure_kernel_sides_on_family_and_gapped_sequences():
                 e = secant.degree_sequence(params, secant.jump_tuples(g, k)[-1])
                 holes, n = e[-1] - e[0] - (len(e) - 1), len(e) - 1
                 assert holes == 2 * k + 2
-                if n >= 2 * holes:
-                    assert _takes_holes(e), (g, k, d)
-                elif n < holes:
-                    assert not _takes_holes(e), (g, k, d)
+                assert _takes_holes(e, monkeypatch) is (n >= 2 * holes), (g, k, d)
 
 
-def test_pure_hole_kernel_on_long_family_sequences():
+def test_pure_hole_kernel_on_long_family_sequences(monkeypatch):
     # columns sampled against the formula, and the whole table against the
     # run kernel, up to d = 3000
     rng = random.Random(53)
@@ -361,7 +370,7 @@ def test_pure_hole_kernel_on_long_family_sequences():
         params = secant.SecantParams(g, k, d)
         for t in (secant.jump_tuples(g, k)[0], secant.dominant_tuple(params)):
             e = secant.degree_sequence(params, t)
-            assert _takes_holes(e)
+            assert _takes_holes(e, monkeypatch)
             b = diagrams.pure_diagram(e)
             assert math.gcd(b._den, *b._n.values()) == 1
             n = len(e) - 1
@@ -370,11 +379,11 @@ def test_pure_hole_kernel_on_long_family_sequences():
             assert diagrams._pure_over_runs(e, *diagrams._runs(e)) == _columns(b, e)
 
 
-def test_pure_diagram_over_a_wide_span_takes_the_run_kernel():
+def test_pure_diagram_over_a_wide_span_takes_the_run_kernel(monkeypatch):
     # S!/n! for S = 10^8 would never finish; the run kernel builds each
     # entry from n = 1..3 differences
     for e in ((0, 10**8), (0, 1, 2, 10**8), (-(10**8), 0, 10**8)):
-        assert not _takes_holes(e)
+        assert not _takes_holes(e, monkeypatch)
         assert diagrams.pure_diagram(e).items() == _naive_pure_entries(e)
 
 
@@ -584,10 +593,11 @@ def _multiplicity_path(b, monkeypatch):
 
 
 def test_division_shape_test_sides(monkeypatch):
-    # multiplicity's shape test: family diagrams and (0,3,4,6,7,9) take
-    # the long division, gapped sequences of 30 or more degrees the
-    # product check; the family quotients match the prefix sums (the other
-    # shapes are matched in test_one_division_where_the_prefix_sums_ran)
+    # multiplicity's shape test: family diagrams and (0,3,4,6,7,9)
+    # (m <= 2s) take the long division, gapped sequences (m > 2s from 3
+    # degrees up here) the product check; the family quotients match the
+    # prefix sums (the other shapes are matched in
+    # test_one_division_where_the_prefix_sums_ran)
     family = [
         secant.degree_sequence(secant.SecantParams(g, k, d), t)
         for g, k, d in ((1, 0, 61), (3, 2, 120), (6, 4, 300), (2, 1, 60))
@@ -600,7 +610,7 @@ def test_division_shape_test_sides(monkeypatch):
     rng = random.Random(9)
     gapped = [_random_sequence(rng, 0, (2, 3, 4, 5), n) for n in (3, 10, 40, 90)]
     for e in gapped + [(0, 3, 4, 6, 7, 9)]:
-        path = "product check" if len(e) >= 30 else "long division"
+        path = "long division" if e == (0, 3, 4, 6, 7, 9) else "product check"
         assert _multiplicity_path(diagrams.pure_diagram(e), monkeypatch) == path, e
 
 
@@ -721,10 +731,10 @@ def test_long_division_same_with_cold_and_warm_row_memo():
 
 def _takes_products(b):
     """Whether the shape test sends b to the product check: exactly s + 1
-    nonzero terms, and _products_pay on its shape."""
+    nonzero terms, and m > 2s for its m + s coefficients."""
     coeffs, _, s = _dense_alternating(b)
     terms = len(coeffs) - coeffs.count(0)
-    return terms == s + 1 and diagrams._products_pay(len(coeffs) - s, s)
+    return terms == s + 1 and len(coeffs) - s > 2 * s
 
 
 def _assert_multiplicity_matches_prefix_sums(b, products=None):
@@ -786,7 +796,7 @@ def test_moment_kernel_matches_prefix_sums(monkeypatch):
 
 def test_moment_kernel_edge_shapes():
     # every shape here has other than s + 1 nonzero terms, or a short
-    # quotient, so the long division takes it
+    # quotient, so the long division takes it, but a single cell at s = 0
     for s in (40, 5):
         # K = 0 (multiplicity 0), and a nonzero K of one term
         cancels = diagrams.BettiDiagram({(p, s - p): F(math.comb(s, p)) for p in range(s + 1)})
@@ -801,27 +811,30 @@ def test_moment_kernel_edge_shapes():
         poly[j] = rng.choice((-3, -1, 2))
     assert _assert_multiplicity_matches_prefix_sums(_diagram_with_polynomial(poly, 40), False) is None
     # s = 0: HN is the alternating polynomial itself, here at negative
-    # degrees; a single cell is the one term the product check takes
+    # degrees; a single cell is s + 1 terms with m = 1 > 2s, which the
+    # product check takes
     for cells in (
         {(0, -4): F(1, 3), (0, 3): F(2)},
         {(0, -9): F(1), (0, 40): F(5, 2)},
         {(0, 5): F(2, 3)},
     ):
         b = diagrams.BettiDiagram(cells)
-        assert _assert_multiplicity_matches_prefix_sums(b, False)
+        assert _assert_multiplicity_matches_prefix_sums(b, len(cells) == 1)
         assert diagrams.multiplicity(b) == sum(cells.values())
 
 
-def test_moment_shape_test_exact_boundary():
-    # 1600 (m - s - 25) = s^2 at (m, s) = (66, 40), with s + 1 nonzero
-    # terms: the boundary takes the long division, one coefficient more the
-    # product check
-    assert 1600 * (66 - 40 - 25) == 40 * 40
-    on = diagrams.pure_diagram(_run_sequence(40, 65))
-    above = diagrams.pure_diagram(_run_sequence(40, 66))
-    assert (_shape(on), _shape(above)) == ((66, 40), (67, 40))
-    assert _assert_multiplicity_matches_prefix_sums(on, False)
-    assert _assert_multiplicity_matches_prefix_sums(above, True)
+def test_moment_shape_test_exact_boundary(monkeypatch):
+    # m = 2s at (m, s) = (80, 40) and (4, 2), with s + 1 nonzero terms: the
+    # boundary and one coefficient fewer take the long division, one
+    # coefficient more the product check
+    sequences = {40: lambda m: _run_sequence(40, m - 1), 2: lambda m: (0, 1, m + 1)}
+    for s, sequence in sequences.items():
+        for m, products in ((2 * s - 1, False), (2 * s, False), (2 * s + 1, True)):
+            b = diagrams.pure_diagram(sequence(m))
+            assert _shape(b) == (m, s)
+            assert _assert_multiplicity_matches_prefix_sums(b, products)
+            path = "product check" if products else "long division"
+            assert _multiplicity_path(b, monkeypatch) == path, (m, s)
 
 
 def test_moments_and_prefix_sums_agree_on_gapped_shapes(monkeypatch):
@@ -933,7 +946,7 @@ def test_division_memo_never_holds_a_failed_division(monkeypatch):
     rng = random.Random(24)
     sequences = [
         (secant.degree_sequence(secant.SecantParams(3, 2, 120), (1, 2, 3)), "long division"),
-        (_random_sequence(rng, 0, (2, 3, 5), 8), "long division"),
+        (_random_sequence(rng, 0, (2, 3), 8), "long division"),
         (_random_sequence(rng, 0, (2, 3, 5), 40), "product check"),
     ]
     held = diagrams.pure_diagram((0, 3, 4, 6, 7, 9))
@@ -1072,7 +1085,7 @@ def _table_form_cases(rng):
     return seqs
 
 
-def test_column_and_dict_forms_agree():
+def test_column_and_dict_forms_agree(monkeypatch):
     # a pure table in column form against a table of the same cells held
     # as a dict alone, in a shuffled order, built through _table: every
     # quantity and reader gives the same value or exception, each reader
@@ -1081,7 +1094,7 @@ def test_column_and_dict_forms_agree():
     sides = {True: 0, False: 0}
     paths = set()
     for e in _table_form_cases(rng):
-        sides[_takes_holes(e)] += 1
+        sides[_takes_holes(e, monkeypatch)] += 1
         cells = list(_column_form(e)._n.items())
         den = _column_form(e)._den
 
@@ -1389,8 +1402,8 @@ def test_json_reader_refuses_a_float_value(v):
     assert b.get(0, 0) == F(100000000000000001, 10**17)
 
 
-def test_rational_pair_reads_an_int_without_str():
-    # past the int-to-str digit limit, as require_rational already reads it
+def test_require_rational_reads_an_int_without_str():
+    # past the int-to-str digit limit: an int becomes a Fraction with no str
     huge = 10**5000
     assert require_rational(huge, "c") == F(huge)
     b = diagrams.BettiDiagram.from_json_obj({"entries": [{"p": 0, "q": 0, "v": huge}]})

@@ -694,8 +694,10 @@ def test_outside_rational_exponent_past_digit_limit_refused(entry, digit_limit):
 
 
 def _fraction_str_reader(text, what):
-    """require_rational's Fraction(str) path, without its exponent refusal:
-    the oracle for its fast path, as a value or the ValueError's text."""
+    """Fraction(str), as a value or the text of require_rational's
+    ValueError: the oracle for require_rational's str path, the one
+    reader of an outside rational, on spellings below the exponent
+    refusal."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
